@@ -116,6 +116,7 @@ def cmd_analyze(args) -> int:
         with open(args.out_loads, "w", newline="") as fh:
             loads.write_csv(fh)
         outputs.append(args.out_loads)
+    report = None
     if args.mode is Mode.HIGH:
         report = packet_delay_inspector(placement, spec)
         if args.out_routers:
@@ -131,6 +132,10 @@ def cmd_analyze(args) -> int:
               file=sys.stderr)
     lat = objective(placement, spec, args.mode)
     summary = {"objective": lat.objective_value, "mode": args.mode.value}
+    if report is not None:
+        router, port = report.peak_channel
+        summary.update(peak_rho_e=report.peak_rho_e,
+                       peak_channel=[router.x, router.y, port.value])
     if args.format == "json":
         print(json.dumps(summary))
     elif args.format == "csv":

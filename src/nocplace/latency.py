@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO
 
+import numpy as np
+
 from .errors import NoCachesError, NoMemControllersError
 from .mesh import Coord, Placement, manhattan
-from .queueing import PAPER, DelayReport, packet_delay_inspector
-from .routing import path_channels
+from .queueing import PAPER, solve_network
+from .routing import channel_loads, flow_set, path_sums, tile_indices
 from .traffic import ResolvedTraffic, TrafficSpec, resolve
 
 
@@ -121,11 +123,27 @@ def low_traffic_mem_latency(placement: Placement, spec: TrafficSpec,
     return float(sum(w * d for w, d in zip(weights, per_cache))) + spec.mem_fixed_latency
 
 
-def _transit_sum(report: DelayReport, src: Coord, dst: Coord) -> float:
-    # Response-time sum over the d routers entered via links (the injection
-    # channel at src is excluded; LOW mode counts the same d hops).
-    return sum(report.rt_of(router, port)
-               for router, port in path_channels(src, dst)[1:])
+def _high_traffic_terms(placement: Placement, spec: TrafficSpec, r: ResolvedTraffic,
+                        queue_mode: str) -> tuple[np.ndarray, np.ndarray | float]:
+    # Per-core L2 and memory terms priced at the modeled response times. A
+    # transit sums the response times of the d routers entered via links
+    # (the injection channel at the source is excluded; LOW mode counts the
+    # same d hops).
+    grid = placement.grid
+    fp = solve_network(channel_loads(flow_set(placement, spec, r), grid),
+                       spec.svc, spec.arrival_scv, queue_mode)
+
+    def transit(src, dst) -> np.ndarray:
+        s, d = tile_indices(grid, src), tile_indices(grid, dst)
+        sums = path_sums(grid, np.repeat(s, len(d)), np.tile(d, len(s)), fp.rt,
+                         skip_injection=True)
+        return sums.reshape(len(s), len(d))
+
+    l2 = (r.p * transit(r.cores, r.caches)).sum(axis=1)
+    if r.q is None:
+        return l2, 0.0
+    per_cache_mem = (r.q * transit(r.caches, r.mcs)).sum(axis=1)
+    return l2, r.p @ per_cache_mem + spec.mem_fixed_latency
 
 
 def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
@@ -138,45 +156,42 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
     has memory controllers.
     """
     r = resolve(placement, spec)
-    es = spec.svc.mean_service
     miss1 = spec.miss_l1
     miss2 = spec.miss_l2
-    report = None
     if mode is Mode.HIGH:
-        report = packet_delay_inspector(placement, spec, mode=queue_mode, resolved=r)
-
-    per_cache_mem = None
-    if r.q is not None:
-        if mode is Mode.HIGH:
-            per_cache_mem = [
-                sum(r.q[j, k] * _transit_sum(report, cache, mc)
-                    for k, mc in enumerate(r.mcs))
-                for j, cache in enumerate(r.caches)
-            ]
-        else:
-            per_cache_mem = [
-                es * sum(r.q[j, k] * manhattan(cache, mc) for k, mc in enumerate(r.mcs))
-                for j, cache in enumerate(r.caches)
-            ]
-
-    per_core = []
-    for i, core in enumerate(r.cores):
-        if mode is Mode.HIGH:
-            l2 = sum(float(r.p[i, j]) * _transit_sum(report, core, cache)
-                     for j, cache in enumerate(r.caches))
-        else:
-            l2 = es * sum(float(r.p[i, j]) * manhattan(core, cache)
-                          for j, cache in enumerate(r.caches))
-        mem = 0.0
-        if per_cache_mem is not None:
-            mem = sum(float(r.p[i, j]) * per_cache_mem[j]
-                      for j in range(len(r.caches))) + spec.mem_fixed_latency
+        l2, mem = _high_traffic_terms(placement, spec, r, queue_mode)
         total = spec.latency_l1 + l2 * miss1 + mem * miss1 * miss2
-        per_core.append(CoreLatency(core, float(l2), float(mem), float(total)))
-
+        mem = np.broadcast_to(mem, total.shape)
+        per_core = [CoreLatency(core, a, b, c) for core, a, b, c
+                    in zip(r.cores, l2.tolist(), mem.tolist(), total.tolist())]
+    else:
+        per_core = _low_traffic_terms(r, spec)
     return LatencyReport(
         mode=mode,
         per_core=per_core,
         objective_value=float(sum(c.total for c in per_core)),
         spec=spec,
     )
+
+
+def _low_traffic_terms(r: ResolvedTraffic, spec: TrafficSpec) -> list[CoreLatency]:
+    es = spec.svc.mean_service
+    miss1 = spec.miss_l1
+    miss2 = spec.miss_l2
+    per_cache_mem = None
+    if r.q is not None:
+        per_cache_mem = [
+            es * sum(r.q[j, k] * manhattan(cache, mc) for k, mc in enumerate(r.mcs))
+            for j, cache in enumerate(r.caches)
+        ]
+    per_core = []
+    for i, core in enumerate(r.cores):
+        l2 = es * sum(float(r.p[i, j]) * manhattan(core, cache)
+                      for j, cache in enumerate(r.caches))
+        mem = 0.0
+        if per_cache_mem is not None:
+            mem = sum(float(r.p[i, j]) * per_cache_mem[j]
+                      for j in range(len(r.caches))) + spec.mem_fixed_latency
+        total = spec.latency_l1 + l2 * miss1 + mem * miss1 * miss2
+        per_core.append(CoreLatency(core, float(l2), float(mem), float(total)))
+    return per_core

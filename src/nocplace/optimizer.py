@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .errors import BudgetExceededError, InfeasibleError, UnstableError
+from .errors import BudgetExceededError, InfeasibleError, NonConvergentError, UnstableError
 from .latency import Mode, objective
 from .mesh import (
+    _CHAR_OF_KIND,
     Coord,
     MeshGrid,
     NodeKind,
@@ -31,12 +33,8 @@ from .traffic import TrafficSpec
 
 OBJECTIVE_TIE_REL_TOL = 1e-9
 
-_KIND_CHAR = {
-    NodeKind.CORE: "C",
-    NodeKind.CACHE: "$",
-    NodeKind.MC: "M",
-    NodeKind.ROUTER_ONLY: ".",
-}
+# Candidates scored as +inf, by cause: counted into SearchResult.extras.
+FAILURE_KINDS = ("unstable", "non_convergent")
 
 
 @dataclass
@@ -61,7 +59,9 @@ class SearchSpace:
 @dataclass
 class SearchResult:
     """Search outcome: all argmin ties, their shared objective value, and
-    enumeration accounting."""
+    enumeration accounting. ``extras`` counts the candidates scored +inf
+    because the HIGH model saturated (``unstable``) or its fixed point did
+    not settle (``non_convergent``)."""
 
     best: list[Placement]
     objective_value: float
@@ -110,7 +110,7 @@ def _validate_space(space: SearchSpace) -> tuple[list[int], int, int, int]:
 def _base_chars(space: SearchSpace) -> list[str]:
     chars = ["."] * space.grid.n_tiles
     for c, k in space.fixed.items():
-        chars[space.grid.index(c)] = _KIND_CHAR[k]
+        chars[space.grid.index(c)] = _CHAR_OF_KIND[k]
     return chars
 
 
@@ -165,26 +165,36 @@ def _orbit_strings(s: str, perms: list[tuple[int, ...]]) -> set[str]:
 
 
 def _objective_value(placement: Placement, spec: TrafficSpec, mode: Mode,
-                     queue_mode: str) -> float:
+                     queue_mode: str, failures: Counter) -> float:
+    # One bad candidate must not abort a search: it scores +inf and is
+    # counted by cause.
     try:
         return objective(placement, spec, mode, queue_mode).objective_value
     except UnstableError:
-        return math.inf
+        failures["unstable"] += 1
+    except NonConvergentError:
+        failures["non_convergent"] += 1
+    return math.inf
 
 
-def _eval_chunk(args) -> list[float]:
+def _eval_chunk(args) -> tuple[list[float], Counter]:
     width, height, strings, spec, mode, queue_mode = args
     grid = MeshGrid(width, height)
-    return [
-        _objective_value(placement_from_string(grid, s), spec, mode, queue_mode)
+    failures: Counter = Counter()
+    values = [
+        _objective_value(placement_from_string(grid, s), spec, mode, queue_mode, failures)
         for s in strings
     ]
+    return values, failures
 
 
 def _evaluate_all(grid: MeshGrid, strings: list[str], spec: TrafficSpec,
-                  mode: Mode, queue_mode: str, jobs: int) -> list[float]:
+                  mode: Mode, queue_mode: str, jobs: int,
+                  failures: Counter) -> list[float]:
     if jobs <= 1 or len(strings) < 64:
-        return _eval_chunk((grid.width, grid.height, strings, spec, mode, queue_mode))
+        values, part = _eval_chunk((grid.width, grid.height, strings, spec, mode, queue_mode))
+        failures.update(part)
+        return values
     chunk = max(32, math.ceil(len(strings) / (jobs * 4)))
     batches = [strings[i:i + chunk] for i in range(0, len(strings), chunk)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -193,9 +203,14 @@ def _evaluate_all(grid: MeshGrid, strings: list[str], spec: TrafficSpec,
             [(grid.width, grid.height, b, spec, mode, queue_mode) for b in batches],
         )
         values: list[float] = []
-        for part in results:
+        for part, part_failures in results:
             values.extend(part)
+            failures.update(part_failures)
     return values
+
+
+def _failure_counts(failures: Counter) -> dict[str, int]:
+    return {kind: failures[kind] for kind in FAILURE_KINDS}
 
 
 def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
@@ -246,19 +261,24 @@ def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
         raise InfeasibleError("search space is empty")
 
     extras: dict = {}
+    failures: Counter = Counter()
     evaluated = 0
     if space.mode is Mode.HIGH and prefilter:
-        low = _evaluate_all(space.grid, reps, spec, Mode.LOW, queue_mode, jobs)
+        low = _evaluate_all(space.grid, reps, spec, Mode.LOW, queue_mode, jobs, failures)
         keep = max(100, math.ceil(0.05 * len(reps)))
         order = sorted(range(len(reps)), key=lambda i: (low[i], reps[i]))
         reps = [reps[i] for i in order[:keep]]
         extras["prefilter_evaluated"] = len(low)
 
-    values = _evaluate_all(space.grid, reps, spec, space.mode, queue_mode, jobs)
+    values = _evaluate_all(space.grid, reps, spec, space.mode, queue_mode, jobs, failures)
     evaluated += len(values)
+    extras.update(_failure_counts(failures))
     best_value = min(values)
     if math.isinf(best_value):
-        raise UnstableError("every candidate placement saturates at this load")
+        raise UnstableError(
+            "every candidate placement saturates at this load "
+            f"({failures['unstable']} unstable, {failures['non_convergent']} non-convergent)"
+        )
     cutoff = _tie_cutoff(best_value)
     winners = sorted(s for s, v in zip(reps, values) if v <= cutoff)
 
@@ -313,6 +333,7 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
     best_value = math.inf
     best_strings: set[str] = set()
     evaluated = phase1.evaluated
+    failures = Counter({kind: phase1.extras[kind] for kind in FAILURE_KINDS})
     for winner in phase1.best:
         fixed = dict(winner.assignment)
         for c in list(fixed):
@@ -330,6 +351,7 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
         result = exhaustive_search(phase2_space, spec, budget,
                                    queue_mode=queue_mode, jobs=jobs)
         evaluated += result.evaluated
+        failures.update({kind: result.extras[kind] for kind in FAILURE_KINDS})
         if result.objective_value < best_value - OBJECTIVE_TIE_REL_TOL * max(
             1.0, abs(result.objective_value)
         ):
@@ -348,6 +370,7 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
         extras={
             "phase1_objective": phase1.objective_value,
             "phase2_objective": best_value,
+            **_failure_counts(failures),
         },
     )
 
@@ -390,10 +413,12 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
     start = _start_placement(space)
     current = list(placement_string(start))
     evaluated = 0
+    failures: Counter = Counter()
 
     def value_of(chars: list[str]) -> float:
         return _objective_value(
-            placement_from_string(grid, "".join(chars)), spec, space.mode, queue_mode
+            placement_from_string(grid, "".join(chars)), spec, space.mode, queue_mode,
+            failures,
         )
 
     best_value = value_of(current)
@@ -455,5 +480,5 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         evaluated=evaluated,
         pruned=0,
         method="local",
-        extras={"seed": seed},
+        extras={"seed": seed, **_failure_counts(failures)},
     )

@@ -15,30 +15,41 @@ response time, so in this mode the per-channel response time is that value
 by rho_e, used as a pure waiting time on top of E{S}. The two modes produce
 identical response times whenever (Ca^2+Cs^2)/2 = 1, which covers the default
 Poisson-arrival / exponential-service configuration.
+
+All routers of a mesh are solved in one batched pass over (router, port)
+arrays. Each router runs exactly the iteration it would run alone (ports
+are summed in a fixed sequential order, so padding a router with idle ports
+changes no bit) and stops at its own convergence; ``solve_router`` is the
+same kernel on a batch of one.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NocError,
     NonConvergentError,
     UnstableError,
 )
 from .mesh import Coord, Placement
 from .routing import (
+    N_PORTS,
+    PORT_INDEX,
+    PORT_ORDER,
     ChannelLoadMap,
     Flow,
     Port,
-    build_flows,
-    derive_channel_rates,
-    path_channels,
+    channel_loads,
+    flow_set,
+    path_sums,
     valid_in_ports,
+    valid_port_mask,
 )
 from .traffic import ResolvedTraffic, ServiceSpec, TrafficSpec, resolve
 
@@ -59,16 +70,16 @@ def mm1_response(lam: float, mu: float) -> float:
     return 1.0 / (mu - lam)
 
 
-def kingman_wait(rho_e: float, ca2: float, cs2: float, es: float,
-                 mode: str = PAPER) -> float:
+def kingman_wait(rho_e, ca2: float, cs2: float, es: float, mode: str = PAPER):
     """Approximate waiting time from effective utilization and variability.
 
     PAPER mode returns ((Ca^2+Cs^2)/2) * E{S} / (1-rho_e) as written; STANDARD
-    multiplies by rho_e, the textbook G/G/1 heavy-traffic form.
+    multiplies by rho_e, the textbook G/G/1 heavy-traffic form. ``rho_e`` may
+    be a scalar or an array of utilizations.
     """
     if mode not in (PAPER, STANDARD):
         raise ValueError(f"unknown waiting-time mode {mode!r}")
-    if rho_e < 0 or rho_e >= 1.0:
+    if np.any(rho_e < 0) or np.any(rho_e >= 1.0):
         raise UnstableError(f"effective utilization {rho_e} outside [0, 1)")
     if ca2 < 0 or cs2 < 0 or es <= 0:
         raise UnstableError("SCVs must be >= 0 and E{S} > 0")
@@ -76,23 +87,33 @@ def kingman_wait(rho_e: float, ca2: float, cs2: float, es: float,
     return base if mode == PAPER else rho_e * base
 
 
+def _port_sum(a: np.ndarray) -> np.ndarray:
+    # Sum over the last axis in port order, one add at a time: an idle port
+    # adds an exact zero, so padded and unpadded routers agree bit for bit.
+    acc = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        acc += a[..., j]
+    return acc
+
+
 def effective_utilization(lam, contention, es) -> np.ndarray:
     """Per-channel effective utilization: row sums of diag(lam) C diag(E{S}).
 
     Row i aggregates the service demand channel i suffers from every channel
     j; the identity contention matrix reduces to the plain lambda * E{S}.
+    Leading axes of ``lam`` and ``contention`` batch independent routers.
     """
     lam = np.asarray(lam, dtype=float)
     c = np.asarray(contention, dtype=float)
     es = np.asarray(es, dtype=float)
+    n = lam.shape[-1]
     if es.ndim == 0:
-        es = np.full(lam.shape, float(es))
-    n = lam.shape[0]
-    if c.shape != (n, n) or es.shape != (n,):
+        es = np.full(n, float(es))
+    if c.shape != lam.shape + (n,) or es.shape != (n,):
         raise DimensionMismatchError(
             f"lambda has {n} channels, C is {c.shape}, E{{S}} is {es.shape}"
         )
-    return lam * (c @ es)
+    return lam * _port_sum(c * es)
 
 
 @dataclass
@@ -109,12 +130,11 @@ class RouterLoads:
 
 def router_loads(loads: ChannelLoadMap, router: Coord) -> RouterLoads:
     ports = tuple(valid_in_ports(loads.grid, router))
-    outs = ports  # same port set acts as outputs (local = ejection)
-    lam = np.array([loads.in_rate(router, p) for p in ports])
-    turns = np.array(
-        [[loads.turn_rate(router, p, o) for o in outs] for p in ports]
-    )
-    return RouterLoads(router, ports, outs, lam, turns)
+    idx = [PORT_INDEX[p] for p in ports]
+    t = loads.grid.index(router)
+    # The same port set acts as outputs (local = ejection).
+    return RouterLoads(router, ports, ports, loads.lam[t, idx],
+                       loads.turns[t][np.ix_(idx, idx)])
 
 
 @dataclass
@@ -124,6 +144,9 @@ class RouterQueueModel:
     Vectors are indexed like ``ports``. ``contention`` carries unit diagonal
     (self service occupancy) plus the cross-channel terms; ``queue_len`` is
     the Little's-law queue length lambda * W_q at the fixed point.
+    ``iterations`` counts the damped fixed-point iterations run and
+    ``final_delta`` is the queue-length change of the last one (below
+    ``FIXED_POINT_TOL``).
     """
 
     router: Coord
@@ -136,6 +159,8 @@ class RouterQueueModel:
     wq: np.ndarray
     rt: np.ndarray
     queue_len: np.ndarray
+    iterations: int
+    final_delta: float
 
     def rt_of(self, port: Port) -> float:
         return float(self.rt[self.ports.index(port)])
@@ -149,15 +174,144 @@ class RouterQueueModel:
         return float(self.lam @ self.rt) / total
 
 
-def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: np.ndarray) -> np.ndarray:
+class FixedPoint(NamedTuple):
+    """Solved fixed points of a batch of routers: one row per router, ports
+    on the last axes (``contention`` is rows x ports x ports)."""
+
+    lam: np.ndarray
+    contention: np.ndarray
+    rho_e: np.ndarray
+    wq: np.ndarray
+    rt: np.ndarray
+    iterations: np.ndarray
+    final_delta: np.ndarray
+
+
+def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: float) -> np.ndarray:
     # rhs[i][j] = rho_i * sum_k Pr(turn_ik at head) * x_jk/(1-x_jk)^2 with
-    # x_jk = rho_j * (1 - exp(-turn_jk * E{S_j})), accumulated over the
-    # outputs both channels drive.
+    # x_jk = rho_j * (1 - exp(-turn_jk * E{S})), accumulated over the
+    # outputs both channels drive. Batched over the leading axis.
     rho = lam * es
-    head = 1.0 - np.exp(-turns * es[:, None])
-    x = rho[:, None] * head
+    head = 1.0 - np.exp(-turns * es)
+    x = rho[..., :, None] * head
     series = x / (1.0 - x) ** 2
-    return rho[:, None] * (head @ series.T)
+    return rho[..., :, None] * _port_sum(head[..., :, None, :] * series[..., None, :, :])
+
+
+def _unstable(rho: np.ndarray, label: str, router: Coord,
+              ports: Sequence[Port]) -> UnstableError:
+    i = int(rho.argmax())
+    return UnstableError(
+        f"{label} {rho[i]:.4f} >= 1 at router {router} channel {ports[i].value}",
+        router=router,
+        channel=ports[i],
+    )
+
+
+def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float,
+                 mode: str, router_of: Callable[[int], Coord],
+                 ports: Sequence[Port]) -> FixedPoint:
+    """Run the damped contention fixed point of every row (router) at once.
+
+    ``lam`` is rows x ports, ``turns`` rows x ports x outputs. Every row
+    iterates as if alone and freezes at the iteration where its own
+    queue-length change drops below ``FIXED_POINT_TOL``. Failures follow
+    the order of solving the rows one after another: the lowest failing row
+    raises its own UnstableError (plain, then effective utilization) or
+    NonConvergentError, naming the port of its largest utilization.
+    """
+    es = svc.mean_service
+    n_rows, n = lam.shape
+    rho = lam * es
+    failure: tuple[int, NocError] | None = None
+    bad = np.flatnonzero(rho.max(axis=1) >= 1.0)
+    if bad.size:
+        row = int(bad[0])
+        failure = (row, _unstable(rho[row], "utilization", router_of(row), ports))
+
+    contention = np.zeros((n_rows, n, n))
+    rho_out = np.zeros((n_rows, n))
+    wq_out = np.zeros((n_rows, n))
+    iterations = np.zeros(n_rows, dtype=np.int64)
+    final_delta = np.zeros(n_rows)
+    # Rows past a failure cannot change the outcome, so they never start.
+    limit = failure[0] if failure else n_rows
+    rows = np.arange(limit)
+    lam_a = lam[:limit]
+    rhs = _contention_rhs(lam_a, turns[:limit], es)
+    # Like router 0 alone, the batch reaches the waiting-time formula (and
+    # its argument checks) only if router 0 passed the plain check.
+    nq = lam_a * kingman_wait(rho[:limit], ca2, svc.scv, es, mode) if limit else lam_a
+    diagonal = np.eye(n, dtype=bool)
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
+        if not rows.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(nq[:, None, :] > 0.0, rhs / nq[:, None, :], 0.0)
+        c[:, diagonal] = 1.0
+        rho_e = effective_utilization(lam_a, c, es)
+        bad = np.flatnonzero(rho_e.max(axis=1) >= 1.0)
+        if bad.size:
+            j = int(bad[0])
+            row = int(rows[j])
+            failure = (row, _unstable(rho_e[j], "effective utilization", router_of(row), ports))
+            rows, lam_a, rhs, nq, c, rho_e = (a[:j] for a in (rows, lam_a, rhs, nq, c, rho_e))
+        wq = kingman_wait(rho_e, ca2, svc.scv, es, mode)
+        nq_next = lam_a * wq
+        delta = np.abs(nq_next - nq).max(axis=1, initial=0.0)
+        nq = (1.0 - FIXED_POINT_DAMPING) * nq + FIXED_POINT_DAMPING * nq_next
+        done = delta < FIXED_POINT_TOL
+        if done.any():
+            ids = rows[done]
+            contention[ids] = c[done]
+            rho_out[ids] = rho_e[done]
+            wq_out[ids] = wq[done]
+            iterations[ids] = it
+            final_delta[ids] = delta[done]
+            left = ~done
+            rows, lam_a, rhs, nq = rows[left], lam_a[left], rhs[left], nq[left]
+    if rows.size:
+        row = int(rows[0])
+        failure = (row, NonConvergentError(
+            f"contention fixed point at router {router_of(row)} did not converge "
+            f"within {FIXED_POINT_MAX_ITER} iterations"
+        ))
+    if failure is not None:
+        raise failure[1]
+    rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
+    return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta)
+
+
+def solve_network(loads: ChannelLoadMap, svc: ServiceSpec, ca2: float = 1.0,
+                  mode: str = PAPER) -> FixedPoint:
+    """Solve every router of a mesh in one batch: rows are tiles in row-major
+    order, ports are ``PORT_ORDER`` (absent ports carry no load).
+
+    Raises what solving the routers one by one in row-major order would
+    raise first.
+    """
+    return _fixed_point(loads.lam, loads.turns, svc, ca2, mode,
+                        loads.grid.coord, PORT_ORDER)
+
+
+def _router_model(router: Coord, ports: tuple[Port, ...], svc: ServiceSpec, ca2: float,
+                  fp: FixedPoint, row: int, idx) -> RouterQueueModel:
+    lam = fp.lam[row, idx].astype(float)
+    wq = fp.wq[row, idx]
+    return RouterQueueModel(
+        router=router,
+        ports=ports,
+        lam=lam,
+        svc=svc,
+        contention=fp.contention[row][np.ix_(idx, idx)],
+        rho_e=fp.rho_e[row, idx],
+        residual=np.full(len(ports), 0.5 * (ca2 + svc.scv) * svc.mean_service),
+        wq=wq,
+        rt=fp.rt[row, idx],
+        queue_len=lam * wq,
+        iterations=int(fp.iterations[row]),
+        final_delta=float(fp.final_delta[row]),
+    )
 
 
 def solve_router(rl: RouterLoads, svc: ServiceSpec, ca2: float = 1.0,
@@ -167,64 +321,10 @@ def solve_router(rl: RouterLoads, svc: ServiceSpec, ca2: float = 1.0,
     Raises UnstableError when any channel's (effective) utilization reaches 1
     and NonConvergentError when the queue-length iteration does not settle.
     """
-    n = len(rl.ports)
-    lam = rl.lam.astype(float)
-    es = np.full(n, svc.mean_service)
-    rho = lam * es
-    _check_stable(rho, rl, "utilization")
-
-    rhs = _contention_rhs(lam, rl.turns, es)
-    c = np.eye(n)
-    rho_e = rho.copy()
-    wq = np.array([kingman_wait(r, ca2, svc.scv, svc.mean_service, mode) for r in rho_e])
-    nq = lam * wq
-    for _ in range(FIXED_POINT_MAX_ITER):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(nq[None, :] > 0.0, rhs / nq[None, :], 0.0)
-        np.fill_diagonal(c, 1.0)
-        rho_e = effective_utilization(lam, c, es)
-        _check_stable(rho_e, rl, "effective utilization")
-        wq = np.array(
-            [kingman_wait(r, ca2, svc.scv, svc.mean_service, mode) for r in rho_e]
-        )
-        nq_next = lam * wq
-        delta = float(np.max(np.abs(nq_next - nq))) if n else 0.0
-        nq = (1.0 - FIXED_POINT_DAMPING) * nq + FIXED_POINT_DAMPING * nq_next
-        if delta < FIXED_POINT_TOL:
-            break
-    else:
-        raise NonConvergentError(
-            f"contention fixed point at router {rl.router} did not converge "
-            f"within {FIXED_POINT_MAX_ITER} iterations"
-        )
-
-    residual = np.full(n, 0.5 * (ca2 + svc.scv) * svc.mean_service)
-    if mode == PAPER:
-        rt = np.maximum(wq, svc.mean_service)
-    else:
-        rt = svc.mean_service + wq
-    return RouterQueueModel(
-        router=rl.router,
-        ports=rl.ports,
-        lam=lam,
-        svc=svc,
-        contention=c,
-        rho_e=rho_e,
-        residual=residual,
-        wq=wq,
-        rt=rt,
-        queue_len=lam * wq,
-    )
-
-
-def _check_stable(rho: np.ndarray, rl: RouterLoads, label: str) -> None:
-    if rho.size and float(rho.max()) >= 1.0:
-        i = int(rho.argmax())
-        raise UnstableError(
-            f"{label} {rho[i]:.4f} >= 1 at router {rl.router} channel {rl.ports[i].value}",
-            router=rl.router,
-            channel=rl.ports[i],
-        )
+    lam = np.asarray(rl.lam, dtype=float)[None]
+    turns = np.asarray(rl.turns, dtype=float)[None]
+    fp = _fixed_point(lam, turns, svc, ca2, mode, lambda _: rl.router, rl.ports)
+    return _router_model(rl.router, rl.ports, svc, ca2, fp, 0, np.arange(len(rl.ports)))
 
 
 def contention_matrix(rl: RouterLoads, svc: ServiceSpec, ca2: float = 1.0,
@@ -239,12 +339,17 @@ class DelayReport:
 
     A flow's delay sums the response time of the input channel it traverses
     at every router on its XY path, source injection channel included, so the
-    zero-load limit is (manhattan + 1) * E{S}.
+    zero-load limit is (manhattan + 1) * E{S}. ``peak_rho_e`` is the largest
+    effective utilization of any channel, at ``peak_channel`` (first in
+    row-major router, then port order): the stability margin is
+    1 - peak_rho_e.
     """
 
     mode: str
     routers: dict[Coord, RouterQueueModel]
     flow_delays: list[tuple[Flow, float]]
+    peak_rho_e: float
+    peak_channel: tuple[Coord, Port]
 
     def rt_of(self, router: Coord, port: Port) -> float:
         return self.routers[router].rt_of(port)
@@ -280,18 +385,22 @@ def packet_delay_inspector(placement: Placement, spec: TrafficSpec,
     load cannot be served.
     """
     r = resolved if resolved is not None else resolve(placement, spec)
-    flows = build_flows(placement, spec, resolved=r)
-    loads = derive_channel_rates(flows, placement.grid)
+    grid = placement.grid
+    flows = flow_set(placement, spec, resolved=r)
+    fp = solve_network(channel_loads(flows, grid), spec.svc, spec.arrival_scv, mode)
+    valid = valid_port_mask(grid)
     routers: dict[Coord, RouterQueueModel] = {}
-    for coord in placement.grid.tiles():
-        routers[coord] = solve_router(
-            router_loads(loads, coord), spec.svc, spec.arrival_scv, mode
-        )
-    flow_delays = []
-    for flow in flows:
-        delay = sum(
-            routers[router].rt_of(port)
-            for router, port in path_channels(flow.src, flow.dst)
-        )
-        flow_delays.append((flow, delay))
-    return DelayReport(mode=mode, routers=routers, flow_delays=flow_delays)
+    for t, coord in enumerate(grid.tiles()):
+        idx = np.flatnonzero(valid[t])
+        ports = tuple(PORT_ORDER[i] for i in idx)
+        routers[coord] = _router_model(coord, ports, spec.svc, spec.arrival_scv, fp, t, idx)
+    delays = path_sums(grid, flows.src, flows.dst, fp.rt)
+    rho_e = np.where(valid, fp.rho_e, -np.inf)
+    t, port = divmod(int(rho_e.argmax()), N_PORTS)
+    return DelayReport(
+        mode=mode,
+        routers=routers,
+        flow_delays=list(zip(flows.flows(grid), delays.tolist())),
+        peak_rho_e=float(rho_e[t, port]),
+        peak_channel=(grid.coord(t), PORT_ORDER[port]),
+    )

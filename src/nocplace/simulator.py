@@ -1,4 +1,4 @@
-"""Discrete-event mesh simulator: virtual cut-through switching at message
+"""Discrete-event mesh simulator: store-and-forward switching at message
 granularity under XY routing.
 
 Each (router, input port) channel is a FIFO queue with a single server. A
@@ -21,7 +21,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import IO, Sequence
 
@@ -467,17 +467,7 @@ def compare_to_analytical(config: SimConfig, queue_mode: str = PAPER,
     sim = run_sim(config)
     es = config.mean_message_size / config.mu
     spec = config.traffic
-    analytic_spec = TrafficSpec(
-        lambda_g=spec.lambda_g,
-        hit_l1=spec.hit_l1,
-        miss_l2=spec.miss_l2,
-        p=spec.p,
-        latency_l1=spec.latency_l1,
-        svc=type(spec.svc)(mean_service=es, scv=spec.svc.scv),
-        arrival_scv=spec.arrival_scv,
-        model_replies=spec.model_replies,
-        mem_fixed_latency=spec.mem_fixed_latency,
-    )
+    analytic_spec = replace(spec, svc=replace(spec.svc, mean_service=es))
     try:
         report = packet_delay_inspector(config.placement, analytic_spec, mode=queue_mode)
     except UnstableError as exc:

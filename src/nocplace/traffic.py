@@ -3,7 +3,7 @@ and the simulator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -64,17 +64,7 @@ class TrafficSpec:
         return 1.0 - self.hit_l1
 
     def with_rate(self, lambda_g: float) -> "TrafficSpec":
-        return TrafficSpec(
-            lambda_g=lambda_g,
-            hit_l1=self.hit_l1,
-            miss_l2=self.miss_l2,
-            p=self.p,
-            latency_l1=self.latency_l1,
-            svc=self.svc,
-            arrival_scv=self.arrival_scv,
-            model_replies=self.model_replies,
-            mem_fixed_latency=self.mem_fixed_latency,
-        )
+        return replace(self, lambda_g=lambda_g)
 
 
 def matrix(rows: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:

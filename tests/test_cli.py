@@ -124,6 +124,16 @@ class TestAnalyze:
         data = json.loads(capsys.readouterr().out)
         assert "objective" in data
 
+    def test_json_summary_reports_peak_utilization_in_high_mode(self, tmp_path, capsys):
+        p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 12, 4, 0)
+        pfile = write_placement(tmp_path, p)
+        assert main(["analyze", "--placement", pfile, "--format", "json",
+                     "--mode", "high", "--lambda-g", "0.2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert 0.0 < data["peak_rho_e"] < 1.0
+        x, y, port = data["peak_channel"]
+        assert 0 <= x < 4 and 0 <= y < 4 and port in "NSEWL"
+
 
 class TestSimulate:
     def test_stats_json_and_explicit_seed(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from nocplace import (
     objective,
     two_phase_optimize,
 )
+from nocplace import queueing
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import SearchSpace
 
@@ -223,3 +224,38 @@ class TestSearchResult:
         d = exhaustive_search(space, TrafficSpec()).to_json_dict()
         assert d["method"] == "exhaustive"
         assert len(d["best"]) == 8
+
+
+class TestFailedCandidates:
+    """A candidate the HIGH model cannot score costs +inf and is counted;
+    it never aborts the search."""
+
+    def test_unstable_candidates_are_counted(self):
+        space = SearchSpace(MeshGrid(3, 3), 5, 2, 0, mode=Mode.HIGH)
+        result = exhaustive_search(space, TrafficSpec(lambda_g=0.35), prefilter=False)
+        assert math.isfinite(result.objective_value)
+        assert 0 < result.extras["unstable"] < result.evaluated
+        assert result.extras["non_convergent"] == 0
+        assert result.to_json_dict()["unstable"] == result.extras["unstable"]
+
+    def test_non_convergent_candidates_score_inf(self, monkeypatch):
+        space = SearchSpace(MeshGrid(3, 3), 5, 2, 0, mode=Mode.HIGH)
+        spec = TrafficSpec(lambda_g=0.2)
+        exact = exhaustive_search(space, spec, prefilter=False)
+        assert exact.extras == {"unstable": 0, "non_convergent": 0}
+        # Loaded routers need 17-22 iterations at this rate: a cap of 18
+        # leaves a few candidates that still converge.
+        monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", 18)
+        capped = exhaustive_search(space, spec, prefilter=False)
+        assert 0 < capped.extras["non_convergent"] < capped.evaluated
+        assert math.isfinite(capped.objective_value)
+        assert capped.objective_value >= exact.objective_value
+
+    def test_local_search_survives_when_nothing_converges(self, monkeypatch):
+        monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", 1)
+        space = SearchSpace(MeshGrid(4, 4), 12, 4, 0, mode=Mode.HIGH)
+        result = local_search(space, TrafficSpec(lambda_g=0.2), seed=5, budget=20)
+        assert result.objective_value == math.inf
+        # The start placement is scored on top of the budgeted evaluations.
+        assert result.extras["non_convergent"] == result.evaluated + 1
+        assert result.extras["unstable"] == 0

@@ -260,3 +260,34 @@ class TestLoadsCsv:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "router_x,router_y,in_port,out_port,rate"
         assert len(lines) == 1 + len(loads.turn_rates)
+
+
+class TestArrayPaths:
+    """The array hop expansion against the per-flow path walkers."""
+
+    def test_path_sums_match_path_channels_for_all_pairs(self):
+        import numpy as np
+
+        from nocplace.routing import PORT_INDEX, path_sums
+
+        g = MeshGrid(5, 3)
+        values = np.random.default_rng(7).random((g.n_tiles, len(PORT_INDEX)))
+        tiles = list(g.tiles())
+        pairs = [(a, b) for a in tiles for b in tiles]
+        src = np.array([g.index(a) for a, _ in pairs])
+        dst = np.array([g.index(b) for _, b in pairs])
+        for skip in (False, True):
+            sums = path_sums(g, src, dst, values, skip_injection=skip)
+            for (a, b), got in zip(pairs, sums.tolist()):
+                channels = path_channels(a, b)[1 if skip else 0:]
+                assert got == sum(values[g.index(r), PORT_INDEX[p]] for r, p in channels)
+
+    def test_turns_follow_xy_route(self):
+        g = MeshGrid(4, 3)
+        for a in g.tiles():
+            for b in g.tiles():
+                loads = derive_channel_rates([Flow(a, b, 1.0, FlowKind.CORE_TO_CACHE)], g)
+                hops = xy_route(a, b)
+                ins = [Port.LOCAL] + [out.opposite for _, out in hops[:-1]]
+                expected = {(r, i, o): 1.0 for (r, o), i in zip(hops, ins)}
+                assert loads.turn_rates == expected
