@@ -29,7 +29,7 @@ from .mesh import (
 )
 from .optimizer import SearchSpace, exhaustive_search, local_search, two_phase_optimize
 from .queueing import packet_delay_inspector
-from .routing import build_flows, derive_channel_rates
+from .routing import channel_loads, flow_set
 from .simulator import (
     SimConfig,
     compare_to_analytical,
@@ -111,8 +111,7 @@ def cmd_analyze(args) -> int:
     spec = _traffic_from_args(args)
     outputs = []
     if args.out_loads:
-        flows = build_flows(placement, spec)
-        loads = derive_channel_rates(flows, placement.grid)
+        loads = channel_loads(flow_set(placement, spec), placement.grid)
         with open(args.out_loads, "w", newline="") as fh:
             loads.write_csv(fh)
         outputs.append(args.out_loads)

@@ -6,12 +6,14 @@ Per core the total decomposes as
     latency_l1 + l2_term * miss_l1 + mem_term * miss_l1 * miss_l2
 
 where the L2 and memory terms are probability-weighted network transit
-times. In LOW mode a core->cache transit costs manhattan-distance hops, each
-hop worth one mean service time. In HIGH mode every hop is replaced by the
-modeled response time of the router the message hops into, so the two modes
-coincide exactly in the zero-load limit. (The delay inspector's per-flow
-delays additionally charge the source injection channel; the objective
-charges the link hops only, matching the low-traffic hop count.)
+times. Both modes share this composition and the transit matrices it is fed
+(core x cache and cache x memory controller); they differ only in the price
+of one hop. LOW prices every hop at one mean service time E{S}, so a transit
+costs E{S} times its manhattan distance. HIGH prices each hop at the modeled
+response time of the router the message hops into, so the two modes coincide
+exactly in the zero-load limit. (The delay inspector's per-flow delays
+additionally charge the source injection channel; the objective charges the
+link hops only, matching the low-traffic hop count.)
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import IO
 import numpy as np
 
 from .errors import NoCachesError, NoMemControllersError
-from .mesh import Coord, Placement, manhattan
+from .mesh import Coord, Placement
 from .queueing import PAPER, solve_network
-from .routing import channel_loads, flow_set, path_sums, tile_indices
+from .routing import channel_loads, flow_set, path_sums
 from .traffic import ResolvedTraffic, TrafficSpec, resolve
 
 
@@ -94,8 +96,7 @@ def low_traffic_l2_latency(core: Coord, placement: Placement, spec: TrafficSpec,
     if not r.caches:
         raise NoCachesError("placement has no caches")
     i = r.cores.index(core)
-    return float(sum(r.p[i, j] * manhattan(core, cache)
-                     for j, cache in enumerate(r.caches)))
+    return float(r.p[i] @ placement.grid.hops[r.core_ids[i], r.cache_ids])
 
 
 def low_traffic_mem_latency(placement: Placement, spec: TrafficSpec,
@@ -111,39 +112,12 @@ def low_traffic_mem_latency(placement: Placement, spec: TrafficSpec,
     r = resolved if resolved is not None else resolve(placement, spec)
     if r.q is None:
         raise NoMemControllersError("placement has no memory controllers")
-    per_cache = [
-        sum(r.q[j, k] * manhattan(cache, mc) for k, mc in enumerate(r.mcs))
-        for j, cache in enumerate(r.caches)
-    ]
+    per_cache = (r.q * placement.grid.hops[r.cache_ids][:, r.mc_ids]).sum(axis=1)
     if core is None:
-        weights = [1.0 / len(r.caches)] * len(r.caches)
+        weights = np.full(len(per_cache), 1.0 / len(per_cache))
     else:
-        i = r.cores.index(core)
-        weights = [float(r.p[i, j]) for j in range(len(r.caches))]
-    return float(sum(w * d for w, d in zip(weights, per_cache))) + spec.mem_fixed_latency
-
-
-def _high_traffic_terms(placement: Placement, spec: TrafficSpec, r: ResolvedTraffic,
-                        queue_mode: str) -> tuple[np.ndarray, np.ndarray | float]:
-    # Per-core L2 and memory terms priced at the modeled response times. A
-    # transit sums the response times of the d routers entered via links
-    # (the injection channel at the source is excluded; LOW mode counts the
-    # same d hops).
-    grid = placement.grid
-    fp = solve_network(channel_loads(flow_set(placement, spec, r), grid),
-                       spec.svc, spec.arrival_scv, queue_mode)
-
-    def transit(src, dst) -> np.ndarray:
-        s, d = tile_indices(grid, src), tile_indices(grid, dst)
-        sums = path_sums(grid, np.repeat(s, len(d)), np.tile(d, len(s)), fp.rt,
-                         skip_injection=True)
-        return sums.reshape(len(s), len(d))
-
-    l2 = (r.p * transit(r.cores, r.caches)).sum(axis=1)
-    if r.q is None:
-        return l2, 0.0
-    per_cache_mem = (r.q * transit(r.caches, r.mcs)).sum(axis=1)
-    return l2, r.p @ per_cache_mem + spec.mem_fixed_latency
+        weights = r.p[r.cores.index(core)]
+    return float(weights @ per_cache) + spec.mem_fixed_latency
 
 
 def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
@@ -156,42 +130,36 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
     has memory controllers.
     """
     r = resolve(placement, spec)
-    miss1 = spec.miss_l1
-    miss2 = spec.miss_l2
+    grid = placement.grid
     if mode is Mode.HIGH:
-        l2, mem = _high_traffic_terms(placement, spec, r, queue_mode)
-        total = spec.latency_l1 + l2 * miss1 + mem * miss1 * miss2
-        mem = np.broadcast_to(mem, total.shape)
-        per_core = [CoreLatency(core, a, b, c) for core, a, b, c
-                    in zip(r.cores, l2.tolist(), mem.tolist(), total.tolist())]
+        fp = solve_network(channel_loads(flow_set(placement, spec, r), grid),
+                           spec.svc, spec.arrival_scv, queue_mode)
+
+        def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+            # Routers entered via links only: the source's injection channel
+            # is excluded, as LOW counts the same hops.
+            sums = path_sums(grid, np.repeat(src, len(dst)), np.tile(dst, len(src)),
+                             fp.rt, skip_injection=True)
+            return sums.reshape(len(src), len(dst))
     else:
-        per_core = _low_traffic_terms(r, spec)
+        # float(): an integer E{S} times the int8 hop table would stay int8.
+        es = float(spec.svc.mean_service)
+
+        def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+            return es * grid.hops[src][:, dst]
+
+    l2 = (r.p * transit(r.core_ids, r.cache_ids)).sum(axis=1)
+    mem = np.zeros(len(l2))
+    if r.q is not None:
+        per_cache_mem = (r.q * transit(r.cache_ids, r.mc_ids)).sum(axis=1)
+        mem = r.p @ per_cache_mem + spec.mem_fixed_latency
+    miss1 = spec.miss_l1
+    total = spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
+    per_core = [CoreLatency(core, a, b, c) for core, a, b, c
+                in zip(r.cores, l2.tolist(), mem.tolist(), total.tolist())]
     return LatencyReport(
         mode=mode,
         per_core=per_core,
         objective_value=float(sum(c.total for c in per_core)),
         spec=spec,
     )
-
-
-def _low_traffic_terms(r: ResolvedTraffic, spec: TrafficSpec) -> list[CoreLatency]:
-    es = spec.svc.mean_service
-    miss1 = spec.miss_l1
-    miss2 = spec.miss_l2
-    per_cache_mem = None
-    if r.q is not None:
-        per_cache_mem = [
-            es * sum(r.q[j, k] * manhattan(cache, mc) for k, mc in enumerate(r.mcs))
-            for j, cache in enumerate(r.caches)
-        ]
-    per_core = []
-    for i, core in enumerate(r.cores):
-        l2 = es * sum(float(r.p[i, j]) * manhattan(core, cache)
-                      for j, cache in enumerate(r.caches))
-        mem = 0.0
-        if per_cache_mem is not None:
-            mem = sum(float(r.p[i, j]) * per_cache_mem[j]
-                      for j in range(len(r.caches))) + spec.mem_fixed_latency
-        total = spec.latency_l1 + l2 * miss1 + mem * miss1 * miss2
-        per_core.append(CoreLatency(core, float(l2), float(mem), float(total)))
-    return per_core

@@ -7,11 +7,14 @@ JSON) deterministically, which the optimizer relies on for symmetry pruning.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import InfeasibleError, OutOfBoundsError
 
@@ -83,11 +86,29 @@ class MeshGrid:
     def coord(self, idx: int) -> Coord:
         return Coord(idx % self.width, idx // self.width)
 
+    @property
+    @functools.cache
+    def hops(self) -> np.ndarray:
+        """All-pairs hop counts: ``hops[s, d]`` is the manhattan distance
+        between tiles ``s`` and ``d``. Built once per grid size and
+        read-only; int8 coordinates keep every temporary as small as the
+        table (64 KB at 16x16, at most 30 hops)."""
+        t = np.arange(self.n_tiles)
+        x, y = (t % self.width).astype(np.int8), (t // self.width).astype(np.int8)
+        hops = np.abs(x[:, None] - x) + np.abs(y[:, None] - y)
+        hops.flags.writeable = False
+        return hops
+
+    @property
+    @functools.cache
+    def coords(self) -> tuple[Coord, ...]:
+        """All tiles in row-major order: ``coords[i]`` is tile ``i``. Built
+        once per grid size."""
+        return tuple(Coord(x, y) for y in range(self.height) for x in range(self.width))
+
     def tiles(self) -> Iterator[Coord]:
         """All tiles in row-major order."""
-        for y in range(self.height):
-            for x in range(self.width):
-                yield Coord(x, y)
+        return iter(self.coords)
 
     def perimeter(self) -> list[Coord]:
         return [
@@ -165,9 +186,13 @@ class Placement:
     def assignment(self) -> dict[Coord, NodeKind]:
         return {c: self.kinds[i] for i, c in enumerate(self.grid.tiles())}
 
+    def tile_ids(self, kind: NodeKind) -> np.ndarray:
+        """Row-major indices of the tiles of the given kind, ascending."""
+        return np.array([i for i, k in enumerate(self.kinds) if k is kind], dtype=np.int32)
+
     def tiles_of(self, kind: NodeKind) -> list[Coord]:
         """Tiles of the given kind in row-major order."""
-        return [c for i, c in enumerate(self.grid.tiles()) if self.kinds[i] is kind]
+        return list(map(self.grid.coords.__getitem__, self.tile_ids(kind).tolist()))
 
     @property
     def cores(self) -> list[Coord]:

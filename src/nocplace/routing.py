@@ -153,7 +153,7 @@ class FlowSet(NamedTuple):
 
     def flows(self, grid: MeshGrid) -> list[Flow]:
         """The same flows as ``Flow`` objects, in array order."""
-        coords = list(grid.tiles())
+        coords = grid.coords
         return [
             Flow(coords[s], coords[d], rate, _KINDS[k])
             for s, d, k, rate in zip(self.src.tolist(), self.dst.tolist(),
@@ -161,27 +161,19 @@ class FlowSet(NamedTuple):
         ]
 
 
-def tile_indices(grid: MeshGrid, coords: Iterable[Coord]) -> np.ndarray:
-    """Row-major tile index of each coordinate."""
-    return np.array([c.y * grid.width + c.x for c in coords], dtype=np.int32)
-
-
 def flow_set(placement: Placement, spec: TrafficSpec,
              resolved: ResolvedTraffic | None = None) -> FlowSet:
     """Array form of ``build_flows``: the same flows, in the same order and
     with bit-identical rates."""
     r = resolved if resolved is not None else resolve(placement, spec)
-    grid = placement.grid
     miss1 = spec.miss_l1
-    cores = tile_indices(grid, r.cores)
-    caches = tile_indices(grid, r.caches)
+    cores, caches, mcs = r.core_ids, r.cache_ids, r.mc_ids
     rate = (r.lam[:, None] * miss1 * r.p).ravel()
     src = [np.repeat(cores, len(caches))]
     dst = [np.tile(caches, len(cores))]
     kind = [np.full(rate.size, _KIND_CODE[FlowKind.CORE_TO_CACHE], dtype=np.int8)]
     rates = [rate]
     if r.q is not None and spec.miss_l2 > 0.0:
-        mcs = tile_indices(grid, r.mcs)
         cache_ingress = (r.lam * miss1) @ r.p  # aggregate request rate per cache
         rate = (cache_ingress[:, None] * spec.miss_l2 * r.q).ravel()
         src.append(np.repeat(caches, len(mcs)))
@@ -356,8 +348,8 @@ def derive_channel_rates(flows: Iterable[Flow], grid: MeshGrid) -> ChannelLoadMa
         f = min(outside, key=lambda f: (f.src, f.dst, f.kind.value, f.rate))
         raise OutOfBoundsError(f"flow {f.src}->{f.dst} leaves the grid")
     fs = FlowSet(
-        src=tile_indices(grid, (f.src for f in flows)),
-        dst=tile_indices(grid, (f.dst for f in flows)),
+        src=np.array([grid.index(f.src) for f in flows], dtype=np.int32),
+        dst=np.array([grid.index(f.dst) for f in flows], dtype=np.int32),
         kind=np.array([_KIND_CODE[f.kind] for f in flows], dtype=np.int8),
         rate=np.array([f.rate for f in flows], dtype=float),
     )

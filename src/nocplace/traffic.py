@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidTrafficError, NoCachesError
-from .mesh import Coord, Placement, manhattan
+from .mesh import Coord, NodeKind, Placement
 
 PROB_TOL = 1e-9
 
@@ -76,12 +76,19 @@ def matrix(rows: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
 class ResolvedTraffic:
     """TrafficSpec bound to a concrete placement.
 
-    ``p[i][j]`` is core i's access probability to cache j; ``q[j][k]`` is the
-    share of cache j's misses sent to memory controller k (nearest controller,
-    uniform split on distance ties); ``lam[i]`` is core i's generation rate.
-    Core/cache/mc orderings are row-major over the grid.
+    ``core_ids``/``cache_ids``/``mc_ids`` are the row-major tile indices of
+    each kind, ascending, and ``cores``/``caches``/``mcs`` the same tiles as
+    coordinates. ``p[i][j]`` is core i's access probability to cache j;
+    ``q[j][k]`` is the share of cache j's misses sent to memory controller k
+    (nearest controller, uniform split on distance ties); ``lam[i]`` is core
+    i's generation rate. Both latency models compose these into one objective
+    and differ only in the price of a hop: E{S} in LOW, the solved response
+    time of the router entered in HIGH.
     """
 
+    core_ids: np.ndarray
+    cache_ids: np.ndarray
+    mc_ids: np.ndarray
     cores: tuple[Coord, ...]
     caches: tuple[Coord, ...]
     mcs: tuple[Coord, ...]
@@ -96,9 +103,11 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
     Raises NoCachesError when the placement has no caches and
     InvalidTrafficError for malformed probabilities or rates.
     """
-    cores = tuple(placement.cores)
-    caches = tuple(placement.caches)
-    mcs = tuple(placement.mcs)
+    grid = placement.grid
+    core_ids, cache_ids, mc_ids = (placement.tile_ids(kind)
+                                   for kind in (NodeKind.CORE, NodeKind.CACHE, NodeKind.MC))
+    cores, caches, mcs = (tuple(map(grid.coords.__getitem__, ids.tolist()))
+                          for ids in (core_ids, cache_ids, mc_ids))
     if not caches:
         raise NoCachesError("placement has no caches")
 
@@ -131,11 +140,7 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
 
     q = None
     if mcs:
-        q = np.zeros((len(caches), len(mcs)))
-        for j, cache in enumerate(caches):
-            dists = [manhattan(cache, mc) for mc in mcs]
-            dmin = min(dists)
-            nearest = [k for k, d in enumerate(dists) if d == dmin]
-            for k in nearest:
-                q[j, k] = 1.0 / len(nearest)
-    return ResolvedTraffic(cores, caches, mcs, lam, p, q)
+        hops = grid.hops[cache_ids][:, mc_ids]
+        nearest = hops == hops.min(axis=1, keepdims=True)
+        q = nearest / nearest.sum(axis=1, keepdims=True)
+    return ResolvedTraffic(core_ids, cache_ids, mc_ids, cores, caches, mcs, lam, p, q)

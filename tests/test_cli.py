@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +157,7 @@ class TestSimulate:
     def test_round_trip_placement_file(self, tmp_path):
         p = canonical_placement(CanonicalFamily.DISTRIBUTED, MeshGrid(4, 4), 8, 4, 2)
         pfile = write_placement(tmp_path, p)
-        assert Placement.from_text(open(pfile).read()) == p
+        assert Placement.from_text(Path(pfile).read_text()) == p
 
 
 class TestSweepCommand:

@@ -8,6 +8,7 @@ from nocplace import (
     NoCachesError,
     NodeKind,
     NoMemControllersError,
+    ServiceSpec,
     TrafficSpec,
     build_placement,
     canonical_placement,
@@ -126,6 +127,18 @@ class TestObjective:
         high = objective(p, t, Mode.HIGH)
         assert high.objective_value == pytest.approx(
             low.objective_value, rel=1e-6)
+        # At exactly zero load every router answers in E{S}, so HIGH's
+        # per-core terms must be LOW's. An integer E{S} must be priced in
+        # floating point, not in the dtype of the int8 hop table.
+        for svc in (ServiceSpec(mean_service=0.7), ServiceSpec(mean_service=100)):
+            t = TrafficSpec(lambda_g=0.0, hit_l1=0.2, miss_l2=0.4, svc=svc,
+                            mem_fixed_latency=3.0)
+            low = objective(p, t, Mode.LOW)
+            high = objective(p, t, Mode.HIGH)
+            assert [c.core for c in high.per_core] == [c.core for c in low.per_core]
+            for a, b in zip(low.per_core, high.per_core):
+                assert (b.l2_term, b.mem_term, b.total) == pytest.approx(
+                    (a.l2_term, a.mem_term, a.total), rel=1e-12)
 
     def test_high_mode_at_load_dominates_low_mode(self):
         g = MeshGrid(4, 4)

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,16 @@ class TestManhattan:
         assert manhattan(a, b) >= 0
         assert (manhattan(a, b) == 0) == (a == b)
         assert manhattan(a, c) <= manhattan(a, b) + manhattan(b, c)
+        g = data[0]
+        assert g.hops[g.index(a), g.index(b)] == manhattan(a, b)
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 7), (7, 1), (5, 3), (16, 16)])
+    def test_hop_table_is_manhattan(self, w, h):
+        g = MeshGrid(w, h)
+        tiles = list(g.tiles())
+        assert g.hops.dtype == np.int8
+        assert g.hops.tolist() == [[manhattan(a, b) for b in tiles] for a in tiles]
+        assert g.hops.max() == w + h - 2
 
 
 class TestBuildPlacement:
