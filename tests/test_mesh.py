@@ -51,13 +51,12 @@ class TestManhattan:
 
     @given(grid_coords())
     def test_metric_properties(self, data):
-        _, ax, ay, bx, by, cx, cy = data
+        g, ax, ay, bx, by, cx, cy = data
         a, b, c = Coord(ax, ay), Coord(bx, by), Coord(cx, cy)
         assert manhattan(a, b) == manhattan(b, a)
         assert manhattan(a, b) >= 0
         assert (manhattan(a, b) == 0) == (a == b)
         assert manhattan(a, c) <= manhattan(a, b) + manhattan(b, c)
-        g = data[0]
         assert g.hops[g.index(a), g.index(b)] == manhattan(a, b)
 
     @pytest.mark.parametrize("w,h", [(1, 1), (1, 7), (7, 1), (5, 3), (16, 16)])
