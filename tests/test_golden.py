@@ -1,20 +1,35 @@
 """The models against the golden corpus in ``tests/data/golden_models.json``
 (see ``tests/data/make_golden.py``): objective values and per-router
 response times within 1e-12 relative, channel-load CSVs byte for byte, and
-the same unstable cases raising the same error."""
+the same unstable cases raising the same error. The simulator against
+``tests/data/golden_sim.json``: seeded ``SimStats`` JSON byte for byte and
+``compare_to_analytical`` rows exactly."""
 
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from nocplace import Mode, Placement, TrafficSpec, UnstableError, objective, packet_delay_inspector
+from nocplace import (
+    Mode,
+    Placement,
+    SimConfig,
+    TrafficSpec,
+    UnstableError,
+    compare_to_analytical,
+    objective,
+    packet_delay_inspector,
+    run_sim,
+)
 from nocplace.routing import build_flows, derive_channel_rates
 
 REL = 1e-12
-CASES = json.loads((Path(__file__).parent / "data" / "golden_models.json").read_text())["cases"]
+DATA = Path(__file__).parent / "data"
+CASES = json.loads((DATA / "golden_models.json").read_text())["cases"]
+SIM_CASES = json.loads((DATA / "golden_sim.json").read_text())["cases"]
 
 
 def _close(actual: float, expected: float) -> bool:
@@ -59,3 +74,37 @@ def test_high_objective_and_router_rt(case):
     assert len(rt) == len(expected["rt"])
     bad = [(i, a, e) for i, (a, e) in enumerate(zip(rt, expected["rt"])) if not _close(a, e)]
     assert not bad, bad[:5]
+
+
+@pytest.fixture(params=SIM_CASES, ids=[c["id"] for c in SIM_CASES])
+def sim_case(request):
+    c = request.param
+    placement = Placement.from_text(c["placement"].replace("/", "\n"))
+    spec = dict(c["spec"])
+    if spec["p"] is not None:
+        spec["p"] = tuple(tuple(row) for row in spec["p"])
+    return c, SimConfig(placement, TrafficSpec(**spec), messages=c["messages"], seed=c["seed"])
+
+
+def _same(actual: float, expected: float) -> bool:
+    return actual == expected or (math.isnan(actual) and math.isnan(expected))
+
+
+def test_sim_stats_json_bytes(sim_case):
+    c, cfg = sim_case
+    text = json.dumps(run_sim(cfg).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == c["stats_sha256"]
+
+
+def test_sim_compare_rows(sim_case):
+    c, cfg = sim_case
+    expected = c["compare"]
+    report = compare_to_analytical(cfg)
+    assert report.analytical_available is expected["analytical_available"]
+    assert report.detail == expected["detail"]
+    assert _same(report.max_rel_err, expected["max_rel_err"])
+    assert _same(report.mean_rel_err, expected["mean_rel_err"])
+    assert len(report.rows) == len(expected["rows"])
+    for (coord, port, *values), (x, y, port_value, *want) in zip(report.rows, expected["rows"]):
+        assert (coord.x, coord.y, port.value) == (x, y, port_value)
+        assert all(_same(a, e) for a, e in zip(values, want)), (x, y, port_value, values, want)
