@@ -65,6 +65,18 @@ def _traffic_from_args(args) -> TrafficSpec:
     )
 
 
+def _sim_config(args, placement: Placement, seed: int) -> SimConfig:
+    return SimConfig(
+        placement=placement,
+        traffic=_traffic_from_args(args),
+        mean_message_size=args.mean_message_size,
+        mu=args.mu,
+        messages=args.messages,
+        warmup_frac=args.warmup,
+        seed=seed,
+    )
+
+
 def _write_manifest(args, seeds: list[int], outputs: list[str]) -> None:
     path = getattr(args, "manifest", None)
     if not path:
@@ -184,16 +196,7 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     placement = _load_placement(args.placement)
     seed = _require_seed(args)
-    cfg = SimConfig(
-        placement=placement,
-        traffic=_traffic_from_args(args),
-        mean_message_size=args.mean_message_size,
-        mu=args.mu,
-        messages=args.messages,
-        warmup_frac=args.warmup,
-        seed=seed,
-    )
-    stats = run_sim(cfg)
+    stats = run_sim(_sim_config(args, placement, seed))
     print(f"mean latency {stats.mean_latency:.6g} +- {stats.ci95:.3g} "
           f"({stats.latency_samples} samples{', saturated' if stats.saturated else ''})")
     outputs = []
@@ -222,15 +225,7 @@ def cmd_sweep(args) -> int:
     ]
     seed0 = _require_seed(args)
     seeds = [seed0 + i for i in range(args.seeds)]
-    base = SimConfig(
-        placement=placements[0][1],
-        traffic=_traffic_from_args(args),
-        mean_message_size=args.mean_message_size,
-        mu=args.mu,
-        messages=args.messages,
-        warmup_frac=args.warmup,
-        seed=seed0,
-    )
+    base = _sim_config(args, placements[0][1], seed0)
     rows = sweep_latency(placements, rates, base, seeds, jobs=args.jobs)
     with open(args.out, "w", newline="") as fh:
         write_sweep_csv(rows, fh)
@@ -244,16 +239,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     placement = _load_placement(args.placement)
     seed = _require_seed(args)
-    cfg = SimConfig(
-        placement=placement,
-        traffic=_traffic_from_args(args),
-        mean_message_size=args.mean_message_size,
-        mu=args.mu,
-        messages=args.messages,
-        warmup_frac=args.warmup,
-        seed=seed,
-    )
-    report = compare_to_analytical(cfg)
+    report = compare_to_analytical(_sim_config(args, placement, seed))
     outputs = []
     if args.out:
         with open(args.out, "w", newline="") as fh:

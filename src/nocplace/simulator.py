@@ -9,6 +9,12 @@ hops is (d+1) * L/mu including the source injection service. Buffers are
 infinite; saturation is detected statistically from the latency trend, not
 from overflow.
 
+The engine routes on the analytical models' topology: endpoints are the tile
+ids of ``resolve`` and paths the ``routing.xy_hops`` channel ids
+``tile * N_PORTS + in_port``, so both route the same XY paths over the same
+channels. ``Coord``/``Port`` keys are built only when ``SimStats`` is
+assembled, and every statistic is a plain Python float.
+
 Runs are deterministic for a given (config, seed): the event queue breaks
 time ties by insertion order and all randomness flows from one seeded
 generator.
@@ -30,7 +36,7 @@ import numpy as np
 from .errors import InvalidConfigError, UnstableError
 from .mesh import Coord, Placement
 from .queueing import PAPER, packet_delay_inspector
-from .routing import Port, path_channels
+from .routing import N_PORTS, PORT_ORDER, Port, xy_hops
 from .traffic import TrafficSpec, resolve
 
 # t critical values (two-sided 95%) for small seed counts, df 1..9
@@ -120,10 +126,7 @@ class SimStats:
                     "mean_queue_len": st.mean_queue_len,
                     "mean_response": st.mean_response,
                 }
-                for (coord, port), st in sorted(
-                    self.channels.items(),
-                    key=lambda kv: (kv[0][0].y, kv[0][0].x, kv[0][1].value),
-                )
+                for (coord, port), st in sorted(self.channels.items(), key=_channel_order)
             ],
             "flows": [
                 {"src_x": src.x, "src_y": src.y, "dst_x": dst.x, "dst_y": dst.y,
@@ -134,6 +137,12 @@ class SimStats:
                 )
             ],
         }
+
+
+def _channel_order(item: tuple[tuple[Coord, Port], ChannelStats]) -> tuple[int, int, str]:
+    """Sort key of ``SimStats.channels`` items: row-major router, then port."""
+    (coord, port), _ = item
+    return coord.y, coord.x, port.value
 
 
 class _Channel:
@@ -174,31 +183,46 @@ def run_sim(config: SimConfig) -> SimStats:
     warmup fraction of the primary budget has been generated.
     """
     placement = config.placement
+    grid = placement.grid
+    n_tiles = grid.n_tiles
     spec = config.traffic
     r = resolve(placement, spec)
     rng = random.Random(config.seed)
     mu = config.mu
 
-    inj = r.lam * spec.miss_l1
-    active_cores = [i for i in range(len(r.cores)) if inj[i] > 0.0]
+    inj = (r.lam * spec.miss_l1).tolist()
+    active_cores = [i for i, rate in enumerate(inj) if rate > 0.0]
     if not active_cores and config.messages > 0:
         raise InvalidConfigError("no core has a positive injection rate")
 
+    cores, caches, mcs = (ids.tolist() for ids in (r.core_ids, r.cache_ids, r.mc_ids))
     # Cumulative access rows for destination sampling.
-    cum_p = [list(np.cumsum(r.p[i])) for i in range(len(r.cores))]
-    cum_q = [list(np.cumsum(r.q[j])) for j in range(len(r.caches))] if r.q is not None else None
-    cache_index = {cache: j for j, cache in enumerate(r.caches)}
+    cum_p = np.cumsum(r.p, axis=1).tolist()
+    cum_q = np.cumsum(r.q, axis=1).tolist() if r.q is not None else None
+    cache_index = {cache: j for j, cache in enumerate(caches)}
 
-    channels: dict[tuple[Coord, Port], _Channel] = {}
-    path_cache: dict[tuple[Coord, Coord], list[_Channel]] = {}
+    # Channel ids along the XY path of every pair a run can draw, keyed by
+    # src * n_tiles + dst. Zero-probability pairs are included: the
+    # sampler's clamp to the last cache or controller can reach them.
+    src = [np.repeat(r.core_ids, len(caches)), np.repeat(r.cache_ids, len(mcs))]
+    dst = [np.tile(r.cache_ids, len(cores)), np.tile(r.mc_ids, len(caches))]
+    if spec.model_replies:
+        src, dst = src + [dst[0]], dst + [src[0]]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    ids = np.concatenate([channel for _, _, _, channel, _ in xy_hops(grid, src, dst)]).tolist()
+    ends = np.cumsum(grid.hops[src, dst] + 1).tolist()
+    routes = {key: ids[begin:end]
+              for key, begin, end in zip((src * n_tiles + dst).tolist(), [0] + ends, ends)}
 
-    def path_of(src: Coord, dst: Coord) -> list[_Channel]:
-        cached = path_cache.get((src, dst))
-        if cached is None:
-            cached = [channels.setdefault(key, _Channel())
-                      for key in path_channels(src, dst)]
-            path_cache[(src, dst)] = cached
-        return cached
+    channels: dict[int, _Channel] = {}
+    paths: dict[int, list[_Channel]] = {}
+
+    def path_of(src: int, dst: int) -> list[_Channel]:
+        key = src * n_tiles + dst
+        path = paths.get(key)
+        if path is None:
+            path = paths[key] = [channels.setdefault(c, _Channel()) for c in routes[key]]
+        return path
 
     warmup_count = int(config.warmup_frac * config.messages)
     stats_start = 0.0 if warmup_count == 0 else math.inf
@@ -219,7 +243,7 @@ def run_sim(config: SimConfig) -> SimStats:
     derived_generated = 0
     derived_completed = 0
     latencies: list[float] = []
-    flow_sums: dict[tuple[Coord, Coord], list] = {}
+    flow_sums: dict[int, list] = {}
 
     def update_clock(ch: _Channel, t: float) -> None:
         if t > stats_start:
@@ -239,11 +263,9 @@ def run_sim(config: SimConfig) -> SimStats:
         if len(ch.queue) == 1:
             push(t + msg.svc, 1, ch)
 
-    def spawn(src: Coord, dst: Coord, t: float) -> _Message:
-        length = draw_length()
-        msg = _Message(path_of(src, dst), length / mu, t, src, dst, False)
+    def spawn(src: int, dst: int, t: float, primary: bool) -> None:
+        msg = _Message(path_of(src, dst), draw_length() / mu, t, src, dst, primary)
         arrive(msg, t)
-        return msg
 
     # Seed one generation event per active core.
     for i in active_cores:
@@ -260,12 +282,8 @@ def run_sim(config: SimConfig) -> SimStats:
                 stats_start = t
             if generated < config.messages:
                 push(t + rng.expovariate(inj[i]), 0, i)
-            j = bisect_left(cum_p[i], rng.random())
-            j = min(j, len(r.caches) - 1)
-            src, dst = r.cores[i], r.caches[j]
-            length = draw_length()
-            msg = _Message(path_of(src, dst), length / mu, t, src, dst, True)
-            arrive(msg, t)
+            j = min(bisect_left(cum_p[i], rng.random()), len(caches) - 1)
+            spawn(cores[i], caches[j], t, True)
         else:
             ch: _Channel = payload
             update_clock(ch, t)
@@ -288,17 +306,17 @@ def run_sim(config: SimConfig) -> SimStats:
                 derived_completed += 1
             if msg.origin >= stats_start:
                 latencies.append(t - msg.origin)
-                agg = flow_sums.setdefault((msg.src, msg.dst), [0, 0.0])
+                agg = flow_sums.setdefault(msg.src * n_tiles + msg.dst, [0, 0.0])
                 agg[0] += 1
                 agg[1] += t - msg.origin
             if msg.primary:
                 j = cache_index[msg.dst]
                 if cum_q is not None and spec.miss_l2 > 0.0 and rng.random() < spec.miss_l2:
-                    k = min(bisect_left(cum_q[j], rng.random()), len(r.mcs) - 1)
-                    spawn(msg.dst, r.mcs[k], t)
+                    k = min(bisect_left(cum_q[j], rng.random()), len(mcs) - 1)
+                    spawn(msg.dst, mcs[k], t, False)
                     derived_generated += 1
                 if spec.model_replies:
-                    spawn(msg.dst, msg.src, t)
+                    spawn(msg.dst, msg.src, t, False)
                     derived_generated += 1
 
     end_t = 0.0
@@ -308,8 +326,9 @@ def run_sim(config: SimConfig) -> SimStats:
         stats_start = end_t
     window = max(end_t - stats_start, 0.0)
 
+    coords = grid.coords
     channel_stats: dict[tuple[Coord, Port], ChannelStats] = {}
-    for key, ch in channels.items():
+    for cid, ch in channels.items():
         update_clock(ch, end_t)
         st = ChannelStats(arrivals=ch.arrivals, completions=ch.completions)
         if window > 0:
@@ -319,7 +338,7 @@ def run_sim(config: SimConfig) -> SimStats:
         if ch.completions:
             st.mean_service = ch.svc_sum / ch.completions
             st.mean_response = ch.resp_sum / ch.completions
-        channel_stats[key] = st
+        channel_stats[(coords[cid // N_PORTS], PORT_ORDER[cid % N_PORTS])] = st
 
     lat = np.asarray(latencies)
     mean_latency = float(lat.mean()) if lat.size else 0.0
@@ -332,7 +351,8 @@ def run_sim(config: SimConfig) -> SimStats:
 
     return SimStats(
         channels=channel_stats,
-        flow_latency={k: s / n for k, (n, s) in flow_sums.items()},
+        flow_latency={(coords[key // n_tiles], coords[key % n_tiles]): s / n
+                      for key, (n, s) in flow_sums.items()},
         mean_latency=mean_latency,
         ci95=ci95,
         latency_samples=int(lat.size),
@@ -380,15 +400,8 @@ def sweep_latency(placements: Sequence[tuple[str, Placement]],
         if p.grid != grid:
             raise InvalidConfigError(f"placement {label!r} is not on the base grid")
     cells = [
-        (label, rate, SimConfig(
-            placement=placement,
-            traffic=base.traffic.with_rate(rate),
-            mean_message_size=base.mean_message_size,
-            mu=base.mu,
-            messages=base.messages,
-            warmup_frac=base.warmup_frac,
-            seed=seed,
-        ))
+        (label, rate, replace(base, placement=placement,
+                              traffic=base.traffic.with_rate(rate), seed=seed))
         for label, placement in placements
         for rate in rates
         for seed in seeds
@@ -471,28 +484,23 @@ def compare_to_analytical(config: SimConfig, queue_mode: str = PAPER,
     try:
         report = packet_delay_inspector(config.placement, analytic_spec, mode=queue_mode)
     except UnstableError as exc:
-        rows = [
-            (coord, port, st.mean_response, math.nan, math.nan)
-            for (coord, port), st in sorted(
-                sim.channels.items(), key=lambda kv: (kv[0][0].y, kv[0][0].x, kv[0][1].value)
-            )
-            if st.completions >= min_completions
-        ]
-        return CompareReport(rows, math.nan, math.nan, False,
-                             detail=f"analytical unavailable: {exc}")
+        report, unstable = None, exc
 
     rows = []
-    errs = []
-    for (coord, port), st in sorted(
-        sim.channels.items(), key=lambda kv: (kv[0][0].y, kv[0][0].x, kv[0][1].value)
-    ):
+    for (coord, port), st in sorted(sim.channels.items(), key=_channel_order):
         if st.completions < min_completions:
             continue
-        ana_rt = report.rt_of(coord, port)
-        err = abs(ana_rt - st.mean_response) / st.mean_response
+        if report is None:
+            ana_rt = err = math.nan
+        else:
+            ana_rt = report.rt_of(coord, port)
+            err = abs(ana_rt - st.mean_response) / st.mean_response
         rows.append((coord, port, st.mean_response, ana_rt, err))
-        errs.append(err)
-    if not errs:
+    if report is None:
+        return CompareReport(rows, math.nan, math.nan, False,
+                             detail=f"analytical unavailable: {unstable}")
+    if not rows:
         return CompareReport(rows, math.nan, math.nan, True,
                              detail="no channel met the completion threshold")
-    return CompareReport(rows, float(max(errs)), float(np.mean(errs)), True)
+    errs = [err for *_, err in rows]
+    return CompareReport(rows, max(errs), float(np.mean(errs)), True)

@@ -119,7 +119,7 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
             raise InvalidTrafficError(
                 f"lambda_g has {lam.size} entries for {len(cores)} cores"
             )
-    if np.any(lam < 0):
+    if (lam < 0).any():
         raise InvalidTrafficError("negative injection rate")
 
     if spec.p is None:

@@ -187,8 +187,12 @@ class TestCompareCommand:
         assert main(["compare", "--placement", pfile, "--lambda-g", "0.05",
                      "--messages", "20000", "--seed", "2", "--out", str(out)]) == 0
         assert "max rel err" in capsys.readouterr().out
-        header = out.read_text().splitlines()[0]
-        assert header == "x,y,channel,sim_rt,analytical_rt,rel_err"
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["x", "y", "channel", "sim_rt", "analytical_rt", "rel_err"]
+        for row in rows:
+            for name in ("sim_rt", "analytical_rt", "rel_err"):
+                float(row[name])
 
 
 class TestManifest:

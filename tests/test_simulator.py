@@ -61,6 +61,8 @@ class TestRunSim:
         stats = run_sim(cfg)
         assert stats.messages_completed == stats.messages_generated == 8000
         assert stats.derived_completed == stats.derived_generated
+        assert type(stats.duration) is float
+        assert type(stats.channels[(Coord(0, 0), Port.LOCAL)].mean_response) is float
 
     def test_zero_load_latency_is_three_services(self):
         # Path of 3 routers, mean message 10 packets, mu=10: about 3 time
