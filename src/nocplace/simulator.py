@@ -204,15 +204,15 @@ def run_sim(config: SimConfig) -> SimStats:
     # Channel ids along the XY path of every pair a run can draw, keyed by
     # src * n_tiles + dst. Zero-probability pairs are included: the
     # sampler's clamp to the last cache or controller can reach them.
-    src = [np.repeat(r.core_ids, len(caches)), np.repeat(r.cache_ids, len(mcs))]
-    dst = [np.tile(r.cache_ids, len(cores)), np.tile(r.mc_ids, len(caches))]
+    srcs = [np.repeat(r.core_ids, len(caches)), np.repeat(r.cache_ids, len(mcs))]
+    dsts = [np.tile(r.cache_ids, len(cores)), np.tile(r.mc_ids, len(caches))]
     if spec.model_replies:
-        src, dst = src + [dst[0]], dst + [src[0]]
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    ids = np.concatenate([channel for _, _, _, channel, _ in xy_hops(grid, src, dst)]).tolist()
-    ends = np.cumsum(grid.hops[src, dst] + 1).tolist()
+        srcs, dsts = srcs + [dsts[0]], dsts + [srcs[0]]
+    srcs, dsts = np.concatenate(srcs), np.concatenate(dsts)
+    ids = np.concatenate([channel for _, _, _, channel, _ in xy_hops(grid, srcs, dsts)]).tolist()
+    ends = np.cumsum(grid.hops[srcs, dsts] + 1).tolist()
     routes = {key: ids[begin:end]
-              for key, begin, end in zip((src * n_tiles + dst).tolist(), [0] + ends, ends)}
+              for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}
 
     channels: dict[int, _Channel] = {}
     paths: dict[int, list[_Channel]] = {}

@@ -131,15 +131,6 @@ def sim_spec_dict(spec) -> dict:
             "model_replies": spec.model_replies}
 
 
-def sim_config_from_dict(d: dict):
-    placement = nc.Placement.from_text(d["placement"].replace("/", "\n"))
-    spec = dict(d["spec"])
-    if spec["p"] is not None:
-        spec["p"] = tuple(tuple(row) for row in spec["p"])
-    return nc.SimConfig(placement, nc.TrafficSpec(**spec),
-                        messages=d["messages"], seed=d["seed"])
-
-
 def sim_stats_sha256(stats) -> str:
     text = json.dumps(stats.to_json_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
