@@ -3,6 +3,7 @@ and the simulator against.
 
     PYTHONPATH=src python3 tests/data/make_golden.py models tests/data/golden_models.json
     PYTHONPATH=src python3 tests/data/make_golden.py sim tests/data/golden_sim.json
+    PYTHONPATH=src python3 tests/data/make_golden.py search tests/data/golden_search.json
 
 The committed models file was written by the dict-walking implementation of
 the HIGH model that the integer-indexed kernel replaced (commit 2fa444d), so
@@ -16,6 +17,12 @@ The committed simulator file was written by the ``Coord``-keyed event engine
 (commit 6f20235) before it moved onto integer channel ids. Per seeded run it
 stores the SHA-256 of ``json.dumps(SimStats.to_json_dict(), sort_keys=True)``
 and the ``compare_to_analytical`` rows as floats, compared exactly.
+
+The committed search file was written by the ``Coord``-keyed search (commit
+f83eddc) before it moved onto tile ids. Per case it stores the search's
+inputs and either ``SearchResult.to_json_dict()``, every float as its
+``repr``, or the raised error's type, message and (for a budget error)
+count, compared exactly.
 """
 
 from __future__ import annotations
@@ -166,5 +173,144 @@ def sim(path: str) -> None:
         fh.write("\n")
 
 
+LOW, HIGH = {"mode": "low"}, {"mode": "high"}
+PERIMETER_3X3 = [[x, y] for y in range(3) for x in range(3) if (x, y) != (1, 1)]
+
+
+def _space(grid, cores, caches, mcs=0, fixed=(), mc_tiles=None, mode="low") -> dict:
+    return {"grid": list(grid), "counts": [cores, caches, mcs],
+            "fixed": [list(f) for f in fixed], "mc_tiles": mc_tiles, "mode": mode}
+
+
+def search_cases():
+    """(id, method, space dict, spec dict, keyword arguments) of every search
+    golden case: exhaustive LOW/HIGH pruned and unpruned on square,
+    non-square and 1xN grids, the HIGH prefilter, pinned tiles and
+    controller pools, two-phase, seeded local search, and the errors."""
+    low = {"lambda_g": 0.1}
+    mem = {"lambda_g": 0.1, "miss_l2": 0.2}
+    for grid, counts, spec, prunes in (((3, 3), (2, 2, 0), low, (1, 0)),
+                                       ((3, 3), (3, 1, 1), mem, (1,)),
+                                       ((4, 3), (3, 2, 0), low, (1,)),
+                                       ((4, 3), (2, 1, 1), mem, (1,)),
+                                       ((2, 5), (2, 1, 1), mem, (1, 0)),
+                                       ((1, 5), (2, 1, 0), low, (1, 0)),
+                                       ((1, 5), (2, 1, 1), mem, (1, 0)),
+                                       ((4, 4), (2, 2, 0), low, (1,)),
+                                       ((4, 4), (1, 1, 1), mem, (1,))):
+        for prune in prunes:
+            name = f"exh.low.{grid[0]}x{grid[1]}.{'.'.join(map(str, counts))}.prune{prune}"
+            yield name, "exhaustive", _space(grid, *counts), spec, {"prune_symmetry": bool(prune)}
+    yield ("exh.low.3x3.fixed-cache", "exhaustive",
+           _space((3, 3), 1, 1, fixed=[(1, 1, "cache")]), low, {})
+    yield ("exh.low.3x3.fixed-mc-router", "exhaustive",
+           _space((3, 3), 2, 1, 1, fixed=[(0, 0, "mc"), (1, 0, "router")]), mem, {})
+    yield ("exh.low.3x3.perimeter-pool", "exhaustive",
+           _space((3, 3), 2, 1, 1, mc_tiles=PERIMETER_3X3), {"miss_l2": 0.5}, {})
+    yield ("exh.low.3x3.corner-pool.unpruned", "exhaustive",
+           _space((3, 3), 2, 1, 1, mc_tiles=[[2, 0]]), {"miss_l2": 0.5},
+           {"prune_symmetry": False})
+    yield ("exh.low.3x3.pool-no-mcs", "exhaustive",
+           _space((3, 3), 3, 1, 0, mc_tiles=[[2, 0]]), low, {})
+    hi = {"lambda_g": 0.2}
+    for grid, counts, spec, kw in (((2, 2), (1, 1, 0), low, {}),
+                                   ((3, 3), (2, 1, 0), hi, {"prefilter": False}),
+                                   ((3, 2), (2, 1, 0), hi, {"prefilter": False,
+                                                            "prune_symmetry": False}),
+                                   ((4, 2), (2, 1, 0), hi, {"prefilter": False}),
+                                   ((3, 3), (2, 1, 1), mem, {}),
+                                   ((3, 2), (3, 1, 0), {"lambda_g": 0.35}, {"prefilter": False})):
+        name = f"exh.high.{grid[0]}x{grid[1]}.{'.'.join(map(str, counts))}"
+        name += "".join(f".{k}{int(v)}" for k, v in kw.items())
+        yield name, "exhaustive", _space(grid, *counts, **HIGH), spec, kw
+
+    for grid, counts, spec in (((3, 3), (4, 1, 0), low), ((3, 3), (3, 1, 1), mem),
+                               ((4, 3), (2, 1, 1), mem), ((2, 5), (2, 1, 2), mem),
+                               ((4, 4), (2, 1, 1), mem)):
+        name = f"two.low.{grid[0]}x{grid[1]}.{'.'.join(map(str, counts))}"
+        yield name, "two_phase", _space(grid, *counts), spec, {}
+    yield ("two.low.3x3.pinned-mc", "two_phase",
+           _space((3, 3), 2, 1, 2, fixed=[(0, 0, "mc")]), mem, {})
+    yield ("two.low.3x3.pinned-core-mc", "two_phase",
+           _space((3, 3), 2, 1, 1, fixed=[(1, 1, "core"), (2, 2, "mc")]), mem, {})
+    yield ("two.low.5x5.perimeter", "two_phase",
+           _space((5, 5), 1, 1, 1, fixed=[(2, 2, "cache"), (2, 1, "core")],
+                  mc_tiles=[[x, y] for y in range(5) for x in range(5)
+                            if x in (0, 4) or y in (0, 4)]), {"miss_l2": 0.5}, {})
+    yield ("two.low.3x3.pool", "two_phase",
+           _space((3, 3), 2, 1, 1, mc_tiles=[[0, 1], [2, 2]]), {"miss_l2": 0.5}, {})
+    yield ("two.high.3x2.2.1.1", "two_phase", _space((3, 2), 2, 1, 1, **HIGH), mem, {})
+
+    for grid, counts, seed, budget in (((3, 3), (8, 1, 0), 3, 200), ((3, 3), (4, 2, 0), 11, 200),
+                                       ((4, 4), (6, 4, 0), 42, 300), ((4, 4), (4, 2, 2), 5, 300),
+                                       ((4, 3), (3, 2, 1), 8, 200), ((1, 5), (2, 1, 0), 2, 30),
+                                       ((3, 3), (8, 1, 0), 1, 0)):
+        name = f"local.low.{grid[0]}x{grid[1]}.{'.'.join(map(str, counts))}.b{budget}"
+        yield name, "local", _space(grid, *counts), mem, {"seed": seed, "budget": budget}
+    yield ("local.low.3x3.fixed", "local",
+           _space((3, 3), 3, 2, 1, fixed=[(1, 1, "cache"), (0, 0, "router")]), mem,
+           {"seed": 4, "budget": 150})
+    yield ("local.high.3x3.4.1.0", "local", _space((3, 3), 4, 1, 0, **HIGH), {"lambda_g": 0.15},
+           {"seed": 6, "budget": 60})
+
+    # Two-phase with controllers takes its own path, so its errors use one.
+    for method, mcs in (("exhaustive", 0), ("two_phase", 1), ("local", 0)):
+        kw = {"seed": 1} if method == "local" else {}
+        yield f"err.{method}.negative", method, _space((3, 3), -1, 1, mcs), mem, kw
+        yield f"err.{method}.too-many", method, _space((2, 2), 2, 2, mcs or 1), mem, kw
+        yield (f"err.{method}.fixed-outside", method,
+               _space((3, 3), 1, 1, mcs, fixed=[(3, 0, "core")]), mem, kw)
+        yield (f"err.{method}.fixed-excess", method,
+               _space((3, 3), 1, 1, mcs, fixed=[(0, 0, "cache"), (1, 0, "cache")]), mem, kw)
+    yield ("err.two_phase.mc-excess", "two_phase",
+           _space((3, 3), 1, 1, 1, fixed=[(0, 0, "mc"), (2, 2, "mc")]), mem, {})
+    yield "err.exhaustive.budget", "exhaustive", _space((4, 4), 6, 2), low, {"budget": 1000}
+    yield "err.two_phase.budget", "two_phase", _space((4, 4), 6, 2, 2), low, {"budget": 1000}
+    yield ("err.exhaustive.empty-pool", "exhaustive", _space((3, 3), 1, 1, 1, mc_tiles=[]),
+           mem, {})
+    yield ("err.exhaustive.all-unstable", "exhaustive", _space((2, 2), 3, 1, **HIGH),
+           {"lambda_g": 0.9}, {"prefilter": False})
+
+
+def search_space(d: dict):
+    grid = nc.MeshGrid(*d["grid"])
+    return nc.SearchSpace(
+        grid, *d["counts"],
+        fixed={nc.Coord(x, y): nc.NodeKind(k) for x, y, k in d["fixed"]},
+        mode=nc.Mode(d["mode"]),
+        mc_tiles=None if d["mc_tiles"] is None else frozenset(
+            nc.Coord(x, y) for x, y in d["mc_tiles"]),
+    )
+
+
+SEARCHES = {"exhaustive": nc.exhaustive_search, "two_phase": nc.two_phase_optimize,
+            "local": nc.local_search}
+
+
+def search_outcome(method: str, space: dict, spec: dict, kwargs: dict) -> dict:
+    """The search's ``to_json_dict()`` with every float as its ``repr``, or
+    the error it raised."""
+    try:
+        result = SEARCHES[method](search_space(space), nc.TrafficSpec(**spec), **kwargs)
+    except nc.NocError as exc:
+        err = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, nc.BudgetExceededError):
+            err["count"] = exc.count
+        return {"error": err}
+    return {"result": {k: repr(v) if isinstance(v, float) else v
+                       for k, v in result.to_json_dict().items()}}
+
+
+def search(path: str) -> None:
+    out = []
+    for case_id, method, space, spec, kwargs in search_cases():
+        out.append({"id": case_id, "method": method, "space": space, "spec": spec,
+                    "kwargs": kwargs, **search_outcome(method, space, spec, kwargs)})
+        print(case_id, out[-1].get("error", {}).get("type", "ok"), file=sys.stderr)
+    with open(path, "w") as fh:
+        json.dump({"cases": out}, fh, separators=(",", ":"))
+        fh.write("\n")
+
+
 if __name__ == "__main__":
-    {"models": models, "sim": sim}[sys.argv[1]](sys.argv[2])
+    {"models": models, "sim": sim, "search": search}[sys.argv[1]](sys.argv[2])

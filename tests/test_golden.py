@@ -3,7 +3,9 @@
 response times within 1e-12 relative, channel-load CSVs byte for byte, and
 the same unstable cases raising the same error. The simulator against
 ``tests/data/golden_sim.json``: seeded ``SimStats`` JSON byte for byte and
-``compare_to_analytical`` rows exactly."""
+``compare_to_analytical`` rows exactly. The searches against
+``tests/data/golden_search.json``: ``SearchResult.to_json_dict()`` with every
+float as its ``repr``, or the same error, exactly."""
 
 import hashlib
 import io
@@ -14,15 +16,24 @@ from pathlib import Path
 import pytest
 
 from nocplace import (
+    BudgetExceededError,
+    Coord,
+    MeshGrid,
     Mode,
+    NocError,
+    NodeKind,
     Placement,
     SimConfig,
+    SearchSpace,
     TrafficSpec,
     UnstableError,
     compare_to_analytical,
+    exhaustive_search,
+    local_search,
     objective,
     packet_delay_inspector,
     run_sim,
+    two_phase_optimize,
 )
 from nocplace.routing import build_flows, derive_channel_rates
 
@@ -30,6 +41,7 @@ REL = 1e-12
 DATA = Path(__file__).parent / "data"
 CASES = json.loads((DATA / "golden_models.json").read_text())["cases"]
 SIM_CASES = json.loads((DATA / "golden_sim.json").read_text())["cases"]
+SEARCH_CASES = json.loads((DATA / "golden_search.json").read_text())["cases"]
 
 
 def _close(actual: float, expected: float) -> bool:
@@ -108,3 +120,31 @@ def test_sim_compare_rows(sim_case):
     for (coord, port, *values), (x, y, port_value, *want) in zip(report.rows, expected["rows"]):
         assert (coord.x, coord.y, port.value) == (x, y, port_value)
         assert all(_same(a, e) for a, e in zip(values, want)), (x, y, port_value, values, want)
+
+
+SEARCHES = {"exhaustive": exhaustive_search, "two_phase": two_phase_optimize,
+            "local": local_search}
+
+
+@pytest.mark.parametrize("c", SEARCH_CASES, ids=[c["id"] for c in SEARCH_CASES])
+def test_search_result(c):
+    d = c["space"]
+    space = SearchSpace(
+        MeshGrid(*d["grid"]), *d["counts"],
+        fixed={Coord(x, y): NodeKind(k) for x, y, k in d["fixed"]},
+        mode=Mode(d["mode"]),
+        mc_tiles=None if d["mc_tiles"] is None else frozenset(
+            Coord(x, y) for x, y in d["mc_tiles"]),
+    )
+    search = SEARCHES[c["method"]]
+    if "error" in c:
+        with pytest.raises(NocError) as exc:
+            search(space, TrafficSpec(**c["spec"]), **c["kwargs"])
+        err = {"type": type(exc.value).__name__, "message": str(exc.value)}
+        if isinstance(exc.value, BudgetExceededError):
+            err["count"] = exc.value.count
+        assert err == c["error"]
+        return
+    result = search(space, TrafficSpec(**c["spec"]), **c["kwargs"])
+    got = {k: repr(v) if isinstance(v, float) else v for k, v in result.to_json_dict().items()}
+    assert got == c["result"]

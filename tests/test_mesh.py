@@ -209,6 +209,31 @@ class TestSymmetryOrbit:
         for perm in g.symmetry_permutations():
             assert sorted(perm) == list(range(g.n_tiles))
 
+    @staticmethod
+    def _coordinate_perms(g, axis_preserving):
+        # Oracle: the group as coordinate maps, in the order the search
+        # relies on (identity first), deduplicated on first appearance.
+        w, h = g.width, g.height
+        maps = [lambda c: c, lambda c: Coord(w - 1 - c.x, c.y),
+                lambda c: Coord(c.x, h - 1 - c.y), lambda c: Coord(w - 1 - c.x, h - 1 - c.y)]
+        if w == h and not axis_preserving:
+            maps += [lambda c: Coord(c.y, c.x), lambda c: Coord(c.y, w - 1 - c.x),
+                     lambda c: Coord(w - 1 - c.y, c.x), lambda c: Coord(w - 1 - c.y, w - 1 - c.x)]
+        perms = []
+        for f in maps:
+            perm = tuple(g.index(f(c)) for c in g.tiles())
+            if perm not in perms:
+                perms.append(perm)
+        return perms
+
+    @pytest.mark.parametrize("axis_preserving", [False, True])
+    def test_symmetry_permutations_match_coordinate_maps(self, axis_preserving):
+        for w in range(1, 7):
+            for h in range(1, 7):
+                g = MeshGrid(w, h)
+                assert g.symmetry_permutations(axis_preserving) == \
+                    self._coordinate_perms(g, axis_preserving), (w, h)
+
 
 class TestCanonicalPlacements:
     def test_central_8x8_block(self):
