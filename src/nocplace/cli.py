@@ -112,7 +112,7 @@ def _require_seed(args) -> int:
 def cmd_count(args) -> int:
     count = placement_count(args.grid.n_tiles, args.cores, args.caches, args.mcs)
     print(count)
-    group = 8 if args.grid.is_square else 4
+    group = len(args.grid.symmetry_permutations())
     print(f"symmetry-reduced estimate: >= {-(-count // group)}")
     _write_manifest(args, [], [])
     return 0

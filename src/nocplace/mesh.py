@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -117,47 +117,25 @@ class MeshGrid:
             if c.x in (0, self.width - 1) or c.y in (0, self.height - 1)
         ]
 
-    def symmetry_maps(self, axis_preserving: bool = False) -> list[Callable[[Coord], Coord]]:
-        """Coordinate bijections of the grid's symmetry group.
+    def symmetry_permutations(self, axis_preserving: bool = False) -> list[tuple[int, ...]]:
+        """Tile-index permutations of the grid's symmetry group, identity
+        first, deduplicated.
 
         Square grids get the full dihedral group of order 8, non-square grids
         the 4 rectangle symmetries. ``axis_preserving`` drops the maps that
         swap x and y even on square grids: dimension-ordered routing is only
         invariant under the axis-preserving subgroup, so load-dependent
         analyses must restrict to it. Maps that coincide (degenerate 1xN
-        grids) are deduplicated downstream.
-        """
-        w, h = self.width, self.height
-        maps: list[Callable[[Coord], Coord]] = [
-            lambda c: c,
-            lambda c: Coord(w - 1 - c.x, c.y),
-            lambda c: Coord(c.x, h - 1 - c.y),
-            lambda c: Coord(w - 1 - c.x, h - 1 - c.y),
-        ]
-        if self.is_square and not axis_preserving:
-            n = w
-            maps += [
-                lambda c: Coord(c.y, c.x),
-                lambda c: Coord(c.y, n - 1 - c.x),
-                lambda c: Coord(n - 1 - c.y, c.x),
-                lambda c: Coord(n - 1 - c.y, n - 1 - c.x),
-            ]
-        return maps
-
-    def symmetry_permutations(self, axis_preserving: bool = False) -> list[tuple[int, ...]]:
-        """Tile-index permutations of the symmetry group, deduplicated.
+        grids) appear once.
 
         Applying permutation ``p`` to a row-major kind sequence ``s`` via
         ``[s[i] for i in p]`` yields the symmetric image of the placement.
         """
-        perms = []
-        seen = set()
-        for f in self.symmetry_maps(axis_preserving):
-            perm = tuple(self.index(f(c)) for c in self.tiles())
-            if perm not in seen:
-                seen.add(perm)
-                perms.append(perm)
-        return perms
+        a = np.arange(self.n_tiles).reshape(self.height, self.width)
+        images = [a, a.T] if self.is_square and not axis_preserving else [a]
+        flips = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        return list(dict.fromkeys(tuple(m[::sy, ::sx].ravel().tolist())
+                                  for m in images for sy, sx in flips))
 
 
 @dataclass(frozen=True)

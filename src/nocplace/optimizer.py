@@ -20,10 +20,12 @@ from .errors import BudgetExceededError, InfeasibleError, NonConvergentError, Un
 from .latency import Mode, objective
 from .mesh import (
     _CHAR_OF_KIND,
+    CanonicalFamily,
     Coord,
     MeshGrid,
     NodeKind,
     Placement,
+    canonical_placement,
     placement_count,
     placement_from_string,
     placement_string,
@@ -44,7 +46,8 @@ class SearchSpace:
 
     ``fixed`` pins tiles to kinds (counted toward the totals); symmetry
     pruning is disabled when any tile is pinned. ``mc_tiles`` optionally
-    restricts where memory controllers may sit (e.g. the perimeter).
+    restricts where memory controllers may sit (e.g. the perimeter);
+    ``local_search`` rejects it.
     """
 
     grid: MeshGrid
@@ -85,67 +88,74 @@ def _tie_cutoff(best: float) -> float:
     return best + OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best))
 
 
-def _validate_space(space: SearchSpace) -> tuple[list[int], int, int, int]:
-    """Check counts against the grid and pinned tiles; returns the free tile
-    indices and the counts still to be placed."""
+def _tile_ids(space: SearchSpace) -> tuple[str, list[int], tuple[int, int, int],
+                                           list[int] | None]:
+    """Check counts against the grid and pinned tiles, and read the space
+    into tile ids: the pinned kinds as a placement string (``.`` on free
+    tiles), the free tiles, the (cores, caches, controllers) still to place,
+    and the free tiles that may host a controller (None for any, and when no
+    controller remains to be placed)."""
     grid = space.grid
     if space.n_cores < 0 or space.n_caches < 0 or space.n_mcs < 0:
         raise InfeasibleError("negative node counts")
     if space.n_cores + space.n_caches + space.n_mcs > grid.n_tiles:
         raise InfeasibleError("node counts exceed tile count")
-    fixed_counts = {k: 0 for k in NodeKind}
+    base = ["."] * grid.n_tiles
     for c, k in space.fixed.items():
         if not grid.contains(c):
             raise InfeasibleError(f"fixed tile {c} outside grid")
-        fixed_counts[k] += 1
-    rem_cores = space.n_cores - fixed_counts[NodeKind.CORE]
-    rem_caches = space.n_caches - fixed_counts[NodeKind.CACHE]
-    rem_mcs = space.n_mcs - fixed_counts[NodeKind.MC]
-    if min(rem_cores, rem_caches, rem_mcs) < 0:
+        base[grid.index(c)] = _CHAR_OF_KIND[k]
+    pinned = Counter(space.fixed.values())
+    counts = (space.n_cores - pinned[NodeKind.CORE], space.n_caches - pinned[NodeKind.CACHE],
+              space.n_mcs - pinned[NodeKind.MC])
+    if min(counts) < 0:
         raise InfeasibleError("fixed tiles exceed the requested counts")
-    free = [grid.index(c) for c in grid.tiles() if c not in space.fixed]
-    return free, rem_cores, rem_caches, rem_mcs
+    free = [i for i, c in enumerate(grid.coords) if c not in space.fixed]
+    pool = None
+    if space.mc_tiles is not None and counts[2]:
+        pool = [i for i in free if grid.coords[i] in space.mc_tiles]
+    return "".join(base), free, counts, pool
 
 
-def _base_chars(space: SearchSpace) -> list[str]:
-    chars = ["."] * space.grid.n_tiles
-    for c, k in space.fixed.items():
-        chars[space.grid.index(c)] = _CHAR_OF_KIND[k]
-    return chars
-
-
-def _candidate_strings(space: SearchSpace,
-                       mc_pool: list[int] | None = None) -> Iterator[str]:
-    """All assignment strings with the requested counts, fixed tiles pinned.
-
-    Memory controllers draw from ``mc_pool`` indices when given (already
-    restricted to free tiles)."""
-    free, n_cores, n_caches, n_mcs = _validate_space(space)
-    base = _base_chars(space)
-    free_set = set(free)
+def _candidate_strings(base: str, free: list[int], counts: tuple[int, int, int],
+                       pool: list[int] | None) -> Iterator[str]:
+    """All assignment strings that place ``counts`` (cores, caches,
+    controllers) on the ``free`` tiles of ``base``, controllers on ``pool``
+    tiles only when given. Caches vary slowest, controllers fastest."""
+    n_cores, n_caches, n_mcs = counts
+    base_chars = list(base)
     for cache_idx in combinations(free, n_caches):
-        rest1 = [i for i in free if i not in set(cache_idx)]
-        for core_idx in combinations(rest1, n_cores):
-            taken = set(cache_idx) | set(core_idx)
+        with_caches = base_chars[:]
+        for i in cache_idx:
+            with_caches[i] = "$"
+        rest = [i for i in free if with_caches[i] == "."]
+        for core_idx in combinations(rest, n_cores):
+            chars = with_caches[:]
+            for i in core_idx:
+                chars[i] = "C"
+            sites = ()
             if n_mcs:
-                pool = [i for i in (mc_pool if mc_pool is not None else rest1)
-                        if i in free_set and i not in taken]
-                for mc_idx in combinations(pool, n_mcs):
-                    chars = base[:]
-                    for i in cache_idx:
-                        chars[i] = "$"
-                    for i in core_idx:
-                        chars[i] = "C"
-                    for i in mc_idx:
-                        chars[i] = "M"
-                    yield "".join(chars)
-            else:
-                chars = base[:]
-                for i in cache_idx:
-                    chars[i] = "$"
-                for i in core_idx:
-                    chars[i] = "C"
+                sites = [i for i in (rest if pool is None else pool) if chars[i] == "."]
+            for mc_idx in combinations(sites, n_mcs):
+                for i in mc_idx:
+                    chars[i] = "M"
                 yield "".join(chars)
+                for i in mc_idx:
+                    chars[i] = "."
+
+
+def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, ...]]:
+    """The symmetries a search may prune by: none when tiles are pinned,
+    else those of the grid that map the controller pool onto itself. The
+    high-traffic objective is only invariant under the axis-preserving
+    symmetries (XY routing breaks under x/y swaps); the low-traffic
+    objective admits the full group."""
+    if space.fixed:
+        return []
+    perms = space.grid.symmetry_permutations(axis_preserving=space.mode is Mode.HIGH)
+    if pool is None:
+        return perms
+    return [p for p in perms if {p[i] for i in pool} == set(pool)]
 
 
 def _is_canonical(s: str, perms: list[tuple[int, ...]]) -> bool:
@@ -213,6 +223,63 @@ def _failure_counts(failures: Counter) -> dict[str, int]:
     return {kind: failures[kind] for kind in FAILURE_KINDS}
 
 
+def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, int],
+            pool: list[int] | None, perms: list[tuple[int, ...]], spec: TrafficSpec,
+            mode: Mode, budget: int, prefilter: bool, queue_mode: str,
+            jobs: int) -> SearchResult:
+    """Score every candidate string of ``_candidate_strings`` that is
+    canonical under ``perms`` (all of them when ``perms`` is empty) and
+    return the argmin ties expanded to their orbits."""
+    raw = placement_count(len(free), *counts)
+    estimate = -(-raw // max(1, len(perms)))
+    if estimate > budget:
+        raise BudgetExceededError(
+            f"{raw} raw placements ({estimate} after symmetry pruning) exceed "
+            f"budget {budget}; consider two_phase_optimize or local_search",
+            count=int(raw),
+        )
+
+    reps: list[str] = []
+    pruned = 0
+    for s in _candidate_strings(base, free, counts, pool):
+        if perms and not _is_canonical(s, perms):
+            pruned += 1
+            continue
+        reps.append(s)
+    if not reps:
+        raise InfeasibleError("search space is empty")
+
+    extras: dict = {}
+    failures: Counter = Counter()
+    if mode is Mode.HIGH and prefilter:
+        low = _evaluate_all(grid, reps, spec, Mode.LOW, queue_mode, jobs, failures)
+        keep = max(100, math.ceil(0.05 * len(reps)))
+        order = sorted(range(len(reps)), key=lambda i: (low[i], reps[i]))
+        reps = [reps[i] for i in order[:keep]]
+        extras["prefilter_evaluated"] = len(low)
+
+    values = _evaluate_all(grid, reps, spec, mode, queue_mode, jobs, failures)
+    extras.update(_failure_counts(failures))
+    best_value = min(values)
+    if math.isinf(best_value):
+        raise UnstableError(
+            "every candidate placement saturates at this load "
+            f"({failures['unstable']} unstable, {failures['non_convergent']} non-convergent)"
+        )
+    cutoff = _tie_cutoff(best_value)
+    winners = {s for s, v in zip(reps, values) if v <= cutoff}
+    if perms:
+        winners = {t for s in winners for t in _orbit_strings(s, perms)}
+    return SearchResult(
+        best=[placement_from_string(grid, s) for s in sorted(winners)],
+        objective_value=best_value,
+        evaluated=len(values),
+        pruned=pruned,
+        method="exhaustive",
+        extras=extras,
+    )
+
+
 def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
                       budget: int = 10_000_000,
                       prune_symmetry: bool = True,
@@ -222,80 +289,18 @@ def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
     """Enumerate every placement (one canonical representative per symmetry
     orbit unless pruning is off or tiles are pinned), score each, and return
     all global argmin placements expanded to their distinct orbit members.
+    With ``mc_tiles`` set, pruning uses only the symmetries that map those
+    tiles onto themselves.
 
     High-traffic searches optionally pre-filter candidates by the cheap
     low-traffic objective, keeping max(100, 5% of the representatives); pass
     prefilter=False for exactness. Raises BudgetExceededError when the
     post-pruning candidate estimate exceeds ``budget``.
     """
-    free, rem_cores, rem_caches, rem_mcs = _validate_space(space)
-    pruning = prune_symmetry and not space.fixed
-    # The high-traffic objective is only invariant under the axis-preserving
-    # symmetries (XY routing breaks under x/y swaps), so pruning restricts to
-    # that subgroup; the low-traffic objective admits the full group.
-    perms = (
-        space.grid.symmetry_permutations(axis_preserving=space.mode is Mode.HIGH)
-        if pruning else []
-    )
-    raw = placement_count(len(free), rem_cores, rem_caches, rem_mcs)
-    estimate = -(-raw // len(perms)) if pruning else raw
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"{raw} raw placements ({estimate} after symmetry pruning) exceed "
-            f"budget {budget}; consider two_phase_optimize or local_search",
-            count=int(raw),
-        )
-
-    mc_pool = None
-    if space.mc_tiles is not None:
-        mc_pool = [space.grid.index(c) for c in space.grid.tiles() if c in space.mc_tiles]
-
-    reps: list[str] = []
-    pruned = 0
-    for s in _candidate_strings(space, mc_pool):
-        if pruning and not _is_canonical(s, perms):
-            pruned += 1
-            continue
-        reps.append(s)
-    if not reps:
-        raise InfeasibleError("search space is empty")
-
-    extras: dict = {}
-    failures: Counter = Counter()
-    evaluated = 0
-    if space.mode is Mode.HIGH and prefilter:
-        low = _evaluate_all(space.grid, reps, spec, Mode.LOW, queue_mode, jobs, failures)
-        keep = max(100, math.ceil(0.05 * len(reps)))
-        order = sorted(range(len(reps)), key=lambda i: (low[i], reps[i]))
-        reps = [reps[i] for i in order[:keep]]
-        extras["prefilter_evaluated"] = len(low)
-
-    values = _evaluate_all(space.grid, reps, spec, space.mode, queue_mode, jobs, failures)
-    evaluated += len(values)
-    extras.update(_failure_counts(failures))
-    best_value = min(values)
-    if math.isinf(best_value):
-        raise UnstableError(
-            "every candidate placement saturates at this load "
-            f"({failures['unstable']} unstable, {failures['non_convergent']} non-convergent)"
-        )
-    cutoff = _tie_cutoff(best_value)
-    winners = sorted(s for s, v in zip(reps, values) if v <= cutoff)
-
-    if pruning:
-        expanded: set[str] = set()
-        for s in winners:
-            expanded |= _orbit_strings(s, perms)
-        winners = sorted(expanded)
-    best = [placement_from_string(space.grid, s) for s in winners]
-    return SearchResult(
-        best=best,
-        objective_value=best_value,
-        evaluated=evaluated,
-        pruned=pruned,
-        method="exhaustive",
-        extras=extras,
-    )
+    base, free, counts, pool = _tile_ids(space)
+    perms = _symmetries(space, pool) if prune_symmetry else []
+    return _search(space.grid, base, free, counts, pool, perms, spec, space.mode,
+                   budget, prefilter, queue_mode, jobs)
 
 
 def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
@@ -309,47 +314,24 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
     comparable with a joint exhaustive search. With n_mcs == 0 this is the
     plain cores+caches exhaustive search.
     """
+    base, free, counts, pool = _tile_ids(space)
+    grid = space.grid
+    # Pinned controllers stay where they are during phase 1.
+    phase1 = _search(grid, base, free, (*counts[:2], 0), None, _symmetries(space, None),
+                     spec, space.mode, budget, True, queue_mode, jobs)
     if space.n_mcs == 0:
-        result = exhaustive_search(space, spec, budget, queue_mode=queue_mode, jobs=jobs)
-        result.method = "two-phase"
-        result.extras["phase1_objective"] = result.objective_value
-        return result
-
-    fixed_mc_free = {c: k for c, k in space.fixed.items() if k is not NodeKind.MC}
-    reserved = [c for c, k in space.fixed.items() if k is NodeKind.MC]
-    phase1_space = SearchSpace(
-        grid=space.grid,
-        n_cores=space.n_cores,
-        n_caches=space.n_caches,
-        n_mcs=0,
-        # Pre-pinned controller tiles stay reserved during phase 1.
-        fixed={**fixed_mc_free, **{c: NodeKind.MC for c in reserved}},
-        mode=space.mode,
-    )
-    if reserved:
-        phase1_space.n_mcs = len(reserved)
-    phase1 = exhaustive_search(phase1_space, spec, budget, queue_mode=queue_mode, jobs=jobs)
+        phase1.method = "two-phase"
+        phase1.extras["phase1_objective"] = phase1.objective_value
+        return phase1
 
     best_value = math.inf
     best_strings: set[str] = set()
     evaluated = phase1.evaluated
     failures = Counter({kind: phase1.extras[kind] for kind in FAILURE_KINDS})
-    for winner in phase1.best:
-        fixed = dict(winner.assignment)
-        for c in list(fixed):
-            if fixed[c] is NodeKind.ROUTER_ONLY:
-                del fixed[c]
-        phase2_space = SearchSpace(
-            grid=space.grid,
-            n_cores=space.n_cores,
-            n_caches=space.n_caches,
-            n_mcs=space.n_mcs,
-            fixed=fixed,
-            mode=space.mode,
-            mc_tiles=space.mc_tiles,
-        )
-        result = exhaustive_search(phase2_space, spec, budget,
-                                   queue_mode=queue_mode, jobs=jobs)
+    for winner in map(placement_string, phase1.best):
+        result = _search(grid, winner, [i for i in free if winner[i] == "."],
+                         (0, 0, counts[2]), pool, [], spec, space.mode, budget, True,
+                         queue_mode, jobs)
         evaluated += result.evaluated
         failures.update({kind: result.extras[kind] for kind in FAILURE_KINDS})
         if result.objective_value < best_value - OBJECTIVE_TIE_REL_TOL * max(
@@ -360,7 +342,7 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
         elif result.objective_value <= _tie_cutoff(best_value):
             best_strings |= {placement_string(p) for p in result.best}
 
-    best = [placement_from_string(space.grid, s) for s in sorted(best_strings)]
+    best = [placement_from_string(grid, s) for s in sorted(best_strings)]
     return SearchResult(
         best=best,
         objective_value=best_value,
@@ -375,27 +357,6 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
     )
 
 
-def _start_placement(space: SearchSpace) -> Placement:
-    from .mesh import CanonicalFamily, canonical_placement
-
-    if not space.fixed and space.n_caches >= 1:
-        try:
-            return canonical_placement(
-                CanonicalFamily.CENTRAL, space.grid,
-                space.n_cores, space.n_caches, space.n_mcs,
-            )
-        except InfeasibleError:
-            pass
-    # Deterministic fallback: pinned tiles, then row-major packing.
-    free, rem_cores, rem_caches, rem_mcs = _validate_space(space)
-    chars = _base_chars(space)
-    fill = "$" * rem_caches + "C" * rem_cores + "M" * rem_mcs
-    fill += "." * (len(free) - len(fill))
-    for i, ch in zip(free, fill):
-        chars[i] = ch
-    return placement_from_string(space.grid, "".join(chars))
-
-
 def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
                  budget: int = 10_000,
                  queue_mode: str = PAPER) -> SearchResult:
@@ -405,13 +366,27 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
     never move), which preserves the counts by construction. ``budget`` caps
     neighbor evaluations; the start placement is always scored, so the result
     is never worse than the central canonical start. Deterministic for a
-    given seed.
+    given seed. Swaps and restarts move controllers to any free tile, so a
+    space with ``mc_tiles`` raises InfeasibleError: two_phase_optimize
+    honours it.
     """
+    if space.mc_tiles is not None:
+        raise InfeasibleError("local_search cannot restrict controllers to mc_tiles; "
+                              "use two_phase_optimize")
     rng = random.Random(seed)
     grid = space.grid
-    free, _, _, _ = _validate_space(space)
-    start = _start_placement(space)
-    current = list(placement_string(start))
+    base, free, (n_cores, n_caches, n_mcs), _ = _tile_ids(space)
+    # Start: the central canonical placement, else pinned tiles plus
+    # row-major packing.
+    current = list(base)
+    for i, ch in zip(free, "$" * n_caches + "C" * n_cores + "M" * n_mcs):
+        current[i] = ch
+    if not space.fixed and n_caches >= 1:
+        try:
+            current = list(placement_string(canonical_placement(
+                CanonicalFamily.CENTRAL, grid, n_cores, n_caches, n_mcs)))
+        except InfeasibleError:
+            pass
     evaluated = 0
     failures: Counter = Counter()
 

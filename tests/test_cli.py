@@ -26,6 +26,12 @@ class TestCount:
                      "--caches", "4", "--mcs", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "5405400"
 
+    def test_estimate_uses_distinct_symmetries(self, capsys):
+        # Two of the four rectangle symmetries of a 1x5 grid coincide.
+        assert main(["count", "--grid", "1x5", "--cores", "2", "--caches", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "30", "symmetry-reduced estimate: >= 15"]
+
     def test_missing_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--cores", "2", "--caches", "1"])

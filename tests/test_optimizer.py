@@ -8,6 +8,7 @@ from nocplace import (
     BudgetExceededError,
     CanonicalFamily,
     Coord,
+    InfeasibleError,
     MeshGrid,
     Mode,
     NodeKind,
@@ -77,14 +78,18 @@ class TestExhaustive:
         assert exc.value.count > 10_000_000
 
     def test_pruning_is_lossless(self):
-        space = SearchSpace(MeshGrid(3, 3), n_cores=2, n_caches=2)
-        spec = TrafficSpec()
-        pruned = exhaustive_search(space, spec, prune_symmetry=True)
-        unpruned = exhaustive_search(space, spec, prune_symmetry=False)
-        assert pruned.objective_value == pytest.approx(unpruned.objective_value)
-        assert {placement_string(p) for p in pruned.best} == \
-            {placement_string(p) for p in unpruned.best}
-        assert pruned.pruned > 0 and unpruned.pruned == 0
+        for space, spec in [
+            (SearchSpace(MeshGrid(3, 3), n_cores=2, n_caches=2), TrafficSpec()),
+            # A controller pool that not every symmetry maps onto itself.
+            (SearchSpace(MeshGrid(3, 3), 2, 1, 1, mc_tiles=frozenset({Coord(2, 0)})),
+             TrafficSpec(miss_l2=0.5)),
+        ]:
+            pruned = exhaustive_search(space, spec, prune_symmetry=True)
+            unpruned = exhaustive_search(space, spec, prune_symmetry=False)
+            assert pruned.objective_value == pytest.approx(unpruned.objective_value)
+            assert {placement_string(p) for p in pruned.best} == \
+                {placement_string(p) for p in unpruned.best}
+            assert pruned.pruned > 0 and unpruned.pruned == 0
 
     def test_matches_naive_oracle(self):
         space = SearchSpace(MeshGrid(3, 3), n_cores=3, n_caches=1, n_mcs=1)
@@ -150,6 +155,18 @@ class TestTwoPhase:
         mc_sites = {p.mcs[0] for p in result.best}
         assert mc_sites == {Coord(2, 0), Coord(0, 2), Coord(4, 2), Coord(2, 4)}
 
+    def test_pinned_router_tiles_stay_routers(self):
+        space = SearchSpace(
+            MeshGrid(3, 3), 2, 1, 1,
+            fixed={Coord(1, 1): NodeKind.CACHE, Coord(1, 0): NodeKind.ROUTER_ONLY},
+        )
+        spec = TrafficSpec(miss_l2=0.5)
+        result = two_phase_optimize(space, spec)
+        assert all(p.kind_at(Coord(1, 0)) is NodeKind.ROUTER_ONLY for p in result.best)
+        joint = exhaustive_search(space, spec)
+        assert result.objective_value == joint.objective_value
+        assert result.best == joint.best
+
     def test_never_beats_joint(self):
         rng = random.Random(7)
         for _ in range(5):
@@ -197,6 +214,12 @@ class TestLocalSearch:
         exact = exhaustive_search(space, TrafficSpec())
         heur = local_search(space, TrafficSpec(), seed=11, budget=400)
         assert heur.objective_value >= exact.objective_value - 1e-9
+
+
+    def test_rejects_mc_tiles(self):
+        space = SearchSpace(MeshGrid(4, 4), 6, 4, 1, mc_tiles=frozenset({Coord(0, 0)}))
+        with pytest.raises(InfeasibleError, match="mc_tiles"):
+            local_search(space, TrafficSpec(), seed=1, budget=50)
 
 
 class TestParallelEvaluation:
