@@ -26,7 +26,7 @@ from typing import IO
 import numpy as np
 
 from .errors import NoCachesError, NoMemControllersError
-from .mesh import Coord, Placement
+from .mesh import _CHAR_OF_KIND, Coord, MeshGrid, NodeKind, Placement, placement_from_string
 from .queueing import PAPER, solve_network
 from .routing import channel_loads, flow_set, path_sums
 from .traffic import ResolvedTraffic, TrafficSpec, resolve
@@ -163,3 +163,50 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
         objective_value=float(sum(c.total for c in per_core)),
         spec=spec,
     )
+
+
+def low_objective_batch(grid: MeshGrid, rows: np.ndarray,
+                        spec: TrafficSpec) -> tuple[np.ndarray, float]:
+    """LOW ``objective_value`` of many placements at once, for selecting
+    candidates, and a bound on how far each value may lie from the one
+    ``objective`` returns.
+
+    ``rows`` holds one placement string per row as ``uint8`` bytes, every
+    row with the same number of cores, caches and controllers. The spec is
+    checked against the first row as ``objective`` checks it, with the same
+    errors.
+    """
+    r = resolve(placement_from_string(grid, rows[0].tobytes().decode("ascii")), spec)
+    n_cores, n_caches, n_mcs = len(r.core_ids), len(r.cache_ids), len(r.mc_ids)
+
+    def ids(kind: NodeKind) -> np.ndarray:
+        return np.nonzero(rows == ord(_CHAR_OF_KIND[kind]))[1].reshape(len(rows), -1)
+
+    cores, caches = ids(NodeKind.CORE), ids(NodeKind.CACHE)
+    es = float(spec.svc.mean_service)
+    miss1 = spec.miss_l1
+    # sum_i l2_i: the p-weighted core->cache hops of every core.
+    l2 = es * np.einsum("ij,bij->b", r.p, grid.hops[cores[:, :, None], caches[:, None, :]])
+    value = n_cores * spec.latency_l1 + miss1 * l2
+    reach = np.abs(r.p).sum() * es * (grid.width + grid.height - 2)
+    scale = n_cores * abs(spec.latency_l1) + miss1 * reach
+    if n_mcs:
+        # q splits a cache's misses evenly over its nearest controllers, so
+        # sum_k q_jk * hops_jk is the distance to the nearest one.
+        mcs = ids(NodeKind.MC)
+        nearest = grid.hops[caches[:, :, None], mcs[:, None, :]].min(axis=2)
+        mem = es * (nearest @ r.p.sum(axis=0)) + n_cores * spec.mem_fixed_latency
+        value += miss1 * spec.miss_l2 * mem
+        scale += miss1 * spec.miss_l2 * (reach + n_cores * abs(spec.mem_fixed_latency))
+    # Both this value and objective's are the same sum of products
+    # (latency_l1; miss1 * p_ij * E{S} * hops; miss1 * miss_l2 * (p_ij * q_jk *
+    # E{S} * hops + mem_fixed_latency)) evaluated in different orders. Along
+    # either order no product meets more than K = cores + caches + mcs + 8
+    # roundings (its factors, q's division, then one per addition it takes
+    # part in), so each computed value is within gamma_K * scale of the exact
+    # sum, where scale bounds the sum of the products' magnitudes (Higham,
+    # Accuracy and Stability of Numerical Algorithms, sections 3.1 and 4.2).
+    # The two values therefore differ by at most 2 * gamma_K * scale, and
+    # gamma_K = K u / (1 - K u) <= K * eps for the unit roundoff u = eps / 2.
+    k = n_cores + n_caches + n_mcs + 8
+    return value, 2 * k * float(np.finfo(float).eps) * scale

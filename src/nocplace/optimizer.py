@@ -13,11 +13,13 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .errors import BudgetExceededError, InfeasibleError, NonConvergentError, UnstableError
-from .latency import Mode, objective
+from .latency import Mode, low_objective_batch, objective
 from .mesh import (
     _CHAR_OF_KIND,
     CanonicalFamily,
@@ -34,6 +36,9 @@ from .queueing import PAPER
 from .traffic import TrafficSpec
 
 OBJECTIVE_TIE_REL_TOL = 1e-9
+
+# Candidate strings filtered and LOW-scored per array block.
+SEARCH_BLOCK = 4096
 
 # Candidates scored as +inf, by cause: counted into SearchResult.extras.
 FAILURE_KINDS = ("unstable", "non_convergent")
@@ -158,18 +163,6 @@ def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, .
     return [p for p in perms if {p[i] for i in pool} == set(pool)]
 
 
-def _is_canonical(s: str, perms: list[tuple[int, ...]]) -> bool:
-    # Canonical = lexicographically smallest string in its symmetry orbit.
-    for perm in perms:
-        for pos, i in enumerate(perm):
-            c = s[i]
-            if c < s[pos]:
-                return False
-            if c > s[pos]:
-                break
-    return True
-
-
 def _orbit_strings(s: str, perms: list[tuple[int, ...]]) -> set[str]:
     return {"".join(s[i] for i in perm) for perm in perms}
 
@@ -223,14 +216,96 @@ def _failure_counts(failures: Counter) -> dict[str, int]:
     return {kind: failures[kind] for kind in FAILURE_KINDS}
 
 
+def _raw_count(free: list[int], counts: tuple[int, int, int], pool: list[int] | None) -> int:
+    """Number of strings ``_candidate_strings`` yields. With a controller
+    pool of P of the F free tiles, a of the m = cores + caches nodes sit on
+    pool tiles and the controllers on P - a of them."""
+    raw = placement_count(len(free), *counts)  # raises when the nodes outnumber the tiles
+    if pool is None:
+        return raw
+    n_cores, n_caches, n_mcs = counts
+    m, p, f = n_cores + n_caches, len(pool), len(free)
+    return sum(math.comb(p, a) * math.comb(f - p, m - a) * math.comb(m, n_caches)
+               * math.comb(p - a, n_mcs) for a in range(min(p, m) + 1))
+
+
+def _canonical(rows: np.ndarray, perms: list[tuple[int, ...]]) -> np.ndarray:
+    """Mask of the rows that are the lexicographically smallest string of
+    their orbit under ``perms``. The bytes of ``$ . C M`` sort as the
+    characters do, so for each map the first tile where a row and its image
+    differ decides."""
+    wide = rows.astype(np.int16)
+    keep = np.ones(len(rows), dtype=bool)
+    at = np.arange(len(rows))
+    for perm in perms[1:]:  # perms[0] is the identity
+        d = wide[:, perm] - wide
+        keep &= d[at, (d != 0).argmax(axis=1)] >= 0
+    return keep
+
+
+def _blocks(base: str, free: list[int], counts: tuple[int, int, int], pool: list[int] | None,
+            perms: list[tuple[int, ...]]) -> Iterator[tuple[np.ndarray, int]]:
+    """The candidate strings in blocks of SEARCH_BLOCK, each as a ``uint8``
+    array of the rows canonical under ``perms`` (all rows when ``perms`` is
+    empty), with the number of rows pruned."""
+    strings = _candidate_strings(base, free, counts, pool)
+    while block := list(islice(strings, SEARCH_BLOCK)):
+        rows = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8)
+        rows = rows.reshape(len(block), len(base))
+        if perms:
+            rows = rows[_canonical(rows, perms)]
+        yield rows, len(block) - len(rows)
+
+
+def _strings(rows: np.ndarray) -> list[str]:
+    return [row.tobytes().decode("ascii") for row in rows]
+
+
+def _low_values(grid: MeshGrid, strings: list[str], spec: TrafficSpec) -> list[float]:
+    return [objective(placement_from_string(grid, s), spec).objective_value for s in strings]
+
+
+def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarray:
+    """The rows among the first max(100, 5%) by (LOW objective, string).
+
+    Batched LOW values select; the candidates whose batched value lies
+    within twice its error bound of the cut are ordered by their exact
+    values, so the kept set is the one exact values alone would give."""
+    keep = max(100, math.ceil(0.05 * len(rows)))
+    if len(rows) <= keep:
+        return rows
+    low = np.empty(len(rows))
+    bound = 0.0
+    for i in range(0, len(rows), SEARCH_BLOCK):
+        low[i:i + SEARCH_BLOCK], b = low_objective_batch(grid, rows[i:i + SEARCH_BLOCK], spec)
+        bound = max(bound, b)
+    # The keep-th smallest exact value lies within bound of cut, the keep-th
+    # smallest batched value. So rows more than 2 * bound below cut are
+    # kept, rows more than 2 * bound above it are not, and the exact values
+    # order the rest.
+    cut = np.partition(low, keep - 1)[keep - 1]
+    sure = low < cut - 2 * bound
+    near = np.nonzero(~sure & (low <= cut + 2 * bound))[0]
+    names = _strings(rows[near])
+    exact = _low_values(grid, names, spec)
+    order = sorted(range(len(near)), key=lambda i: (exact[i], names[i]))
+    return np.concatenate([rows[sure], rows[near[order[:keep - int(sure.sum())]]]])
+
+
 def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, int],
             pool: list[int] | None, perms: list[tuple[int, ...]], spec: TrafficSpec,
             mode: Mode, budget: int, prefilter: bool, queue_mode: str,
             jobs: int) -> SearchResult:
     """Score every candidate string of ``_candidate_strings`` that is
     canonical under ``perms`` (all of them when ``perms`` is empty) and
-    return the argmin ties expanded to their orbits."""
-    raw = placement_count(len(free), *counts)
+    return the argmin ties expanded to their orbits.
+
+    LOW candidates are scored a block at a time by ``low_objective_batch``;
+    only those within the tie tolerance plus its error bound of the lowest
+    batched value so far are scored exactly by ``objective``, and the
+    result is taken from those exact values. HIGH candidates are scored
+    one by one (over ``jobs`` processes)."""
+    raw = _raw_count(free, counts, pool)
     estimate = -(-raw // max(1, len(perms)))
     if estimate > budget:
         raise BudgetExceededError(
@@ -239,41 +314,56 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             count=int(raw),
         )
 
-    reps: list[str] = []
-    pruned = 0
-    for s in _candidate_strings(base, free, counts, pool):
-        if perms and not _is_canonical(s, perms):
-            pruned += 1
+    pruned = evaluated = 0
+    failures: Counter = Counter()
+    scored: dict[str, float] = {}
+    high_rows: list[np.ndarray] = []
+    floor = math.inf
+    for rows, n_pruned in _blocks(base, free, counts, pool, perms):
+        pruned += n_pruned
+        evaluated += len(rows)
+        if not len(rows):
             continue
-        reps.append(s)
-    if not reps:
+        if mode is Mode.HIGH:
+            high_rows.append(rows)
+            continue
+        low, bound = low_objective_batch(grid, rows, spec)
+        floor = min(floor, float(low.min()))
+        # The exact minimum is at most floor + bound, and a tie's batched
+        # value lies within bound of its exact value.
+        near = _strings(rows[low <= _tie_cutoff(floor + bound) + bound])
+        scored.update(zip(near, _low_values(grid, near, spec)))
+        # Drop what the lowest exact value so far already rules out.
+        cutoff = _tie_cutoff(min(scored.values()))
+        scored = {s: v for s, v in scored.items() if v <= cutoff}
+    if not evaluated:
         raise InfeasibleError("search space is empty")
 
     extras: dict = {}
-    failures: Counter = Counter()
-    if mode is Mode.HIGH and prefilter:
-        low = _evaluate_all(grid, reps, spec, Mode.LOW, queue_mode, jobs, failures)
-        keep = max(100, math.ceil(0.05 * len(reps)))
-        order = sorted(range(len(reps)), key=lambda i: (low[i], reps[i]))
-        reps = [reps[i] for i in order[:keep]]
-        extras["prefilter_evaluated"] = len(low)
-
-    values = _evaluate_all(grid, reps, spec, mode, queue_mode, jobs, failures)
+    if mode is Mode.HIGH:
+        rows = np.concatenate(high_rows)
+        if prefilter:
+            rows = _prefilter(grid, rows, spec)
+            extras["prefilter_evaluated"] = evaluated
+            evaluated = len(rows)
+        strings = _strings(rows)
+        scored = dict(zip(strings, _evaluate_all(grid, strings, spec, mode, queue_mode,
+                                                 jobs, failures)))
     extras.update(_failure_counts(failures))
-    best_value = min(values)
+    best_value = min(scored.values())
     if math.isinf(best_value):
         raise UnstableError(
             "every candidate placement saturates at this load "
             f"({failures['unstable']} unstable, {failures['non_convergent']} non-convergent)"
         )
     cutoff = _tie_cutoff(best_value)
-    winners = {s for s, v in zip(reps, values) if v <= cutoff}
+    winners = {s for s, v in scored.items() if v <= cutoff}
     if perms:
         winners = {t for s in winners for t in _orbit_strings(s, perms)}
     return SearchResult(
         best=[placement_from_string(grid, s) for s in sorted(winners)],
         objective_value=best_value,
-        evaluated=len(values),
+        evaluated=evaluated,
         pruned=pruned,
         method="exhaustive",
         extras=extras,
@@ -294,8 +384,10 @@ def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
 
     High-traffic searches optionally pre-filter candidates by the cheap
     low-traffic objective, keeping max(100, 5% of the representatives); pass
-    prefilter=False for exactness. Raises BudgetExceededError when the
-    post-pruning candidate estimate exceeds ``budget``.
+    prefilter=False for exactness. ``jobs`` > 1 scores the high-traffic
+    candidates in that many worker processes; low-traffic candidates are
+    scored in array blocks in this process. Raises BudgetExceededError when
+    the post-pruning candidate estimate exceeds ``budget``.
     """
     base, free, counts, pool = _tile_ids(space)
     perms = _symmetries(space, pool) if prune_symmetry else []
@@ -312,7 +404,8 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
 
     Phase 2 scores the full objective, so the reported value is directly
     comparable with a joint exhaustive search. With n_mcs == 0 this is the
-    plain cores+caches exhaustive search.
+    plain cores+caches exhaustive search. As in exhaustive_search, ``jobs``
+    parallelises high-traffic scoring only.
     """
     base, free, counts, pool = _tile_ids(space)
     grid = space.grid

@@ -35,6 +35,7 @@ from nocplace import (
     run_sim,
     two_phase_optimize,
 )
+from nocplace import optimizer
 from nocplace.routing import build_flows, derive_channel_rates
 
 REL = 1e-12
@@ -148,3 +149,19 @@ def test_search_result(c):
     result = search(space, TrafficSpec(**c["spec"]), **c["kwargs"])
     got = {k: repr(v) if isinstance(v, float) else v for k, v in result.to_json_dict().items()}
     assert got == c["result"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 1 << 30])
+def test_search_result_any_block_size(block, monkeypatch):
+    # Blocks of one row prune whole blocks and lower the running minimum
+    # block after block; one block larger than any space holds them all.
+    monkeypatch.setattr(optimizer, "SEARCH_BLOCK", block)
+    for c in SEARCH_CASES:
+        test_search_result(c)
+
+
+def test_budget_counts_controllers_on_pool_tiles_only():
+    # 168 candidates exist. Counting controllers on every free tile put them
+    # at 1,512 and raised BudgetExceededError.
+    [c] = [c for c in SEARCH_CASES if c["id"] == "exh.low.3x3.corner-pool.unpruned"]
+    test_search_result({**c, "kwargs": {**c["kwargs"], "budget": 1000}})

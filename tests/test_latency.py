@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from nocplace import (
@@ -5,6 +8,7 @@ from nocplace import (
     Coord,
     MeshGrid,
     Mode,
+    InvalidTrafficError,
     NoCachesError,
     NodeKind,
     NoMemControllersError,
@@ -16,7 +20,8 @@ from nocplace import (
     low_traffic_mem_latency,
     objective,
 )
-from nocplace.mesh import apply_symmetry
+from nocplace.latency import low_objective_batch
+from nocplace.mesh import apply_symmetry, placement_from_string
 from nocplace.traffic import matrix
 
 
@@ -199,3 +204,61 @@ class TestObjective:
         assert data["mode"] == "low"
         assert len(data["per_core"]) == 8
         assert data["objective"] == pytest.approx(report.objective_value)
+
+
+class TestLowObjectiveBatch:
+    """The batched LOW scorer the search selects with, against objective."""
+
+    @staticmethod
+    def _skewed_p(rng, n_cores, n_caches):
+        rows = []
+        for _ in range(n_cores):
+            w = [rng.choice([0.0, 0.0, rng.random(), 5 * rng.random()]) for _ in range(n_caches)]
+            w[rng.randrange(n_caches)] += 1.0
+            rows.append([v / sum(w) for v in w])
+        return matrix(rows)
+
+    def test_matches_objective_within_its_bound(self):
+        rng = random.Random(2016)
+        ties = 0
+        for w, h, n_cores, n_caches, n_mcs in ((1, 7, 3, 2, 1), (7, 1, 2, 2, 2), (1, 6, 2, 1, 0),
+                                               (3, 3, 4, 2, 2), (4, 4, 6, 3, 3), (5, 3, 5, 4, 2),
+                                               (8, 8, 40, 16, 4), (16, 16, 150, 60, 8)):
+            g = MeshGrid(w, h)
+            specs = [
+                TrafficSpec(),
+                TrafficSpec(p=self._skewed_p(rng, n_cores, n_caches), miss_l2=0.35),
+                TrafficSpec(hit_l1=0.4, miss_l2=0.6, mem_fixed_latency=25.0, latency_l1=2.5,
+                            svc=ServiceSpec(mean_service=0.7)),
+                # An integer E{S} must not multiply the int8 hop table.
+                TrafficSpec(svc=ServiceSpec(mean_service=100), miss_l2=0.9,
+                            p=self._skewed_p(rng, n_cores, n_caches)),
+            ]
+            chars = list("C" * n_cores + "$" * n_caches + "M" * n_mcs
+                         + "." * (g.n_tiles - n_cores - n_caches - n_mcs))
+            strings = []
+            for _ in range(25):
+                rng.shuffle(chars)
+                strings.append("".join(chars))
+            rows = np.array([list(s.encode("ascii")) for s in strings], dtype=np.uint8)
+            for spec in specs:
+                values, bound = low_objective_batch(g, rows, spec)
+                exact = [objective(placement_from_string(g, s), spec).objective_value
+                         for s in strings]
+                assert np.all(np.abs(values - exact) <= bound), (w, h, spec)
+                # Tight enough to leave the tie tolerance (1e-9 relative) alone.
+                assert bound <= 1e-12 * max(1.0, *map(abs, exact)), (w, h, spec, bound)
+            if n_mcs > 1:
+                for s in strings:
+                    hops = g.hops[[i for i, c in enumerate(s) if c == "$"]][
+                        :, [i for i, c in enumerate(s) if c == "M"]]
+                    ties += int(((hops == hops.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+        assert ties > 0  # some caches split their misses between controllers
+
+    def test_checks_the_spec_like_objective(self):
+        g = MeshGrid(3, 3)
+        rows = np.array([list(b"CC..$...."), list(b"C.C.$....")], dtype=np.uint8)
+        with pytest.raises(InvalidTrafficError, match="p has shape"):
+            low_objective_batch(g, rows, TrafficSpec(p=((1.0,),)))
+        with pytest.raises(NoCachesError):
+            low_objective_batch(g, rows[:, [0, 1, 2, 3, 5, 5, 6, 7, 8]], TrafficSpec())

@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from nocplace import (
@@ -19,9 +20,18 @@ from nocplace import (
     objective,
     two_phase_optimize,
 )
-from nocplace import queueing
+from nocplace import optimizer, queueing
 from nocplace.mesh import placement_from_string, placement_string
-from nocplace.optimizer import SearchSpace
+from nocplace.optimizer import (
+    SearchSpace,
+    _blocks,
+    _canonical,
+    _candidate_strings,
+    _prefilter,
+    _raw_count,
+    _symmetries,
+    _tile_ids,
+)
 
 
 def naive_enumerate(space, spec):
@@ -52,6 +62,32 @@ def naive_enumerate(space, spec):
                 elif v <= best + tol:
                     argmin.add(s)
     return best, argmin
+
+
+def is_canonical(s, perms):
+    """Oracle: the string walk the search filtered candidates with before it
+    filtered arrays. Canonical = lexicographically smallest string in its
+    symmetry orbit."""
+    for perm in perms:
+        for pos, i in enumerate(perm):
+            c = s[i]
+            if c < s[pos]:
+                return False
+            if c > s[pos]:
+                break
+    return True
+
+
+def rows_of(strings, n_tiles):
+    return np.array([list(s.encode("ascii")) for s in strings],
+                    dtype=np.uint8).reshape(len(strings), n_tiles)
+
+
+def canonical_rows(space):
+    """The canonical candidate rows of an exhaustive search of ``space``."""
+    base, free, counts, pool = _tile_ids(space)
+    return np.concatenate([rows for rows, _ in
+                           _blocks(base, free, counts, pool, _symmetries(space, pool))])
 
 
 class TestExhaustive:
@@ -115,6 +151,118 @@ class TestExhaustive:
             assert p.counts == (1, 1, 0)
         # Pruning is disabled when tiles are pinned.
         assert result.pruned == 0
+
+
+class TestCanonicalFilter:
+    @pytest.mark.parametrize("axis_preserving", [False, True])
+    def test_matches_string_oracle(self, axis_preserving):
+        rng = random.Random(17)
+        for w in range(1, 6):
+            for h in range(1, 6):
+                g = MeshGrid(w, h)
+                perms = g.symmetry_permutations(axis_preserving)
+                # Mostly empty tiles, so orbit members often share long
+                # prefixes; the constant strings are fixed by every map.
+                strings = ["." * g.n_tiles, "C" * g.n_tiles] + [
+                    "".join(rng.choice("......C$M") for _ in range(g.n_tiles))
+                    for _ in range(300)]
+                kept = _canonical(rows_of(strings, g.n_tiles), perms)
+                assert [s for s, k in zip(strings, kept) if k] == \
+                    [s for s in strings if is_canonical(s, perms)], (w, h)
+
+    def test_pool_preserving_subgroups(self):
+        rng = random.Random(3)
+        for w, h, counts in ((3, 3, (2, 1, 1)), (4, 4, (2, 1, 2)), (4, 3, (1, 2, 1)),
+                             (5, 5, (1, 1, 1)), (1, 5, (1, 1, 1))):
+            g = MeshGrid(w, h)
+            corners = {Coord(x, y) for x in (0, w - 1) for y in (0, h - 1)}
+            pools = [frozenset(g.perimeter()), frozenset(corners)] + [
+                frozenset(rng.sample(list(g.tiles()), rng.randint(1, g.n_tiles)))
+                for _ in range(3)]
+            for pool in pools:
+                space = SearchSpace(g, *counts, mc_tiles=pool)
+                base, free, left, ids = _tile_ids(space)
+                perms = _symmetries(space, ids)
+                strings = list(_candidate_strings(base, free, left, ids))
+                kept = _canonical(rows_of(strings, g.n_tiles), perms)
+                assert [s for s, k in zip(strings, kept) if k] == \
+                    [s for s in strings if is_canonical(s, perms)], (w, h, sorted(pool))
+
+
+class TestRawCount:
+    def test_counts_the_candidate_strings(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            g = MeshGrid(rng.randint(1, 4), rng.randint(1, 4))
+            n = g.n_tiles
+            counts = [rng.randint(0, 2) for _ in range(3)]
+            if sum(counts) > n:
+                continue
+            tiles = list(g.tiles())
+            pool = rng.choice([None, frozenset(rng.sample(tiles, rng.randint(0, n)))])
+            routers = rng.sample(tiles, rng.randint(0, min(2, n - sum(counts))))
+            fixed = {c: NodeKind.ROUTER_ONLY for c in routers}
+            space = SearchSpace(g, *counts, fixed=fixed, mc_tiles=pool)
+            base, free, left, ids = _tile_ids(space)
+            assert _raw_count(free, left, ids) == \
+                sum(1 for _ in _candidate_strings(base, free, left, ids))
+
+
+class TestBlocks:
+    def test_pruned_blocks_and_dropped_near_ties(self, monkeypatch):
+        space = SearchSpace(MeshGrid(3, 3), n_cores=2, n_caches=2)
+        spec = TrafficSpec(miss_l2=0.3)
+        whole = exhaustive_search(space, spec)
+        masks, rescored = [], []
+        canonical, scalar = optimizer._canonical, optimizer.objective
+
+        def record_mask(rows, perms):
+            masks.append(canonical(rows, perms))
+            return masks[-1]
+
+        def record_objective(placement, *args):
+            rescored.append(placement_string(placement))
+            return scalar(placement, *args)
+
+        monkeypatch.setattr(optimizer, "SEARCH_BLOCK", 3)
+        monkeypatch.setattr(optimizer, "_canonical", record_mask)
+        monkeypatch.setattr(optimizer, "objective", record_objective)
+        blocked = exhaustive_search(space, spec)
+        assert blocked.to_json_dict() == whole.to_json_dict()
+        assert any(not m.any() for m in masks)
+        # Near-minimum candidates of early blocks that a later block beat.
+        winners = {placement_string(p) for p in whole.best}
+        losers = set(rescored) - winners
+        assert losers and all(
+            scalar(placement_from_string(space.grid, s), spec).objective_value
+            > whole.objective_value + 1e-9 for s in losers)
+
+
+class TestPrefilter:
+    @pytest.mark.parametrize("block", [7, optimizer.SEARCH_BLOCK])
+    def test_keeps_exact_top_by_low_value_and_string(self, block, monkeypatch):
+        monkeypatch.setattr(optimizer, "SEARCH_BLOCK", block)
+        spec = TrafficSpec(lambda_g=0.08, miss_l2=0.2)
+        cut_ties = 0
+        # Phase 1 of criterion 6's HIGH two-phase searches, and spaces whose
+        # many equal LOW values straddle the cut. With three caches, equal
+        # values differ in the last bit between the batched and the exact
+        # sums, so only the exact values order the candidates at the cut.
+        for w, h, nr, nh in ((3, 3, 3, 1), (3, 3, 2, 2), (4, 3, 3, 1), (4, 4, 2, 1),
+                             (4, 4, 1, 1), (4, 3, 2, 3), (3, 3, 3, 3)):
+            space = SearchSpace(MeshGrid(w, h), nr, nh, mode=Mode.HIGH)
+            rows = canonical_rows(space)
+            strings = [r.tobytes().decode("ascii") for r in rows]
+            keep = max(100, math.ceil(0.05 * len(strings)))
+            low = {s: objective(placement_from_string(space.grid, s), spec).objective_value
+                   for s in strings}
+            order = sorted(strings, key=lambda s: (low[s], s))
+            kept = [r.tobytes().decode("ascii") for r in
+                    _prefilter(space.grid, rows, spec)]
+            assert sorted(kept) == sorted(order[:keep]), (w, h, nr, nh)
+            if len(order) > keep and low[order[keep - 1]] == low[order[keep]]:
+                cut_ties += 1
+        assert cut_ties >= 2
 
 
 class TestTwoPhase:
@@ -231,6 +379,15 @@ class TestParallelEvaluation:
         assert par.objective_value == seq.objective_value
         assert [placement_string(p) for p in par.best] == \
             [placement_string(p) for p in seq.best]
+
+    def test_high_jobs_do_not_change_the_result(self):
+        # Workers score HIGH candidates; their failure counts are merged.
+        space = SearchSpace(MeshGrid(3, 3), 5, 2, 0, mode=Mode.HIGH)
+        spec = TrafficSpec(lambda_g=0.35)
+        seq = exhaustive_search(space, spec, prefilter=False, jobs=1)
+        par = exhaustive_search(space, spec, prefilter=False, jobs=2)
+        assert par.to_json_dict() == seq.to_json_dict()
+        assert seq.extras["unstable"] > 0
 
 
 class TestSearchResult:
