@@ -179,10 +179,10 @@ def low_objective_batch(grid: MeshGrid, rows: np.ndarray,
     r = resolve(placement_from_string(grid, rows[0].tobytes().decode("ascii")), spec)
     n_cores, n_caches, n_mcs = len(r.core_ids), len(r.cache_ids), len(r.mc_ids)
 
-    def ids(kind: NodeKind) -> np.ndarray:
-        return np.nonzero(rows == ord(_CHAR_OF_KIND[kind]))[1].reshape(len(rows), -1)
+    def ids(kind: NodeKind, n: int) -> np.ndarray:
+        return np.nonzero(rows == ord(_CHAR_OF_KIND[kind]))[1].reshape(len(rows), n)
 
-    cores, caches = ids(NodeKind.CORE), ids(NodeKind.CACHE)
+    cores, caches = ids(NodeKind.CORE, n_cores), ids(NodeKind.CACHE, n_caches)
     es = float(spec.svc.mean_service)
     miss1 = spec.miss_l1
     # sum_i l2_i: the p-weighted core->cache hops of every core.
@@ -193,7 +193,7 @@ def low_objective_batch(grid: MeshGrid, rows: np.ndarray,
     if n_mcs:
         # q splits a cache's misses evenly over its nearest controllers, so
         # sum_k q_jk * hops_jk is the distance to the nearest one.
-        mcs = ids(NodeKind.MC)
+        mcs = ids(NodeKind.MC, n_mcs)
         nearest = grid.hops[caches[:, :, None], mcs[:, None, :]].min(axis=2)
         mem = es * (nearest @ r.p.sum(axis=0)) + n_cores * spec.mem_fixed_latency
         value += miss1 * spec.miss_l2 * mem
@@ -209,4 +209,4 @@ def low_objective_batch(grid: MeshGrid, rows: np.ndarray,
     # The two values therefore differ by at most 2 * gamma_K * scale, and
     # gamma_K = K u / (1 - K u) <= K * eps for the unit roundoff u = eps / 2.
     k = n_cores + n_caches + n_mcs + 8
-    return value, 2 * k * float(np.finfo(float).eps) * scale
+    return value, float(2 * k * np.finfo(float).eps * scale)

@@ -211,6 +211,8 @@ class TestLowObjectiveBatch:
 
     @staticmethod
     def _skewed_p(rng, n_cores, n_caches):
+        if not n_cores:
+            return None  # nested tuples cannot hold a 0 x n_caches matrix
         rows = []
         for _ in range(n_cores):
             w = [rng.choice([0.0, 0.0, rng.random(), 5 * rng.random()]) for _ in range(n_caches)]
@@ -222,7 +224,8 @@ class TestLowObjectiveBatch:
         rng = random.Random(2016)
         ties = 0
         for w, h, n_cores, n_caches, n_mcs in ((1, 7, 3, 2, 1), (7, 1, 2, 2, 2), (1, 6, 2, 1, 0),
-                                               (3, 3, 4, 2, 2), (4, 4, 6, 3, 3), (5, 3, 5, 4, 2),
+                                               (3, 3, 0, 2, 1), (3, 3, 4, 2, 2), (4, 4, 6, 3, 3),
+                                               (5, 3, 5, 4, 2),
                                                (8, 8, 40, 16, 4), (16, 16, 150, 60, 8)):
             g = MeshGrid(w, h)
             specs = [
