@@ -9,15 +9,30 @@ hops is (d+1) * L/mu including the source injection service. Buffers are
 infinite; saturation is detected statistically from the latency trend, not
 from overflow.
 
-The engine routes on the analytical models' topology: endpoints are the tile
-ids of ``resolve`` and paths the ``routing.xy_hops`` channel ids
-``tile * N_PORTS + in_port``, so both route the same XY paths over the same
-channels. ``Coord``/``Port`` keys are built only when ``SimStats`` is
-assembled, and every statistic is a plain Python float.
+Two engines run the model and return the same ``SimStats``, bit for bit:
 
-Runs are deterministic for a given (config, seed): the event queue breaks
-time ties by insertion order and all randomness flows from one seeded
-generator.
+- The event engine (``_run_events``) pops generation and channel-completion
+  events from one heap and breaks time ties by insertion order. It runs
+  every configuration, and it is the only engine for runs that spawn
+  messages: controller legs (controllers present and ``miss_l2 > 0``) and
+  replies (``model_replies``).
+- The feed-forward engine (``feedforward.run_feedforward``) takes all other
+  runs. With no spawned traffic every random draw happens at a generation
+  and XY routing orders the channels without cycles, so each channel's
+  departures follow from Lindley's recursion in dependency order. It
+  replays the same draws, evaluates every float with the same operations in
+  the same order, and rebuilds the event engine's order of simultaneous
+  events (see that module). ``run_sim`` picks the engine; there is no
+  option.
+
+Both route on the analytical models' topology: endpoints are the tile ids of
+``resolve`` and paths the ``routing.xy_hops`` channel ids ``tile * N_PORTS +
+in_port``, so both route the same XY paths over the same channels.
+``Coord``/``Port`` keys are built only when ``SimStats`` is assembled, and
+every statistic is a plain Python float.
+
+Runs are deterministic for a given (config, seed): all randomness flows from
+one seeded generator.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import InvalidConfigError, UnstableError
-from .mesh import Coord, Placement
+from .mesh import Coord, NodeKind, Placement
 from .queueing import PAPER, packet_delay_inspector
 from .routing import N_PORTS, PORT_ORDER, Port, xy_hops
 from .traffic import TrafficSpec, resolve
@@ -181,7 +196,82 @@ def run_sim(config: SimConfig) -> SimStats:
     request spawns a controller leg with probability miss_l2; replies are
     generated when the traffic spec asks for them. Statistics start after the
     warmup fraction of the primary budget has been generated.
+
+    A run that can spawn no message takes the feed-forward engine, any other
+    the event engine; both return the same statistics (see the module
+    docstring). The feed-forward engine hands a run back to the event engine
+    when it meets a coincidence of float sums whose order it does not
+    rebuild (``feedforward.TieUnresolved``).
     """
+    spec = config.traffic
+    if spec.model_replies or (spec.miss_l2 > 0.0 and NodeKind.MC in config.placement.kinds):
+        return _run_events(config)
+    from .feedforward import TieUnresolved, run_feedforward  # it imports this module
+
+    try:
+        return run_feedforward(config)
+    except TieUnresolved:
+        return _run_events(config)
+
+
+def _injection(config: SimConfig, resolved) -> tuple[list[float], list[int]]:
+    """Per-core injection rates and the indices of the cores that inject."""
+    inj = (resolved.lam * config.traffic.miss_l1).tolist()
+    active_cores = [i for i, rate in enumerate(inj) if rate > 0.0]
+    if not active_cores and config.messages > 0:
+        raise InvalidConfigError("no core has a positive injection rate")
+    return inj, active_cores
+
+
+def _sim_stats(grid, channels, lat: np.ndarray, flows, end_t: float, window: float,
+               generated: int, completed: int, derived_generated: int,
+               derived_completed: int) -> SimStats:
+    """Assemble ``SimStats``. ``channels`` holds (channel id, arrivals,
+    completions, busy time, queue-length area, response sum, service sum) in
+    channel creation order, ``lat`` the post-warmup latencies in delivery
+    order and ``flows`` (src * n_tiles + dst, count, latency sum) in order of
+    first delivery."""
+    coords = grid.coords
+    n_tiles = grid.n_tiles
+    channel_stats: dict[tuple[Coord, Port], ChannelStats] = {}
+    for cid, arrivals, completions, busy, area, resp_sum, svc_sum in channels:
+        st = ChannelStats(arrivals=arrivals, completions=completions)
+        if window > 0:
+            st.utilization = busy / window
+            st.throughput = completions / window
+            st.mean_queue_len = area / window
+        if completions:
+            st.mean_service = svc_sum / completions
+            st.mean_response = resp_sum / completions
+        channel_stats[(coords[cid // N_PORTS], PORT_ORDER[cid % N_PORTS])] = st
+
+    mean_latency = float(lat.mean()) if lat.size else 0.0
+    ci95 = float(1.96 * lat.std(ddof=1) / math.sqrt(lat.size)) if lat.size > 1 else 0.0
+    saturated = False
+    if lat.size >= 20:
+        half = lat.size // 2
+        first, second = lat[:half].mean(), lat[half:].mean()
+        saturated = bool(second > SATURATION_TREND_RATIO * first)
+
+    return SimStats(
+        channels=channel_stats,
+        flow_latency={(coords[key // n_tiles], coords[key % n_tiles]): s / n
+                      for key, n, s in flows},
+        mean_latency=mean_latency,
+        ci95=ci95,
+        latency_samples=int(lat.size),
+        messages_generated=generated,
+        messages_completed=completed,
+        derived_generated=derived_generated,
+        derived_completed=derived_completed,
+        saturated=saturated,
+        duration=end_t,
+        window=window,
+    )
+
+
+def _run_events(config: SimConfig) -> SimStats:
+    """The event engine: one heap of generation and channel-completion events."""
     placement = config.placement
     grid = placement.grid
     n_tiles = grid.n_tiles
@@ -189,11 +279,7 @@ def run_sim(config: SimConfig) -> SimStats:
     r = resolve(placement, spec)
     rng = random.Random(config.seed)
     mu = config.mu
-
-    inj = (r.lam * spec.miss_l1).tolist()
-    active_cores = [i for i, rate in enumerate(inj) if rate > 0.0]
-    if not active_cores and config.messages > 0:
-        raise InvalidConfigError("no core has a positive injection rate")
+    inj, active_cores = _injection(config, r)
 
     cores, caches, mcs = (ids.tolist() for ids in (r.core_ids, r.cache_ids, r.mc_ids))
     # Cumulative access rows for destination sampling.
@@ -324,45 +410,16 @@ def run_sim(config: SimConfig) -> SimStats:
         end_t = max(end_t, ch.last_t)
     if math.isinf(stats_start):
         stats_start = end_t
-    window = max(end_t - stats_start, 0.0)
-
-    coords = grid.coords
-    channel_stats: dict[tuple[Coord, Port], ChannelStats] = {}
-    for cid, ch in channels.items():
+    for ch in channels.values():
         update_clock(ch, end_t)
-        st = ChannelStats(arrivals=ch.arrivals, completions=ch.completions)
-        if window > 0:
-            st.utilization = ch.busy / window
-            st.throughput = ch.completions / window
-            st.mean_queue_len = ch.area / window
-        if ch.completions:
-            st.mean_service = ch.svc_sum / ch.completions
-            st.mean_response = ch.resp_sum / ch.completions
-        channel_stats[(coords[cid // N_PORTS], PORT_ORDER[cid % N_PORTS])] = st
-
-    lat = np.asarray(latencies)
-    mean_latency = float(lat.mean()) if lat.size else 0.0
-    ci95 = float(1.96 * lat.std(ddof=1) / math.sqrt(lat.size)) if lat.size > 1 else 0.0
-    saturated = False
-    if lat.size >= 20:
-        half = lat.size // 2
-        first, second = lat[:half].mean(), lat[half:].mean()
-        saturated = bool(second > SATURATION_TREND_RATIO * first)
-
-    return SimStats(
-        channels=channel_stats,
-        flow_latency={(coords[key // n_tiles], coords[key % n_tiles]): s / n
-                      for key, (n, s) in flow_sums.items()},
-        mean_latency=mean_latency,
-        ci95=ci95,
-        latency_samples=int(lat.size),
-        messages_generated=generated,
-        messages_completed=completed,
-        derived_generated=derived_generated,
-        derived_completed=derived_completed,
-        saturated=saturated,
-        duration=end_t,
-        window=window,
+    return _sim_stats(
+        grid,
+        ((cid, ch.arrivals, ch.completions, ch.busy, ch.area, ch.resp_sum, ch.svc_sum)
+         for cid, ch in channels.items()),
+        np.asarray(latencies),
+        ((key, n, s) for key, (n, s) in flow_sums.items()),
+        end_t, max(end_t - stats_start, 0.0),
+        generated, completed, derived_generated, derived_completed,
     )
 
 

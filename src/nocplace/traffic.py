@@ -119,8 +119,8 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
             raise InvalidTrafficError(
                 f"lambda_g has {lam.size} entries for {len(cores)} cores"
             )
-    if (lam < 0).any():
-        raise InvalidTrafficError("negative injection rate")
+    if not (lam >= 0).all():
+        raise InvalidTrafficError("injection rates must be >= 0")
 
     if spec.p is None:
         p = np.full((len(cores), len(caches)), 1.0 / len(caches))
@@ -130,7 +130,8 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
             raise InvalidTrafficError(
                 f"p has shape {p.shape}, expected ({len(cores)}, {len(caches)})"
             )
-        if np.any(p < -PROB_TOL) or np.any(p > 1.0 + PROB_TOL):
+        # Written so that NaN fails too: it compares false both ways.
+        if np.any(~((p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL))):
             raise InvalidTrafficError("p entries must lie in [0, 1]")
         bad = np.abs(p.sum(axis=1) - 1.0) > PROB_TOL
         if np.any(bad):

@@ -1,0 +1,177 @@
+"""The feed-forward engine against the event engine, which stays the oracle:
+``run_sim`` must return the event engine's ``SimStats`` bit for bit, take
+the feed-forward engine exactly when no message can be spawned, and keep
+its working set within the event engine's."""
+
+import gc
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nocplace import (
+    CanonicalFamily,
+    Coord,
+    FamilyParams,
+    MeshGrid,
+    NodeKind,
+    SimConfig,
+    TrafficSpec,
+    build_placement,
+    canonical_placement,
+    run_sim,
+)
+from nocplace import feedforward, simulator
+
+GRID8 = MeshGrid(8, 8)
+
+
+def place(grid, cores=(), caches=(), mcs=()):
+    kinds = {c: NodeKind.ROUTER_ONLY for c in grid.tiles()}
+    kinds.update({c: NodeKind.CORE for c in cores})
+    kinds.update({c: NodeKind.CACHE for c in caches})
+    kinds.update({c: NodeKind.MC for c in mcs})
+    return build_placement(grid, kinds)
+
+
+def family(name, grid=GRID8, counts=(48, 16, 0), params=None):
+    return canonical_placement(CanonicalFamily(name), grid, *counts, params)
+
+
+def as_json(stats) -> str:
+    return json.dumps(stats.to_json_dict(), sort_keys=True)
+
+
+def corpus():
+    """(id, SimConfig): the 8x8 48/16 crossover runs, scaled down, and edge
+    cases of the generation, warmup, geometry and service parameters."""
+    T = TrafficSpec
+    for f in ("central", "distributed"):
+        for lam in (0.01, 0.1, 0.2, 0.25):
+            yield f"8x8.{f}.{lam}", SimConfig(family(f), T(lambda_g=lam), messages=6000, seed=1)
+    central = family("central")
+    yield "no-warmup", SimConfig(central, T(lambda_g=0.1), messages=3000, warmup_frac=0.0, seed=2)
+    for n in (1, 2, 3):
+        yield f"{n}-messages", SimConfig(central, T(lambda_g=0.1), messages=n, warmup_frac=0.5,
+                                         seed=4)
+    C = Coord
+    yield "8x1", SimConfig(place(MeshGrid(8, 1), cores=[C(0, 0), C(2, 0), C(5, 0), C(7, 0)],
+                                 caches=[C(1, 0), C(6, 0)]), T(lambda_g=0.3), messages=3000, seed=5)
+    yield "1x6", SimConfig(place(MeshGrid(1, 6), cores=[C(0, 0), C(0, 3), C(0, 5)],
+                                 caches=[C(0, 1), C(0, 4)]), T(lambda_g=0.3), messages=3000, seed=6)
+    yield "hit-l1", SimConfig(central, T(lambda_g=0.3, hit_l1=0.4), messages=3000, seed=7)
+    yield "mu-size", SimConfig(family("distributed"), T(lambda_g=0.1), mu=7.0,
+                               mean_message_size=3.0, messages=3000, seed=8)
+    # Lengths are almost all 1, so equal-time events abound.
+    yield "size-1", SimConfig(family("distributed"), T(lambda_g=0.1), mean_message_size=1.0,
+                              messages=3000, seed=8)
+    lam = tuple(0.0 if k % 5 == 0 else 0.05 + 0.005 * (k % 7) for k in range(48))
+    yield "per-core-rates", SimConfig(central, T(lambda_g=lam), messages=3000, seed=9)
+    yield "controllers-no-legs", SimConfig(family("central", counts=(44, 16, 4)),
+                                           T(lambda_g=0.1, miss_l2=0.0), messages=3000, seed=10)
+    for lam in (0.3, 0.4):
+        yield f"saturated-{lam}", SimConfig(central, T(lambda_g=lam), messages=3000, seed=11)
+    skew = ((0.5, 0.5, 0.0, 0.0), (0.0, 0.25, 0.75, 0.0), (0.1, 0.2, 0.3, 0.4),
+            (1.0, 0.0, 0.0, 0.0)) * 4
+    yield "6x4-skewed", SimConfig(family("distributed", MeshGrid(6, 4), (16, 4, 0)),
+                                  T(lambda_g=0.1, p=skew), messages=3000, seed=14)
+    yield "16x16", SimConfig(family("central", MeshGrid(16, 16), (192, 64, 0),
+                                    FamilyParams(rings=2)),
+                             T(lambda_g=0.05), messages=3000, seed=15)
+
+
+CORPUS = list(corpus())
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Counts the calls ``run_sim`` makes to each engine."""
+    calls = {"events": 0, "feedforward": 0}
+
+    def counted(name, fn):
+        def wrapper(config):
+            calls[name] += 1
+            return fn(config)
+        return wrapper
+
+    monkeypatch.setattr(simulator, "_run_events", counted("events", simulator._run_events))
+    monkeypatch.setattr(feedforward, "run_feedforward",
+                        counted("feedforward", feedforward.run_feedforward))
+    return calls
+
+
+@pytest.mark.parametrize("config", [c for _, c in CORPUS], ids=[i for i, _ in CORPUS])
+def test_matches_event_engine(config, engines):
+    stats = run_sim(config)
+    assert engines == {"events": 0, "feedforward": 1}
+    oracle = simulator._run_events(config)
+    assert as_json(stats) == as_json(oracle)
+    assert stats == oracle
+    assert list(stats.channels) == list(oracle.channels)
+    assert list(stats.flow_latency) == list(oracle.flow_latency)
+
+
+@pytest.mark.parametrize("window", [2, 7, 97])
+def test_window_size_does_not_change_results(window, monkeypatch):
+    # Small windows carry departures, queues and tie ranks across many
+    # window boundaries and make the in-flight store compact and grow.
+    config = SimConfig(family("central"), TrafficSpec(lambda_g=0.25), messages=800, seed=3)
+    monkeypatch.setattr(feedforward, "_WINDOW", window)
+    assert as_json(feedforward.run_feedforward(config)) == as_json(simulator._run_events(config))
+
+
+@pytest.mark.parametrize("spec", [
+    TrafficSpec(lambda_g=0.1, model_replies=True),
+    TrafficSpec(lambda_g=0.1, miss_l2=0.3),
+], ids=["replies", "controller-legs"])
+def test_spawning_runs_take_the_event_engine(spec, engines):
+    config = SimConfig(family("central", counts=(44, 16, 4)), spec, messages=500, seed=1)
+    stats = run_sim(config)
+    assert engines == {"events": 1, "feedforward": 0}
+    assert stats.derived_generated > 0
+
+
+def test_unresolved_tie_falls_back_to_event_engine(monkeypatch):
+    def unresolved(config):
+        raise feedforward.TieUnresolved
+
+    monkeypatch.setattr(feedforward, "run_feedforward", unresolved)
+    config = SimConfig(family("central"), TrafficSpec(lambda_g=0.1), messages=500, seed=1)
+    assert as_json(run_sim(config)) == as_json(simulator._run_events(config))
+
+
+def test_delivery_ties_follow_pop_order(monkeypatch):
+    # On this run, deliveries at equal times taken in message order instead
+    # of the event engine's pop order change mean_latency.
+    config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=5)
+    oracle = simulator._run_events(config)
+    assert as_json(run_sim(config)) == as_json(oracle)
+
+    monkeypatch.setattr(feedforward, "_pop_order",
+                        lambda t, ids, ranks: np.argsort(t, kind="stable"))
+    assert feedforward.run_feedforward(config).mean_latency != oracle.mean_latency
+
+
+def traced_peak(fn, config) -> int:
+    fn(config)  # warm the per-grid caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_within_event_engine_bound():
+    # Measured on this config (Python 3.11, numpy 2.4): feed-forward 1.58 MB
+    # traced peak, event engine 1.09 MB (1.44x). The same engine with one
+    # window over the whole run, which keeps per-event state for every hop as
+    # the first prototype did, peaks at 3.16 MB (2.9x); that design reached
+    # 4.6x at 50,000 messages, where the windowed engine is at 0.7x. The
+    # windows keep the working set flat in the run length, so 2x leaves room
+    # for allocator and version differences and still fails whole-run state.
+    config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=3)
+    events = traced_peak(simulator._run_events, config)
+    assert traced_peak(feedforward.run_feedforward, config) <= 2.0 * events

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,15 @@ from nocplace import (
     MeshGrid,
     NoCachesError,
     NodeKind,
+    SearchSpace,
     ServiceSpec,
+    SimConfig,
     TrafficSpec,
+    Placement,
     build_placement,
+    exhaustive_search,
+    objective,
+    run_sim,
 )
 from nocplace.traffic import matrix, resolve
 
@@ -92,3 +100,36 @@ class TestResolve:
                   mcs=[Coord(2, 0), Coord(3, 0)])
         r = resolve(p, TrafficSpec())
         assert np.allclose(r.q, [[1.0, 0.0]])
+
+
+class TestNanTraffic:
+    """NaN compares false both ways, so range checks written as ``< low`` or
+    ``> high`` let it through; every entry point must reject it instead."""
+
+    NAN_P = ((math.nan, 1.0), (0.5, 0.5))
+
+    def _placement(self):
+        return Placement.from_text("C$.\n.$.\n.C.")
+
+    @pytest.mark.parametrize("rows", [((math.nan, 1.0), (0.5, 0.5)),
+                                      ((0.5, 0.5), (1.0, math.nan))])
+    def test_resolve_rejects_nan_access(self, rows):
+        with pytest.raises(InvalidTrafficError, match="p entries"):
+            resolve(self._placement(), TrafficSpec(p=rows))
+
+    @pytest.mark.parametrize("lam", [math.nan, (0.1, math.nan)])
+    def test_resolve_rejects_nan_rate(self, lam):
+        with pytest.raises(InvalidTrafficError, match="injection rates"):
+            resolve(self._placement(), TrafficSpec(lambda_g=lam))
+
+    def test_objective_rejects_nan(self):
+        with pytest.raises(InvalidTrafficError):
+            objective(self._placement(), TrafficSpec(p=self.NAN_P))
+
+    def test_exhaustive_search_rejects_nan(self):
+        with pytest.raises(InvalidTrafficError):
+            exhaustive_search(SearchSpace(MeshGrid(3, 3), 2, 2), TrafficSpec(p=self.NAN_P))
+
+    def test_run_sim_rejects_nan(self):
+        with pytest.raises(InvalidTrafficError):
+            run_sim(SimConfig(self._placement(), TrafficSpec(p=self.NAN_P), messages=100))
