@@ -52,8 +52,8 @@ _WINDOW = 2048
 # ``rank`` the record of that event: when and by which event it was
 # scheduled, and its push rank within that event.
 _MSG_FIELDS = {"t0": np.float64, "svc": np.float64, "cur": np.float64,
-               "sched_t": np.float64, "sched": np.int64, "flow": np.int64,
-               "rank": np.int64, "level": np.int16, "next": np.int16}
+               "sched_t": np.float64, "sched": np.int64, "flow": np.int32,
+               "rank": np.int32, "level": np.int16, "next": np.int16}
 
 
 class _Events(NamedTuple):
