@@ -129,6 +129,15 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
     queueing fixed point. The memory term is included only when the placement
     has memory controllers.
     """
+    cores, l2, mem, total = _per_core(placement, spec, mode, queue_mode)
+    per_core = list(map(CoreLatency, cores, l2.tolist(), mem.tolist(), total.tolist()))
+    return LatencyReport(mode, per_core, float(sum(c.total for c in per_core)), spec)
+
+
+def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
+              queue_mode: str) -> tuple[list[Coord], np.ndarray, np.ndarray, np.ndarray]:
+    """``objective``'s cores with their L2 terms, memory terms and totals.
+    The objective value adds ``total.tolist()`` up one core at a time."""
     r = resolve(placement, spec)
     grid = placement.grid
     if mode is Mode.HIGH:
@@ -154,15 +163,7 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
         per_cache_mem = (r.q * transit(r.cache_ids, r.mc_ids)).sum(axis=1)
         mem = r.p @ per_cache_mem + spec.mem_fixed_latency
     miss1 = spec.miss_l1
-    total = spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
-    per_core = [CoreLatency(core, a, b, c) for core, a, b, c
-                in zip(r.cores, l2.tolist(), mem.tolist(), total.tolist())]
-    return LatencyReport(
-        mode=mode,
-        per_core=per_core,
-        objective_value=float(sum(c.total for c in per_core)),
-        spec=spec,
-    )
+    return r.cores, l2, mem, spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
 
 
 def low_objective_batch(grid: MeshGrid, rows: np.ndarray,

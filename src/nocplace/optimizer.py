@@ -13,31 +13,23 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from typing import Iterator, Mapping
+from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
+from .candidates import raw_blocks
 from .errors import BudgetExceededError, InfeasibleError, NonConvergentError, UnstableError
-from .latency import Mode, low_objective_batch, objective
-from .mesh import (
-    _CHAR_OF_KIND,
-    CanonicalFamily,
-    Coord,
-    MeshGrid,
-    NodeKind,
-    Placement,
-    canonical_placement,
-    placement_count,
-    placement_from_string,
-    placement_string,
-)
+from .latency import Mode, _per_core, low_objective_batch
+from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Placement,
+                   canonical_placement, placement_count, placement_from_string,
+                   placement_string)
 from .queueing import PAPER
 from .traffic import TrafficSpec
 
 OBJECTIVE_TIE_REL_TOL = 1e-9
 
-# Candidate strings filtered and LOW-scored per array block.
+# Candidate rows enumerated, filtered and LOW-scored per array block.
 SEARCH_BLOCK = 4096
 
 # Candidates scored as +inf, by cause: counted into SearchResult.extras.
@@ -122,33 +114,6 @@ def _tile_ids(space: SearchSpace) -> tuple[str, list[int], tuple[int, int, int],
     return "".join(base), free, counts, pool
 
 
-def _candidate_strings(base: str, free: list[int], counts: tuple[int, int, int],
-                       pool: list[int] | None) -> Iterator[str]:
-    """All assignment strings that place ``counts`` (cores, caches,
-    controllers) on the ``free`` tiles of ``base``, controllers on ``pool``
-    tiles only when given. Caches vary slowest, controllers fastest."""
-    n_cores, n_caches, n_mcs = counts
-    base_chars = list(base)
-    for cache_idx in combinations(free, n_caches):
-        with_caches = base_chars[:]
-        for i in cache_idx:
-            with_caches[i] = "$"
-        rest = [i for i in free if with_caches[i] == "."]
-        for core_idx in combinations(rest, n_cores):
-            chars = with_caches[:]
-            for i in core_idx:
-                chars[i] = "C"
-            sites = ()
-            if n_mcs:
-                sites = [i for i in (rest if pool is None else pool) if chars[i] == "."]
-            for mc_idx in combinations(sites, n_mcs):
-                for i in mc_idx:
-                    chars[i] = "M"
-                yield "".join(chars)
-                for i in mc_idx:
-                    chars[i] = "."
-
-
 def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, ...]]:
     """The symmetries a search may prune by: none when tiles are pinned,
     else those of the grid that map the controller pool onto itself. The
@@ -163,8 +128,10 @@ def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, .
     return [p for p in perms if {p[i] for i in pool} == set(pool)]
 
 
-def _orbit_strings(s: str, perms: list[tuple[int, ...]]) -> set[str]:
-    return {"".join(s[i] for i in perm) for perm in perms}
+def _value(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
+           queue_mode: str = PAPER) -> float:
+    """``objective(...).objective_value``, without building the report."""
+    return float(sum(_per_core(placement, spec, mode, queue_mode)[3].tolist()))
 
 
 def _objective_value(placement: Placement, spec: TrafficSpec, mode: Mode,
@@ -172,7 +139,7 @@ def _objective_value(placement: Placement, spec: TrafficSpec, mode: Mode,
     # One bad candidate must not abort a search: it scores +inf and is
     # counted by cause.
     try:
-        return objective(placement, spec, mode, queue_mode).objective_value
+        return _value(placement, spec, mode, queue_mode)
     except UnstableError:
         failures["unstable"] += 1
     except NonConvergentError:
@@ -184,11 +151,8 @@ def _eval_chunk(args) -> tuple[list[float], Counter]:
     width, height, strings, spec, mode, queue_mode = args
     grid = MeshGrid(width, height)
     failures: Counter = Counter()
-    values = [
-        _objective_value(placement_from_string(grid, s), spec, mode, queue_mode, failures)
-        for s in strings
-    ]
-    return values, failures
+    return [_objective_value(placement_from_string(grid, s), spec, mode, queue_mode, failures)
+            for s in strings], failures
 
 
 def _evaluate_all(grid: MeshGrid, strings: list[str], spec: TrafficSpec,
@@ -217,7 +181,7 @@ def _failure_counts(failures: Counter) -> dict[str, int]:
 
 
 def _raw_count(free: list[int], counts: tuple[int, int, int], pool: list[int] | None) -> int:
-    """Number of strings ``_candidate_strings`` yields. With a controller
+    """Number of rows ``raw_blocks`` yields. With a controller
     pool of P of the F free tiles, a of the m = cores + caches nodes sit on
     pool tiles and the controllers on P - a of them."""
     raw = placement_count(len(free), *counts)  # raises when the nodes outnumber the tiles
@@ -243,26 +207,8 @@ def _canonical(rows: np.ndarray, perms: list[tuple[int, ...]]) -> np.ndarray:
     return keep
 
 
-def _blocks(base: str, free: list[int], counts: tuple[int, int, int], pool: list[int] | None,
-            perms: list[tuple[int, ...]]) -> Iterator[tuple[np.ndarray, int]]:
-    """The candidate strings in blocks of SEARCH_BLOCK, each as a ``uint8``
-    array of the rows canonical under ``perms`` (all rows when ``perms`` is
-    empty), with the number of rows pruned."""
-    strings = _candidate_strings(base, free, counts, pool)
-    while block := list(islice(strings, SEARCH_BLOCK)):
-        rows = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8)
-        rows = rows.reshape(len(block), len(base))
-        if perms:
-            rows = rows[_canonical(rows, perms)]
-        yield rows, len(block) - len(rows)
-
-
 def _strings(rows: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in rows]
-
-
-def _low_values(grid: MeshGrid, strings: list[str], spec: TrafficSpec) -> list[float]:
-    return [objective(placement_from_string(grid, s), spec).objective_value for s in strings]
 
 
 def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarray:
@@ -287,7 +233,7 @@ def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarra
     sure = low < cut - 2 * bound
     near = np.nonzero(~sure & (low <= cut + 2 * bound))[0]
     names = _strings(rows[near])
-    exact = _low_values(grid, names, spec)
+    exact = [_value(placement_from_string(grid, s), spec) for s in names]
     order = sorted(range(len(near)), key=lambda i: (exact[i], names[i]))
     return np.concatenate([rows[sure], rows[near[order[:keep - int(sure.sum())]]]])
 
@@ -296,13 +242,13 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             pool: list[int] | None, perms: list[tuple[int, ...]], spec: TrafficSpec,
             mode: Mode, budget: int, prefilter: bool, queue_mode: str,
             jobs: int) -> SearchResult:
-    """Score every candidate string of ``_candidate_strings`` that is
-    canonical under ``perms`` (all of them when ``perms`` is empty) and
-    return the argmin ties expanded to their orbits.
+    """Score every candidate row of ``raw_blocks`` that is canonical
+    under ``perms`` (all of them when ``perms`` is empty) and return the
+    argmin ties expanded to their orbits.
 
     LOW candidates are scored a block at a time by ``low_objective_batch``;
     only those within the tie tolerance plus its error bound of the lowest
-    batched value so far are scored exactly by ``objective``, and the
+    batched value so far are scored exactly, as ``objective`` scores, and the
     result is taken from those exact values. HIGH candidates are scored
     one by one (over ``jobs`` processes)."""
     raw = _raw_count(free, counts, pool)
@@ -319,8 +265,9 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     scored: dict[str, float] = {}
     high_rows: list[np.ndarray] = []
     floor = math.inf
-    for rows, n_pruned in _blocks(base, free, counts, pool, perms):
-        pruned += n_pruned
+    for block in raw_blocks(base, free, counts, pool, SEARCH_BLOCK):
+        rows = block[_canonical(block, perms)] if perms else block
+        pruned += len(block) - len(rows)
         evaluated += len(rows)
         if not len(rows):
             continue
@@ -332,7 +279,7 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
         # The exact minimum is at most floor + bound, and a tie's batched
         # value lies within bound of its exact value.
         near = _strings(rows[low <= _tie_cutoff(floor + bound) + bound])
-        scored.update(zip(near, _low_values(grid, near, spec)))
+        scored.update((s, _value(placement_from_string(grid, s), spec)) for s in near)
         # Drop what the lowest exact value so far already rules out.
         cutoff = _tie_cutoff(min(scored.values()))
         scored = {s: v for s, v in scored.items() if v <= cutoff}
@@ -359,15 +306,10 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     cutoff = _tie_cutoff(best_value)
     winners = {s for s, v in scored.items() if v <= cutoff}
     if perms:
-        winners = {t for s in winners for t in _orbit_strings(s, perms)}
-    return SearchResult(
-        best=[placement_from_string(grid, s) for s in sorted(winners)],
-        objective_value=best_value,
-        evaluated=evaluated,
-        pruned=pruned,
-        method="exhaustive",
-        extras=extras,
-    )
+        winners = {"".join(s[i] for i in perm) for s in winners for perm in perms}
+    return SearchResult(best=[placement_from_string(grid, s) for s in sorted(winners)],
+                        objective_value=best_value, evaluated=evaluated, pruned=pruned,
+                        method="exhaustive", extras=extras)
 
 
 def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
@@ -427,27 +369,18 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
                          queue_mode, jobs)
         evaluated += result.evaluated
         failures.update({kind: result.extras[kind] for kind in FAILURE_KINDS})
-        if result.objective_value < best_value - OBJECTIVE_TIE_REL_TOL * max(
-            1.0, abs(result.objective_value)
-        ):
+        tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(result.objective_value))
+        if result.objective_value < best_value - tol:
             best_value = result.objective_value
             best_strings = {placement_string(p) for p in result.best}
         elif result.objective_value <= _tie_cutoff(best_value):
             best_strings |= {placement_string(p) for p in result.best}
 
-    best = [placement_from_string(grid, s) for s in sorted(best_strings)]
-    return SearchResult(
-        best=best,
-        objective_value=best_value,
-        evaluated=evaluated,
-        pruned=phase1.pruned,
-        method="two-phase",
-        extras={
-            "phase1_objective": phase1.objective_value,
-            "phase2_objective": best_value,
-            **_failure_counts(failures),
-        },
-    )
+    return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
+                        objective_value=best_value, evaluated=evaluated,
+                        pruned=phase1.pruned, method="two-phase",
+                        extras={"phase1_objective": phase1.objective_value,
+                                "phase2_objective": best_value, **_failure_counts(failures)})
 
 
 def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
@@ -484,10 +417,8 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
     failures: Counter = Counter()
 
     def value_of(chars: list[str]) -> float:
-        return _objective_value(
-            placement_from_string(grid, "".join(chars)), spec, space.mode, queue_mode,
-            failures,
-        )
+        placement = placement_from_string(grid, "".join(chars))
+        return _objective_value(placement, spec, space.mode, queue_mode, failures)
 
     best_value = value_of(current)
     best_strings = {"".join(current)}
@@ -497,23 +428,19 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         # One steepest-descent pass over all differing-kind free pairs.
         best_move = None
         best_move_value = current_value
-        for a_pos in range(len(free)):
-            for b_pos in range(a_pos + 1, len(free)):
-                a, b = free[a_pos], free[b_pos]
-                if current[a] == current[b]:
-                    continue
-                if remaining <= 0:
-                    break
-                current[a], current[b] = current[b], current[a]
-                v = value_of(current)
-                current[a], current[b] = current[b], current[a]
-                evaluated += 1
-                remaining -= 1
-                if v < best_move_value:
-                    best_move_value = v
-                    best_move = (a, b)
+        for a, b in combinations(free, 2):
+            if current[a] == current[b]:
+                continue
             if remaining <= 0:
                 break
+            current[a], current[b] = current[b], current[a]
+            v = value_of(current)
+            current[a], current[b] = current[b], current[a]
+            evaluated += 1
+            remaining -= 1
+            if v < best_move_value:
+                best_move_value = v
+                best_move = (a, b)
         if best_move is not None:
             a, b = best_move
             current[a], current[b] = current[b], current[a]
@@ -541,12 +468,6 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
             best_value = current_value
             best_strings = {"".join(current)}
 
-    best = [placement_from_string(grid, s) for s in sorted(best_strings)]
-    return SearchResult(
-        best=best,
-        objective_value=best_value,
-        evaluated=evaluated,
-        pruned=0,
-        method="local",
-        extras={"seed": seed, **_failure_counts(failures)},
-    )
+    return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
+                        objective_value=best_value, evaluated=evaluated, pruned=0,
+                        method="local", extras={"seed": seed, **_failure_counts(failures)})

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -20,13 +21,12 @@ from nocplace import (
     objective,
     two_phase_optimize,
 )
-from nocplace import optimizer, queueing
+from nocplace import candidates, optimizer, queueing
+from nocplace.candidates import raw_blocks
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import (
     SearchSpace,
-    _blocks,
     _canonical,
-    _candidate_strings,
     _prefilter,
     _raw_count,
     _symmetries,
@@ -78,6 +78,48 @@ def is_canonical(s, perms):
     return True
 
 
+def _candidate_strings(base, free, counts, pool):
+    """Oracle: the string generator the search enumerated candidates with
+    before it wrote them into arrays. All assignment strings that place
+    ``counts`` (cores, caches, controllers) on the ``free`` tiles of
+    ``base``, controllers on ``pool`` tiles only when given. Caches vary
+    slowest, controllers fastest."""
+    n_cores, n_caches, n_mcs = counts
+    base_chars = list(base)
+    for cache_idx in combinations(free, n_caches):
+        with_caches = base_chars[:]
+        for i in cache_idx:
+            with_caches[i] = "$"
+        rest = [i for i in free if with_caches[i] == "."]
+        for core_idx in combinations(rest, n_cores):
+            chars = with_caches[:]
+            for i in core_idx:
+                chars[i] = "C"
+            sites = ()
+            if n_mcs:
+                sites = [i for i in (rest if pool is None else pool) if chars[i] == "."]
+            for mc_idx in combinations(sites, n_mcs):
+                for i in mc_idx:
+                    chars[i] = "M"
+                yield "".join(chars)
+                for i in mc_idx:
+                    chars[i] = "."
+
+
+def raw_rows(space, block=optimizer.SEARCH_BLOCK):
+    """The rows of ``raw_blocks`` for ``space`` and the oracle's rows,
+    after checking that every block but the last is full; None for a space
+    of more than 20,000 candidates."""
+    base, free, counts, pool = _tile_ids(space)
+    if _raw_count(free, counts, pool) > 20_000:
+        return None
+    blocks = list(raw_blocks(base, free, counts, pool, block))
+    assert all(len(b) == block for b in blocks[:-1])
+    assert all(b.dtype == np.uint8 and b.shape[1:] == (len(base),) for b in blocks)
+    got = np.concatenate(blocks) if blocks else np.empty((0, len(base)), np.uint8)
+    return got, rows_of(list(_candidate_strings(base, free, counts, pool)), len(base))
+
+
 def rows_of(strings, n_tiles):
     return np.array([list(s.encode("ascii")) for s in strings],
                     dtype=np.uint8).reshape(len(strings), n_tiles)
@@ -86,8 +128,9 @@ def rows_of(strings, n_tiles):
 def canonical_rows(space):
     """The canonical candidate rows of an exhaustive search of ``space``."""
     base, free, counts, pool = _tile_ids(space)
-    return np.concatenate([rows for rows, _ in
-                           _blocks(base, free, counts, pool, _symmetries(space, pool))])
+    perms = _symmetries(space, pool)
+    return np.concatenate([rows[_canonical(rows, perms)] for rows in
+                           raw_blocks(base, free, counts, pool, optimizer.SEARCH_BLOCK)])
 
 
 class TestExhaustive:
@@ -204,8 +247,82 @@ class TestRawCount:
             fixed = {c: NodeKind.ROUTER_ONLY for c in routers}
             space = SearchSpace(g, *counts, fixed=fixed, mc_tiles=pool)
             base, free, left, ids = _tile_ids(space)
-            assert _raw_count(free, left, ids) == \
-                sum(1 for _ in _candidate_strings(base, free, left, ids))
+            blocks = raw_blocks(base, free, left, ids, optimizer.SEARCH_BLOCK)
+            assert _raw_count(free, left, ids) == sum(len(rows) for rows in blocks)
+
+
+class TestRawBlocks:
+    """The array enumerator against the string oracle, row for row."""
+
+    def test_every_small_grid(self):
+        rng = random.Random(5)
+        compared = 0
+        grids = [(w, h) for w in range(1, 5) for h in range(1, 5)] + [(1, 7), (7, 1)]
+        for w, h in grids:
+            g = MeshGrid(w, h)
+            n = g.n_tiles
+            triples = {(0, 0, 0), (n, 0, 0), (0, n, 0), (0, 0, n), (1, 1, 1)}
+            while len(triples) < 8:
+                triples.add(tuple(rng.randint(0, min(n, 4)) for _ in range(3)))
+            for counts in sorted(triples):
+                if sum(counts) <= n and (rows := raw_rows(SearchSpace(g, *counts))):
+                    compared += 1
+                    assert np.array_equal(*rows), (w, h, counts)
+        assert compared > 100
+
+    def test_pinned_tiles_and_pools(self, monkeypatch):
+        rng = random.Random(8)
+        kinds = list(NodeKind)
+        compared = 0
+        for _ in range(250):
+            g = MeshGrid(rng.randint(1, 4), rng.randint(1, 4))
+            n = g.n_tiles
+            tiles = list(g.tiles())
+            fixed = {c: rng.choice(kinds) for c in rng.sample(tiles, rng.randint(0, min(3, n)))}
+            free = [c for c in tiles if c not in fixed]
+            counts = [rng.randint(0, 3) for _ in range(3)]
+            if sum(counts) > len(free):
+                continue
+            # Blocks of 3 rows keep no table of more than 3 rows whole, and
+            # steps of 2 rows split most tables into chunks.
+            block = rng.choice([3, 4096])
+            monkeypatch.setattr(candidates, "_STEP_ROWS", rng.choice([2, 5, 1024]))
+            # An empty pool, a pool the cores and caches can fill completely,
+            # and random pools that may cover pinned tiles.
+            pool = rng.choice([None, frozenset(), frozenset(free[:counts[0] + counts[1]]),
+                               frozenset(rng.sample(tiles, rng.randint(0, n)))])
+            pinned = {k: sum(1 for v in fixed.values() if v is k) for k in kinds}
+            space = SearchSpace(g, counts[0] + pinned[NodeKind.CORE],
+                                counts[1] + pinned[NodeKind.CACHE],
+                                counts[2] + pinned[NodeKind.MC], fixed=fixed, mc_tiles=pool)
+            if rows := raw_rows(space, block):
+                compared += 1
+                assert np.array_equal(*rows), (g.width, g.height, fixed, counts, pool)
+        assert compared > 100
+
+    @pytest.mark.parametrize("block", [1, 4, 8, 13, 60])
+    def test_blocks_cross_cache_boundaries(self, block):
+        # 21 core pairs per cache pair on 3x3 2/2, 6 controller tiles per
+        # core pair with one controller: no block size here divides either
+        # table, and blocks of 1, 4 and 8 rows split the tables themselves.
+        for counts in ((2, 2, 0), (2, 2, 1)):
+            got, want = raw_rows(SearchSpace(MeshGrid(3, 3), *counts), block)
+            assert np.array_equal(got, want), (block, counts)
+
+    def test_first_block_memory_is_bounded(self):
+        # 3.2e28 raw placements: one table of cache or core choices alone
+        # would not fit in memory, let alone the whole space.
+        space = SearchSpace(MeshGrid(8, 8), n_cores=24, n_caches=9, n_mcs=2)
+        base, free, counts, pool = _tile_ids(space)
+        tracemalloc.start()
+        try:
+            first = next(raw_blocks(base, free, counts, pool, optimizer.SEARCH_BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (optimizer.SEARCH_BLOCK, 64)
+        assert first[0].tobytes() == b"$" * 9 + b"C" * 24 + b"MM" + b"." * 29
+        assert peak < 4 << 20
 
 
 class TestBlocks:
@@ -214,19 +331,19 @@ class TestBlocks:
         spec = TrafficSpec(miss_l2=0.3)
         whole = exhaustive_search(space, spec)
         masks, rescored = [], []
-        canonical, scalar = optimizer._canonical, optimizer.objective
+        canonical, value, scalar = optimizer._canonical, optimizer._value, objective
 
         def record_mask(rows, perms):
             masks.append(canonical(rows, perms))
             return masks[-1]
 
-        def record_objective(placement, *args):
+        def record_value(placement, *args):
             rescored.append(placement_string(placement))
-            return scalar(placement, *args)
+            return value(placement, *args)
 
         monkeypatch.setattr(optimizer, "SEARCH_BLOCK", 3)
         monkeypatch.setattr(optimizer, "_canonical", record_mask)
-        monkeypatch.setattr(optimizer, "objective", record_objective)
+        monkeypatch.setattr(optimizer, "_value", record_value)
         blocked = exhaustive_search(space, spec)
         assert blocked.to_json_dict() == whole.to_json_dict()
         assert any(not m.any() for m in masks)
