@@ -240,6 +240,8 @@ def search_cases():
     yield ("two.low.3x3.pool", "two_phase",
            _space((3, 3), 2, 1, 1, mc_tiles=[[0, 1], [2, 2]]), {"miss_l2": 0.5}, {})
     yield ("two.high.3x2.2.1.1", "two_phase", _space((3, 2), 2, 1, 1, **HIGH), mem, {})
+    yield ("two.high.3x3.4.1.1.unstable", "two_phase", _space((3, 3), 4, 1, 1, **HIGH),
+           {"lambda_g": 0.3, "miss_l2": 0.2}, {})
 
     for grid, counts, seed, budget in (((3, 3), (8, 1, 0), 3, 200), ((3, 3), (4, 2, 0), 11, 200),
                                        ((4, 4), (6, 4, 0), 42, 300), ((4, 4), (4, 2, 2), 5, 300),
@@ -252,6 +254,11 @@ def search_cases():
            {"seed": 4, "budget": 150})
     yield ("local.high.3x3.4.1.0", "local", _space((3, 3), 4, 1, 0, **HIGH), {"lambda_g": 0.15},
            {"seed": 6, "budget": 60})
+    # Three passes, a restart, and one swap that saturates the HIGH model.
+    yield ("local.high.4x4.8.4.0.b250", "local", _space((4, 4), 8, 4, 0, **HIGH),
+           {"lambda_g": 0.3}, {"seed": 7, "budget": 250})
+    yield ("local.low.6x6.24.9.0.b1000", "local", _space((6, 6), 24, 9), mem,
+           {"seed": 13, "budget": 1000})
 
     # Two-phase with controllers takes its own path, so its errors use one.
     for method, mcs in (("exhaustive", 0), ("two_phase", 1), ("local", 0)):
