@@ -19,12 +19,12 @@ from typing import Mapping
 import numpy as np
 
 from .candidates import raw_blocks
-from .errors import BudgetExceededError, InfeasibleError, NonConvergentError, UnstableError
-from .latency import Mode, _per_core, low_objective_batch
+from .errors import BudgetExceededError, InfeasibleError, UnstableError
+from .latency import Mode, _per_core, high_objective_batch, low_objective_batch
 from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Placement,
                    canonical_placement, placement_count, placement_from_string,
                    placement_string)
-from .queueing import PAPER
+from .queueing import EFFECTIVE_UNSTABLE, NON_CONVERGENT, PAPER, UNSTABLE
 from .traffic import TrafficSpec
 
 OBJECTIVE_TIE_REL_TOL = 1e-9
@@ -134,45 +134,31 @@ def _value(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
     return float(sum(_per_core(placement, spec, mode, queue_mode)[3].tolist()))
 
 
-def _objective_value(placement: Placement, spec: TrafficSpec, mode: Mode,
-                     queue_mode: str, failures: Counter) -> float:
-    # One bad candidate must not abort a search: it scores +inf and is
-    # counted by cause.
-    try:
-        return _value(placement, spec, mode, queue_mode)
-    except UnstableError:
-        failures["unstable"] += 1
-    except NonConvergentError:
-        failures["non_convergent"] += 1
-    return math.inf
+def _count_failures(failures: Counter, causes: np.ndarray) -> None:
+    """Count the candidates ``high_objective_batch`` scored +inf, by cause."""
+    failures["unstable"] += int(np.isin(causes, (UNSTABLE, EFFECTIVE_UNSTABLE)).sum())
+    failures["non_convergent"] += int((causes == NON_CONVERGENT).sum())
 
 
-def _eval_chunk(args) -> tuple[list[float], Counter]:
-    width, height, strings, spec, mode, queue_mode = args
-    grid = MeshGrid(width, height)
-    failures: Counter = Counter()
-    return [_objective_value(placement_from_string(grid, s), spec, mode, queue_mode, failures)
-            for s in strings], failures
+def _high_batch_job(args) -> tuple[np.ndarray, np.ndarray]:
+    width, height, rows, spec, queue_mode = args
+    return high_objective_batch(MeshGrid(width, height), rows, spec, queue_mode)
 
 
-def _evaluate_all(grid: MeshGrid, strings: list[str], spec: TrafficSpec,
-                  mode: Mode, queue_mode: str, jobs: int,
-                  failures: Counter) -> list[float]:
-    if jobs <= 1 or len(strings) < 64:
-        values, part = _eval_chunk((grid.width, grid.height, strings, spec, mode, queue_mode))
-        failures.update(part)
-        return values
-    chunk = max(32, math.ceil(len(strings) / (jobs * 4)))
-    batches = [strings[i:i + chunk] for i in range(0, len(strings), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(
-            _eval_chunk,
-            [(grid.width, grid.height, b, spec, mode, queue_mode) for b in batches],
-        )
-        values: list[float] = []
-        for part, part_failures in results:
-            values.extend(part)
-            failures.update(part_failures)
+def _evaluate_all(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mode: str,
+                  jobs: int, failures: Counter) -> np.ndarray:
+    """HIGH values of ``rows``, failures counted; ``jobs`` > 1 worker
+    processes each score a share of the rows in batches."""
+    if jobs <= 1 or len(rows) < 64:
+        values, causes = high_objective_batch(grid, rows, spec, queue_mode)
+    else:
+        chunk = max(32, math.ceil(len(rows) / (jobs * 4)))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_high_batch_job, [
+                (grid.width, grid.height, rows[i:i + chunk], spec, queue_mode)
+                for i in range(0, len(rows), chunk)]))
+        values, causes = (np.concatenate(a) for a in zip(*parts))
+    _count_failures(failures, causes)
     return values
 
 
@@ -220,11 +206,7 @@ def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarra
     keep = max(100, math.ceil(0.05 * len(rows)))
     if len(rows) <= keep:
         return rows
-    low = np.empty(len(rows))
-    bound = 0.0
-    for i in range(0, len(rows), SEARCH_BLOCK):
-        low[i:i + SEARCH_BLOCK], b = low_objective_batch(grid, rows[i:i + SEARCH_BLOCK], spec)
-        bound = max(bound, b)
+    low, bound = low_objective_batch(grid, rows, spec)
     # The keep-th smallest exact value lies within bound of cut, the keep-th
     # smallest batched value. So rows more than 2 * bound below cut are
     # kept, rows more than 2 * bound above it are not, and the exact values
@@ -236,6 +218,26 @@ def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarra
     exact = [_value(placement_from_string(grid, s), spec) for s in names]
     order = sorted(range(len(near)), key=lambda i: (exact[i], names[i]))
     return np.concatenate([rows[sure], rows[near[order[:keep - int(sure.sum())]]]])
+
+
+def _first_min(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode,
+               queue_mode: str, failures: Counter) -> tuple[int, float]:
+    """The first row of least exact objective value, and that value.
+
+    HIGH rows are scored by ``high_objective_batch`` (failures counted).
+    LOW rows are scored by ``low_objective_batch``; only rows within twice
+    its error bound of the lowest batched value can hold the exact minimum,
+    and those are scored exactly."""
+    if mode is Mode.HIGH:
+        values, causes = high_objective_batch(grid, rows, spec, queue_mode)
+        _count_failures(failures, causes)
+        i = int(values.argmin())
+        return i, float(values[i])
+    low, bound = low_objective_batch(grid, rows, spec)
+    near = np.flatnonzero(low <= low.min() + 2 * bound)
+    exact = [_value(placement_from_string(grid, s), spec) for s in _strings(rows[near])]
+    j = int(np.argmin(exact))
+    return int(near[j]), exact[j]
 
 
 def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, int],
@@ -250,7 +252,7 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     only those within the tie tolerance plus its error bound of the lowest
     batched value so far are scored exactly, as ``objective`` scores, and the
     result is taken from those exact values. HIGH candidates are scored
-    one by one (over ``jobs`` processes)."""
+    in batches by ``high_objective_batch`` (over ``jobs`` processes)."""
     raw = _raw_count(free, counts, pool)
     estimate = -(-raw // max(1, len(perms)))
     if estimate > budget:
@@ -293,9 +295,8 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             rows = _prefilter(grid, rows, spec)
             extras["prefilter_evaluated"] = evaluated
             evaluated = len(rows)
-        strings = _strings(rows)
-        scored = dict(zip(strings, _evaluate_all(grid, strings, spec, mode, queue_mode,
-                                                 jobs, failures)))
+        values = _evaluate_all(grid, rows, spec, queue_mode, jobs, failures)
+        scored = dict(zip(_strings(rows), values.tolist()))
     extras.update(_failure_counts(failures))
     best_value = min(scored.values())
     if math.isinf(best_value):
@@ -413,60 +414,52 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
                 CanonicalFamily.CENTRAL, grid, n_cores, n_caches, n_mcs)))
         except InfeasibleError:
             pass
+    current = np.frombuffer("".join(current).encode("ascii"), dtype=np.uint8).copy()
+    swaps = np.array(list(combinations(free, 2)), dtype=np.intp).reshape(-1, 2)
     evaluated = 0
     failures: Counter = Counter()
 
-    def value_of(chars: list[str]) -> float:
-        placement = placement_from_string(grid, "".join(chars))
-        return _objective_value(placement, spec, space.mode, queue_mode, failures)
+    def first_min(rows: np.ndarray) -> tuple[int, float]:
+        return _first_min(grid, rows, spec, space.mode, queue_mode, failures)
 
-    best_value = value_of(current)
-    best_strings = {"".join(current)}
+    best_value = first_min(current[None])[1]
+    best_strings = {current.tobytes().decode("ascii")}
     current_value = best_value
     remaining = budget
     while True:
-        # One steepest-descent pass over all differing-kind free pairs.
-        best_move = None
-        best_move_value = current_value
-        for a, b in combinations(free, 2):
-            if current[a] == current[b]:
-                continue
-            if remaining <= 0:
-                break
-            current[a], current[b] = current[b], current[a]
-            v = value_of(current)
-            current[a], current[b] = current[b], current[a]
-            evaluated += 1
-            remaining -= 1
-            if v < best_move_value:
-                best_move_value = v
-                best_move = (a, b)
-        if best_move is not None:
-            a, b = best_move
-            current[a], current[b] = current[b], current[a]
-            current_value = best_move_value
-            tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
-            if current_value < best_value - tol:
-                best_value = current_value
-                best_strings = {"".join(current)}
-            elif current_value <= best_value + tol:
-                best_strings.add("".join(current))
-            if remaining > 0:
-                continue
+        # One steepest-descent pass: the next ``remaining`` swaps of
+        # differing-kind free tiles, scored at once.
+        a, b = swaps[current[swaps[:, 0]] != current[swaps[:, 1]]][:max(remaining, 0)].T
+        if len(a):
+            rows = np.repeat(current[None], len(a), axis=0)
+            at = np.arange(len(a))
+            rows[at, a], rows[at, b] = current[b], current[a]
+            i, value = first_min(rows)
+            evaluated += len(a)
+            remaining -= len(a)
+            if value < current_value:
+                current, current_value = rows[i].copy(), value
+                tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
+                if current_value < best_value - tol:
+                    best_value = current_value
+                    best_strings = {current.tobytes().decode("ascii")}
+                elif current_value <= best_value + tol:
+                    best_strings.add(current.tobytes().decode("ascii"))
+                if remaining > 0:
+                    continue
         if remaining <= 0:
             break
         # Local optimum: restart from a random shuffle of the free tiles.
-        kinds = [current[i] for i in free]
+        kinds = current[free].tolist()
         rng.shuffle(kinds)
-        for i, ch in zip(free, kinds):
-            current[i] = ch
-        current_value = value_of(current)
+        current[free] = kinds
+        current_value = first_min(current[None])[1]
         evaluated += 1
         remaining -= 1
         tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
         if current_value < best_value - tol:
             best_value = current_value
-            best_strings = {"".join(current)}
+            best_strings = {current.tobytes().decode("ascii")}
 
     return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
                         objective_value=best_value, evaluated=evaluated, pruned=0,

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NocError,
     NonConvergentError,
     UnstableError,
 )
@@ -174,9 +173,18 @@ class RouterQueueModel:
         return float(self.lam @ self.rt) / total
 
 
+# Row outcomes of ``_fixed_point`` (``FixedPoint.status``). A failure ends
+# its group: the group's later rows are DROPPED, never solved.
+OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT, DROPPED = range(5)
+
+
 class FixedPoint(NamedTuple):
     """Solved fixed points of a batch of routers: one row per router, ports
-    on the last axes (``contention`` is rows x ports x ports)."""
+    on the last axes (``contention`` is rows x ports x ports).
+
+    ``status`` is each row's outcome. A row that failed on a utilization
+    keeps it in ``rho_e`` (plain for UNSTABLE, effective for
+    EFFECTIVE_UNSTABLE), whose first maximum is the failing port."""
 
     lam: np.ndarray
     contention: np.ndarray
@@ -185,6 +193,7 @@ class FixedPoint(NamedTuple):
     rt: np.ndarray
     iterations: np.ndarray
     final_delta: np.ndarray
+    status: np.ndarray
 
 
 def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: float) -> np.ndarray:
@@ -193,55 +202,62 @@ def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: float) -> np.ndarray
     # outputs both channels drive. Batched over the leading axis.
     rho = lam * es
     head = 1.0 - np.exp(-turns * es)
-    x = rho[..., :, None] * head
-    series = x / (1.0 - x) ** 2
-    return rho[..., :, None] * _port_sum(head[..., :, None, :] * series[..., None, :, :])
+    series = rho[..., :, None] * head  # x, then x/(1-x)^2 in place
+    series /= (1.0 - series) ** 2
+    # _port_sum of head[i, k] * series[j, k] over k, one output at a time:
+    # no rows x ports^3 temporary.
+    acc = head[..., :, None, 0] * series[..., None, :, 0]
+    for k in range(1, head.shape[-1]):
+        acc += head[..., :, None, k] * series[..., None, :, k]
+    return rho[..., :, None] * acc
 
 
-def _unstable(rho: np.ndarray, label: str, router: Coord,
-              ports: Sequence[Port]) -> UnstableError:
-    i = int(rho.argmax())
-    return UnstableError(
-        f"{label} {rho[i]:.4f} >= 1 at router {router} channel {ports[i].value}",
-        router=router,
-        channel=ports[i],
-    )
+def _first_failures(rows: np.ndarray, bad: np.ndarray,
+                    group: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the ascending ``rows``: the first bad row of each group of
+    ``group`` rows, and the group's rows after it."""
+    g = rows // group
+    first = np.full(int(g[-1]) + 1, np.iinfo(rows.dtype).max)
+    np.minimum.at(first, g[bad], rows[bad])
+    return rows == first[g], rows > first[g]
 
 
 def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float,
-                 mode: str, router_of: Callable[[int], Coord],
-                 ports: Sequence[Port]) -> FixedPoint:
+                 mode: str, group: int) -> FixedPoint:
     """Run the damped contention fixed point of every row (router) at once.
 
-    ``lam`` is rows x ports, ``turns`` rows x ports x outputs. Every row
-    iterates as if alone and freezes at the iteration where its own
-    queue-length change drops below ``FIXED_POINT_TOL``. Failures follow
-    the order of solving the rows one after another: the lowest failing row
-    raises its own UnstableError (plain, then effective utilization) or
-    NonConvergentError, naming the port of its largest utilization.
+    ``lam`` is rows x ports, ``turns`` rows x ports x outputs; every
+    ``group`` consecutive rows are one network. Every row iterates as if
+    alone and freezes at the iteration where its own queue-length change
+    drops below ``FIXED_POINT_TOL``. A row fails as solving its network's
+    rows one after another would: on its plain utilization before
+    iterating, then on its effective utilization, or by not converging
+    within ``FIXED_POINT_MAX_ITER`` iterations. Its network's later rows
+    are then dropped, so the lowest failing row of a network is the one
+    that solving it alone fails at. Only argument errors of the waiting-time
+    formula raise.
     """
     es = svc.mean_service
     n_rows, n = lam.shape
     rho = lam * es
-    failure: tuple[int, NocError] | None = None
-    bad = np.flatnonzero(rho.max(axis=1) >= 1.0)
-    if bad.size:
-        row = int(bad[0])
-        failure = (row, _unstable(rho[row], "utilization", router_of(row), ports))
-
-    contention = np.zeros((n_rows, n, n))
+    status = np.zeros(n_rows, dtype=np.int8)
     rho_out = np.zeros((n_rows, n))
+    rows = np.arange(n_rows)
+    if n_rows:
+        fail, drop = _first_failures(rows, rho.max(axis=1) >= 1.0, group)
+        status[fail], status[drop] = UNSTABLE, DROPPED
+        rho_out[fail] = rho[fail]
+        rows = rows[~(fail | drop)]
+
+    lam_a = lam[rows]
+    rhs = _contention_rhs(lam_a, turns[rows], es)
+    contention = np.zeros((n_rows, n, n))
     wq_out = np.zeros((n_rows, n))
     iterations = np.zeros(n_rows, dtype=np.int64)
     final_delta = np.zeros(n_rows)
-    # Rows past a failure cannot change the outcome, so they never start.
-    limit = failure[0] if failure else n_rows
-    rows = np.arange(limit)
-    lam_a = lam[:limit]
-    rhs = _contention_rhs(lam_a, turns[:limit], es)
-    # Like router 0 alone, the batch reaches the waiting-time formula (and
-    # its argument checks) only if router 0 passed the plain check.
-    nq = lam_a * kingman_wait(rho[:limit], ca2, svc.scv, es, mode) if limit else lam_a
+    # Like a network alone, the batch reaches the waiting-time formula (and
+    # its argument checks) only if some first router passed the plain check.
+    nq = lam_a * kingman_wait(rho[rows], ca2, svc.scv, es, mode) if rows.size else lam_a
     diagonal = np.eye(n, dtype=bool)
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
         if not rows.size:
@@ -250,12 +266,13 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
             c = np.where(nq[:, None, :] > 0.0, rhs / nq[:, None, :], 0.0)
         c[:, diagonal] = 1.0
         rho_e = effective_utilization(lam_a, c, es)
-        bad = np.flatnonzero(rho_e.max(axis=1) >= 1.0)
-        if bad.size:
-            j = int(bad[0])
-            row = int(rows[j])
-            failure = (row, _unstable(rho_e[j], "effective utilization", router_of(row), ports))
-            rows, lam_a, rhs, nq, c, rho_e = (a[:j] for a in (rows, lam_a, rhs, nq, c, rho_e))
+        bad = rho_e.max(axis=1) >= 1.0
+        if bad.any():
+            fail, drop = _first_failures(rows, bad, group)
+            status[rows[fail]], status[rows[drop]] = EFFECTIVE_UNSTABLE, DROPPED
+            rho_out[rows[fail]] = rho_e[fail]
+            left = ~(fail | drop)
+            rows, lam_a, rhs, nq, c, rho_e = (a[left] for a in (rows, lam_a, rhs, nq, c, rho_e))
         wq = kingman_wait(rho_e, ca2, svc.scv, es, mode)
         nq_next = lam_a * wq
         delta = np.abs(nq_next - nq).max(axis=1, initial=0.0)
@@ -270,16 +287,37 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
             final_delta[ids] = delta[done]
             left = ~done
             rows, lam_a, rhs, nq = rows[left], lam_a[left], rhs[left], nq[left]
-    if rows.size:
-        row = int(rows[0])
-        failure = (row, NonConvergentError(
+    status[rows] = NON_CONVERGENT
+    rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
+    return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)
+
+
+def _unstable(rho: np.ndarray, label: str, router: Coord,
+              ports: Sequence[Port]) -> UnstableError:
+    i = int(rho.argmax())
+    return UnstableError(
+        f"{label} {rho[i]:.4f} >= 1 at router {router} channel {ports[i].value}",
+        router=router,
+        channel=ports[i],
+    )
+
+
+def _raise_first_failure(fp: FixedPoint, router_of: Callable[[int], Coord],
+                         ports: Sequence[Port]) -> None:
+    """Raise the error of the lowest failing row, if any: UnstableError
+    naming the port of its largest (effective) utilization, or
+    NonConvergentError."""
+    failed = np.flatnonzero(fp.status)
+    if not failed.size:
+        return
+    row = int(failed[0])
+    if fp.status[row] == NON_CONVERGENT:
+        raise NonConvergentError(
             f"contention fixed point at router {router_of(row)} did not converge "
             f"within {FIXED_POINT_MAX_ITER} iterations"
-        ))
-    if failure is not None:
-        raise failure[1]
-    rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
-    return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta)
+        )
+    label = "utilization" if fp.status[row] == UNSTABLE else "effective utilization"
+    raise _unstable(fp.rho_e[row], label, router_of(row), ports)
 
 
 def solve_network(loads: ChannelLoadMap, svc: ServiceSpec, ca2: float = 1.0,
@@ -290,8 +328,9 @@ def solve_network(loads: ChannelLoadMap, svc: ServiceSpec, ca2: float = 1.0,
     Raises what solving the routers one by one in row-major order would
     raise first.
     """
-    return _fixed_point(loads.lam, loads.turns, svc, ca2, mode,
-                        loads.grid.coord, PORT_ORDER)
+    fp = _fixed_point(loads.lam, loads.turns, svc, ca2, mode, loads.grid.n_tiles)
+    _raise_first_failure(fp, loads.grid.coord, PORT_ORDER)
+    return fp
 
 
 def _router_model(router: Coord, ports: tuple[Port, ...], svc: ServiceSpec, ca2: float,
@@ -323,7 +362,8 @@ def solve_router(rl: RouterLoads, svc: ServiceSpec, ca2: float = 1.0,
     """
     lam = np.asarray(rl.lam, dtype=float)[None]
     turns = np.asarray(rl.turns, dtype=float)[None]
-    fp = _fixed_point(lam, turns, svc, ca2, mode, lambda _: rl.router, rl.ports)
+    fp = _fixed_point(lam, turns, svc, ca2, mode, 1)
+    _raise_first_failure(fp, lambda _: rl.router, rl.ports)
     return _router_model(rl.router, rl.ports, svc, ca2, fp, 0, np.arange(len(rl.ports)))
 
 

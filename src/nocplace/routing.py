@@ -166,21 +166,31 @@ def flow_set(placement: Placement, spec: TrafficSpec,
     """Array form of ``build_flows``: the same flows, in the same order and
     with bit-identical rates."""
     r = resolved if resolved is not None else resolve(placement, spec)
+    return _stacked_flows(spec, r.lam, r.p, r.core_ids[None], r.cache_ids[None],
+                          r.mc_ids[None], None if r.q is None else r.q[None])
+
+
+def _stacked_flows(spec: TrafficSpec, lam: np.ndarray, p: np.ndarray, cores: np.ndarray,
+                   caches: np.ndarray, mcs: np.ndarray, q: np.ndarray | None) -> FlowSet:
+    """``flow_set`` of several placements with the same node counts: one row
+    of ``cores``, ``caches`` and ``mcs`` tile ids and one leading entry of
+    ``q`` (None without controllers) per placement, ``lam`` and ``p``
+    shared. The requests of each placement come in its own ``flow_set``
+    order, placement after placement, and then all their replies."""
     miss1 = spec.miss_l1
-    cores, caches, mcs = r.core_ids, r.cache_ids, r.mc_ids
-    rate = (r.lam[:, None] * miss1 * r.p).ravel()
-    src = [np.repeat(cores, len(caches))]
-    dst = [np.tile(caches, len(cores))]
-    kind = [np.full(rate.size, _KIND_CODE[FlowKind.CORE_TO_CACHE], dtype=np.int8)]
-    rates = [rate]
-    if r.q is not None and spec.miss_l2 > 0.0:
-        cache_ingress = (r.lam * miss1) @ r.p  # aggregate request rate per cache
-        rate = (cache_ingress[:, None] * spec.miss_l2 * r.q).ravel()
-        src.append(np.repeat(caches, len(mcs)))
-        dst.append(np.tile(mcs, len(caches)))
-        kind.append(np.full(rate.size, _KIND_CODE[FlowKind.CACHE_TO_MC], dtype=np.int8))
-        rates.append(rate)
-    src, dst, kind, rate = (np.concatenate(a) for a in (src, dst, kind, rates))
+    n, n_cores = cores.shape
+    n_caches = caches.shape[1]
+    rate = [np.broadcast_to((lam[:, None] * miss1 * p).ravel(), (n, n_cores * n_caches))]
+    src = [np.repeat(cores, n_caches, axis=1)]
+    dst = [np.tile(caches, (1, n_cores))]
+    kind = [np.full(rate[0].shape, _KIND_CODE[FlowKind.CORE_TO_CACHE], dtype=np.int8)]
+    if q is not None and spec.miss_l2 > 0.0:
+        cache_ingress = (lam * miss1) @ p  # aggregate request rate per cache
+        rate.append((cache_ingress[:, None] * spec.miss_l2 * q).reshape(n, -1))
+        src.append(np.repeat(caches, mcs.shape[1], axis=1))
+        dst.append(np.tile(mcs, (1, n_caches)))
+        kind.append(np.full(rate[1].shape, _KIND_CODE[FlowKind.CACHE_TO_MC], dtype=np.int8))
+    src, dst, kind, rate = (np.concatenate(a, axis=1).ravel() for a in (src, dst, kind, rate))
     keep = rate > 0.0
     src, dst, kind, rate = src[keep], dst[keep], kind[keep], rate[keep]
     if spec.model_replies:
@@ -316,12 +326,24 @@ def channel_loads(flows: FlowSet, grid: MeshGrid) -> ChannelLoadMap:
     channel's sum running sequentially from 0.0, so the floating-point sums
     are identical no matter how the caller ordered the flows.
     """
+    lam, turns, used = _superpose(flows, grid, 1)
+    return ChannelLoadMap(grid, lam, turns, used)
+
+
+def _superpose(flows: FlowSet, grid: MeshGrid,
+               copies: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``channel_loads``' arrays for flows on ``copies`` copies of ``grid``
+    stacked one below the other: tile ``b * n_tiles + t`` is tile t of copy
+    b. The stack is one mesh ``copies`` times as tall whose XY paths never
+    leave their own copy, and the canonical order restricted to one copy is
+    that copy's own, so every copy's loads are bit-identical to its flows'
+    ``channel_loads``."""
     nz = flows.rate != 0.0
     src, dst, kind, rate = flows.src[nz], flows.dst[nz], flows.kind[nz], flows.rate[nz]
     w = grid.width
     order = np.lexsort((rate, kind, dst // w, dst % w, src // w, src % w))
     src, dst, rate = src[order], dst[order], rate[order]
-    n_ch = grid.n_tiles * N_PORTS
+    n_ch = copies * grid.n_tiles * N_PORTS
     lam = np.zeros(n_ch)
     turns = np.zeros(n_ch * N_PORTS)
     used = np.zeros(n_ch * N_PORTS, dtype=bool)
@@ -331,9 +353,9 @@ def channel_loads(flows: FlowSet, grid: MeshGrid) -> ChannelLoadMap:
         np.add.at(lam, channel, r)
         np.add.at(turns, turn, r)
         used[turn] = True
-    shape = (grid.n_tiles, N_PORTS)
-    return ChannelLoadMap(grid, lam.reshape(shape), turns.reshape(shape + (N_PORTS,)),
-                          used.reshape(shape + (N_PORTS,)))
+    shape = (copies * grid.n_tiles, N_PORTS)
+    return (lam.reshape(shape), turns.reshape(shape + (N_PORTS,)),
+            used.reshape(shape + (N_PORTS,)))
 
 
 def derive_channel_rates(flows: Iterable[Flow], grid: MeshGrid) -> ChannelLoadMap:

@@ -139,9 +139,13 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
                 f"rows of p must sum to 1 (core indices {np.nonzero(bad)[0].tolist()})"
             )
 
-    q = None
-    if mcs:
-        hops = grid.hops[cache_ids][:, mc_ids]
-        nearest = hops == hops.min(axis=1, keepdims=True)
-        q = nearest / nearest.sum(axis=1, keepdims=True)
+    q = nearest_split(grid.hops[cache_ids][:, mc_ids]) if mcs else None
     return ResolvedTraffic(core_ids, cache_ids, mc_ids, cores, caches, mcs, lam, p, q)
+
+
+def nearest_split(hops: np.ndarray) -> np.ndarray:
+    """``ResolvedTraffic.q`` from the cache-to-controller hop counts: each
+    cache's misses split evenly over its nearest controllers. Leading axes
+    batch placements."""
+    nearest = hops == hops.min(axis=-1, keepdims=True)
+    return nearest / nearest.sum(axis=-1, keepdims=True)

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -14,14 +15,16 @@ from nocplace import (
     MeshGrid,
     Mode,
     NodeKind,
+    NonConvergentError,
     TrafficSpec,
+    UnstableError,
     canonical_placement,
     exhaustive_search,
     local_search,
     objective,
     two_phase_optimize,
 )
-from nocplace import candidates, optimizer, queueing
+from nocplace import candidates, latency, optimizer, queueing
 from nocplace.candidates import raw_blocks
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import (
@@ -356,9 +359,10 @@ class TestBlocks:
 
 
 class TestPrefilter:
-    @pytest.mark.parametrize("block", [7, optimizer.SEARCH_BLOCK])
-    def test_keeps_exact_top_by_low_value_and_string(self, block, monkeypatch):
-        monkeypatch.setattr(optimizer, "SEARCH_BLOCK", block)
+    @pytest.mark.parametrize("hops", [7, latency._LOW_HOPS])
+    def test_keeps_exact_top_by_low_value_and_string(self, hops, monkeypatch):
+        # The batched LOW values come in chunks of one row at 7 hops.
+        monkeypatch.setattr(latency, "_LOW_HOPS", hops)
         spec = TrafficSpec(lambda_g=0.08, miss_l2=0.2)
         cut_ties = 0
         # Phase 1 of criterion 6's HIGH two-phase searches, and spaces whose
@@ -485,6 +489,93 @@ class TestLocalSearch:
         space = SearchSpace(MeshGrid(4, 4), 6, 4, 1, mc_tiles=frozenset({Coord(0, 0)}))
         with pytest.raises(InfeasibleError, match="mc_tiles"):
             local_search(space, TrafficSpec(), seed=1, budget=50)
+
+
+def sequential_local_search(space, spec, seed, budget):
+    """``local_search`` scoring one neighbour at a time, as it did before
+    its passes were batched: the oracle for its moves, restarts, counts and
+    ties."""
+    grid = space.grid
+    current = list(placement_string(local_search(space, spec, seed, budget=0).best[0]))
+    free = [i for i, c in enumerate(grid.coords) if c not in space.fixed]
+    rng = random.Random(seed)
+    failures = Counter()
+
+    def value_of(chars):
+        placement = placement_from_string(grid, "".join(chars))
+        try:
+            return objective(placement, spec, space.mode).objective_value
+        except UnstableError:
+            failures["unstable"] += 1
+        except NonConvergentError:
+            failures["non_convergent"] += 1
+        return math.inf
+
+    best_value = current_value = value_of(current)
+    best_strings = {"".join(current)}
+    evaluated, remaining = 0, budget
+    while True:
+        best_move, best_move_value = None, current_value
+        for a, b in combinations(free, 2):
+            if current[a] == current[b]:
+                continue
+            if remaining <= 0:
+                break
+            current[a], current[b] = current[b], current[a]
+            v = value_of(current)
+            current[a], current[b] = current[b], current[a]
+            evaluated += 1
+            remaining -= 1
+            if v < best_move_value:
+                best_move, best_move_value = (a, b), v
+        if best_move is not None:
+            a, b = best_move
+            current[a], current[b] = current[b], current[a]
+            current_value = best_move_value
+            tol = optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
+            if current_value < best_value - tol:
+                best_value, best_strings = current_value, {"".join(current)}
+            elif current_value <= best_value + tol:
+                best_strings.add("".join(current))
+            if remaining > 0:
+                continue
+        if remaining <= 0:
+            break
+        kinds = [current[i] for i in free]
+        rng.shuffle(kinds)
+        for i, ch in zip(free, kinds):
+            current[i] = ch
+        current_value = value_of(current)
+        evaluated += 1
+        remaining -= 1
+        tol = optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
+        if current_value < best_value - tol:
+            best_value, best_strings = current_value, {"".join(current)}
+    return best_value, sorted(best_strings), evaluated, failures
+
+
+class TestBatchedPasses:
+    """Each steepest-descent pass is scored as one batch; the search moves,
+    restarts and counts as it did one neighbour at a time."""
+
+    @pytest.mark.parametrize("w,h,counts,mode,lam,seeds,budget", [
+        (4, 4, (6, 4, 0), Mode.LOW, 0.1, (1, 2, 3), 300),
+        (3, 3, (4, 2, 1), Mode.LOW, 0.1, (4, 5), 200),
+        (5, 4, (8, 3, 2), Mode.LOW, 0.1, (6,), 900),
+        (3, 3, (5, 2, 0), Mode.HIGH, 0.35, (7, 8), 80),
+        (4, 3, (4, 2, 1), Mode.HIGH, 0.3, (9,), 100),
+    ])
+    def test_matches_one_neighbour_at_a_time(self, w, h, counts, mode, lam, seeds, budget):
+        space = SearchSpace(MeshGrid(w, h), *counts, mode=mode)
+        spec = TrafficSpec(lambda_g=lam, miss_l2=0.3)
+        for seed in seeds:
+            result = local_search(space, spec, seed, budget=budget)
+            value, best, evaluated, failures = sequential_local_search(space, spec, seed, budget)
+            assert result.objective_value == value
+            assert [placement_string(p) for p in result.best] == best
+            assert result.evaluated == evaluated
+            assert {k: result.extras[k] for k in optimizer.FAILURE_KINDS} == \
+                {k: failures[k] for k in optimizer.FAILURE_KINDS}
 
 
 class TestParallelEvaluation:
