@@ -172,14 +172,16 @@ def cmd_optimize(args) -> int:
     )
     spec = _traffic_from_args(args)
     seeds: list[int] = []
+    # Unset, each method keeps its own default budget.
+    budget = {} if args.budget is None else {"budget": args.budget}
     if args.method == "exhaustive":
-        result = exhaustive_search(space, spec, budget=args.budget, jobs=args.jobs)
+        result = exhaustive_search(space, spec, jobs=args.jobs, **budget)
     elif args.method == "two-phase":
-        result = two_phase_optimize(space, spec, budget=args.budget, jobs=args.jobs)
+        result = two_phase_optimize(space, spec, jobs=args.jobs, **budget)
     else:
         seed = _require_seed(args)
         seeds.append(seed)
-        result = local_search(space, spec, seed=seed, budget=args.budget)
+        result = local_search(space, spec, seed=seed, **budget)
     print(f"objective {result.objective_value:.6g} "
           f"({len(result.best)} optimal placement(s), {result.evaluated} evaluated)")
     show = result.best if args.all_ties else result.best[:1]
@@ -311,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.LOW)
     p.add_argument("--method", choices=["exhaustive", "two-phase", "local"],
                    default="exhaustive")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=None,
+                   help="most candidates to score (default: the method's own, "
+                        "10,000,000 for exhaustive and two-phase, 10,000 for local)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--all-ties", action="store_true",

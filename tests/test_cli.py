@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from nocplace import CanonicalFamily, Coord, MeshGrid, Placement, canonical_placement, manhattan
+from nocplace import (CanonicalFamily, Coord, MeshGrid, Placement, canonical_placement,
+                      local_search, manhattan)
+from nocplace import cli
 from nocplace.cli import main
 
 
@@ -73,6 +75,22 @@ class TestOptimize:
         assert main(["optimize", "--grid", "3x3", "--cores", "8", "--caches", "1",
                      "--method", "local", "--budget", "50"]) == 0
         assert "seed:" in capsys.readouterr().out
+
+    def test_local_budget_is_forwarded_only_when_given(self, monkeypatch, capsys):
+        # Unset, local_search keeps its own default of 10,000 evaluations
+        # rather than the exhaustive search's 10,000,000.
+        budgets = []
+
+        def recording(space, spec, seed, **kwargs):
+            budgets.append(kwargs.get("budget"))
+            return local_search(space, spec, seed, budget=10)
+
+        monkeypatch.setattr(cli, "local_search", recording)
+        args = ["optimize", "--grid", "3x3", "--cores", "8", "--caches", "1",
+                "--method", "local", "--seed", "1"]
+        assert main(args) == 0
+        assert main(args + ["--budget", "50"]) == 0
+        assert budgets == [None, 50]
 
 
 class TestAnalyze:
