@@ -460,6 +460,8 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         if current_value < best_value - tol:
             best_value = current_value
             best_strings = {current.tobytes().decode("ascii")}
+        elif current_value <= best_value + tol:
+            best_strings.add(current.tobytes().decode("ascii"))
 
     return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
                         objective_value=best_value, evaluated=evaluated, pruned=0,

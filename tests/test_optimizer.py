@@ -551,6 +551,8 @@ def sequential_local_search(space, spec, seed, budget):
         tol = optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
         if current_value < best_value - tol:
             best_value, best_strings = current_value, {"".join(current)}
+        elif current_value <= best_value + tol:
+            best_strings.add("".join(current))
     return best_value, sorted(best_strings), evaluated, failures
 
 
