@@ -149,27 +149,47 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
     if mode is Mode.HIGH:
         fp = solve_network(channel_loads(flow_set(placement, spec, r), grid),
                            spec.svc, spec.arrival_scv, queue_mode)
-
-        def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            # Routers entered via links only: the source's injection channel
-            # is excluded, as LOW counts the same hops.
-            sums = path_sums(grid, np.repeat(src, len(dst)), np.tile(dst, len(src)),
-                             fp.rt, skip_injection=True)
-            return sums.reshape(len(src), len(dst))
+        transit = _link_transit(grid, fp.rt)
     else:
         # float(): an integer E{S} times the int8 hop table would stay int8.
         es = float(spec.svc.mean_service)
 
         def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            return es * grid.hops[src][:, dst]
+            return es * grid.hops[src[:, :, None], dst[:, None, :]]
 
-    l2 = (r.p * transit(r.core_ids, r.cache_ids)).sum(axis=1)
-    mem = np.zeros(len(l2))
-    if r.q is not None:
-        per_cache_mem = (r.q * transit(r.cache_ids, r.mc_ids)).sum(axis=1)
-        mem = r.p @ per_cache_mem + spec.mem_fixed_latency
+    l2, mem, total = _compose(spec, r.p, None if r.q is None else r.q[None], transit,
+                              r.core_ids[None], r.cache_ids[None], r.mc_ids[None])
+    return r.cores, l2[0], mem[0], total[0]
+
+
+def _link_transit(grid: MeshGrid, rt: np.ndarray):
+    """HIGH transit times for ``_compose``: per (src, dst) pair, the summed
+    response times of the routers its XY path enters via links. The
+    source's injection channel is excluded, as LOW counts the same hops."""
+    def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        k, n_src, n_dst = len(src), src.shape[1], dst.shape[1]
+        sums = path_sums(grid, np.repeat(src, n_dst, axis=1).ravel(),
+                         np.tile(dst, (1, n_src)).ravel(), rt, skip_injection=True)
+        return sums.reshape(k, n_src, n_dst)
+    return transit
+
+
+def _compose(spec: TrafficSpec, p: np.ndarray, q: np.ndarray | None, transit,
+             cores: np.ndarray, caches: np.ndarray,
+             mcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-core L2 terms, memory terms and totals of placements with the
+    same node counts: one row of tile ids and one leading entry of ``q``
+    (None without controllers) per placement. ``transit(src, dst)`` gives
+    the transit matrices, one leading entry per placement. Each placement's
+    terms are bit-identical to its own: every reduction runs per placement
+    (the matrix products one matrix-vector product each)."""
+    l2 = (p * transit(cores, caches)).sum(axis=2)
+    mem = np.zeros(l2.shape)
+    if q is not None:
+        per_cache_mem = (q * transit(caches, mcs)).sum(axis=2)
+        mem = np.matmul(p, per_cache_mem[:, :, None])[:, :, 0] + spec.mem_fixed_latency
     miss1 = spec.miss_l1
-    return r.cores, l2, mem, spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
+    return l2, mem, spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
 
 
 def _first_resolved(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> ResolvedTraffic:
@@ -272,25 +292,9 @@ def _high_chunk(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mode:
     causes = status[np.arange(b), (status != OK).argmax(axis=1)]
     values = np.full(b, np.inf)
     ok = np.flatnonzero(causes == OK)
-    if not ok.size:
-        return values, causes
-
-    def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        # _per_core's transit, one placement per leading entry.
-        k, n_src, n_dst = len(src), src.shape[1], dst.shape[1]
-        sums = path_sums(grid, np.repeat(src, n_dst, axis=1).ravel(),
-                         np.tile(dst, (1, n_src)).ravel(), fp.rt, skip_injection=True)
-        return sums.reshape(k, n_src, n_dst)
-
-    # _per_core's composition; ``r.p @ v`` per placement is a matrix-vector
-    # product of the same shapes as np.matmul's on the stack.
-    l2 = (r.p * transit(cores[ok], caches[ok])).sum(axis=2)
-    mem = np.zeros(l2.shape)
-    if q is not None:
-        per_cache_mem = (q[ok] * transit(caches[ok], mcs[ok])).sum(axis=2)
-        mem = np.matmul(r.p, per_cache_mem[:, :, None])[:, :, 0] + spec.mem_fixed_latency
-    miss1 = spec.miss_l1
-    total = spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
-    # Added up as _value adds one placement's totals.
-    values[ok] = [float(sum(t)) for t in total.tolist()]
+    if ok.size:
+        total = _compose(spec, r.p, None if q is None else q[ok], _link_transit(grid, fp.rt),
+                         cores[ok], caches[ok], mcs[ok])[2]
+        # Added up as _value adds one placement's totals.
+        values[ok] = [float(sum(t)) for t in total.tolist()]
     return values, causes
