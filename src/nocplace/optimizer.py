@@ -140,11 +140,6 @@ def _count_failures(failures: Counter, causes: np.ndarray) -> None:
     failures["non_convergent"] += int((causes == NON_CONVERGENT).sum())
 
 
-def _high_batch_job(args) -> tuple[np.ndarray, np.ndarray]:
-    width, height, rows, spec, queue_mode = args
-    return high_objective_batch(MeshGrid(width, height), rows, spec, queue_mode)
-
-
 def _evaluate_all(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mode: str,
                   jobs: int, failures: Counter) -> np.ndarray:
     """HIGH values of ``rows``, failures counted; ``jobs`` > 1 worker
@@ -153,10 +148,11 @@ def _evaluate_all(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mod
         values, causes = high_objective_batch(grid, rows, spec, queue_mode)
     else:
         chunk = max(32, math.ceil(len(rows) / (jobs * 4)))
+        shares = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
+        n = len(shares)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_high_batch_job, [
-                (grid.width, grid.height, rows[i:i + chunk], spec, queue_mode)
-                for i in range(0, len(rows), chunk)]))
+            parts = list(pool.map(high_objective_batch, [grid] * n, shares, [spec] * n,
+                                  [queue_mode] * n))
         values, causes = (np.concatenate(a) for a in zip(*parts))
     _count_failures(failures, causes)
     return values

@@ -20,7 +20,9 @@ All routers of a mesh are solved in one batched pass over (router, port)
 arrays. Each router runs exactly the iteration it would run alone (ports
 are summed in a fixed sequential order, so padding a router with idle ports
 changes no bit) and stops at its own convergence; ``solve_router`` is the
-same kernel on a batch of one.
+same kernel on a batch of one. The kernel reports each row's outcome rather
+than raising, so one batch can also hold the meshes of many candidate
+placements: a saturated or non-convergent router ends only its own mesh.
 """
 
 from __future__ import annotations
