@@ -20,12 +20,15 @@ import numpy as np
 
 from .candidates import raw_blocks
 from .errors import BudgetExceededError, InfeasibleError, UnstableError
-from .latency import Mode, _per_core, high_objective_batch, low_objective_batch
+from .latency import Mode, _per_core
 from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Placement,
                    canonical_placement, placement_count, placement_from_string,
                    placement_string)
 from .queueing import EFFECTIVE_UNSTABLE, NON_CONVERGENT, PAPER, UNSTABLE
 from .traffic import TrafficSpec
+
+# The batch scorers of .scoring are imported where they are called, so that
+# importing the package does not compile them.
 
 OBJECTIVE_TIE_REL_TOL = 1e-9
 
@@ -144,6 +147,7 @@ def _evaluate_all(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mod
                   jobs: int, failures: Counter) -> np.ndarray:
     """HIGH values of ``rows``, failures counted; ``jobs`` > 1 worker
     processes each score a share of the rows in batches."""
+    from .scoring import high_objective_batch
     if jobs <= 1 or len(rows) < 64:
         values, causes = high_objective_batch(grid, rows, spec, queue_mode)
     else:
@@ -199,6 +203,7 @@ def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarra
     Batched LOW values select; the candidates whose batched value lies
     within twice its error bound of the cut are ordered by their exact
     values, so the kept set is the one exact values alone would give."""
+    from .scoring import low_objective_batch
     keep = max(100, math.ceil(0.05 * len(rows)))
     if len(rows) <= keep:
         return rows
@@ -224,6 +229,7 @@ def _first_min(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode,
     LOW rows are scored by ``low_objective_batch``; only rows within twice
     its error bound of the lowest batched value can hold the exact minimum,
     and those are scored exactly."""
+    from .scoring import high_objective_batch, low_objective_batch
     if mode is Mode.HIGH:
         values, causes = high_objective_batch(grid, rows, spec, queue_mode)
         _count_failures(failures, causes)
@@ -249,6 +255,7 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     batched value so far are scored exactly, as ``objective`` scores, and the
     result is taken from those exact values. HIGH candidates are scored
     in batches by ``high_objective_batch`` (over ``jobs`` processes)."""
+    from .scoring import low_objective_batch
     raw = _raw_count(free, counts, pool)
     estimate = -(-raw // max(1, len(perms)))
     if estimate > budget:

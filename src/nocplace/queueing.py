@@ -245,8 +245,9 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     status = np.zeros(n_rows, dtype=np.int8)
     rho_out = np.zeros((n_rows, n))
     rows = np.arange(n_rows)
-    if n_rows:
-        fail, drop = _first_failures(rows, rho.max(axis=1) >= 1.0, group)
+    bad = rho.max(axis=1, initial=0.0) >= 1.0
+    if bad.any():
+        fail, drop = _first_failures(rows, bad, group)
         status[fail], status[drop] = UNSTABLE, DROPPED
         rho_out[fail] = rho[fail]
         rows = rows[~(fail | drop)]

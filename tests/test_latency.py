@@ -20,7 +20,7 @@ from nocplace import (
     low_traffic_mem_latency,
     objective,
 )
-from nocplace.latency import low_objective_batch
+from nocplace.scoring import low_objective_batch
 from nocplace.mesh import apply_symmetry, placement_from_string
 from nocplace.traffic import matrix
 

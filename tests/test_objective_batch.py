@@ -29,8 +29,8 @@ from nocplace import (
     exhaustive_search,
     local_search,
 )
-from nocplace import latency, optimizer, queueing
-from nocplace.latency import high_objective_batch
+from nocplace import optimizer, queueing, scoring
+from nocplace.scoring import high_objective_batch
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.queueing import EFFECTIVE_UNSTABLE, NON_CONVERGENT, OK, UNSTABLE
 from nocplace.traffic import matrix
@@ -126,7 +126,7 @@ def test_random_corpus_at_any_chunk_size(per_chunk, monkeypatch):
     seen = set()
     for grid, strings, spec, queue_mode in corpus:
         rows = grid.n_tiles * (per_chunk or len(strings))
-        monkeypatch.setattr(latency, "_BATCH_ROWS", rows)
+        monkeypatch.setattr(scoring, "_BATCH_ROWS", rows)
         seen.update(assert_matches_alone(grid, strings, spec, queue_mode).tolist())
     assert {OK, UNSTABLE, EFFECTIVE_UNSTABLE} <= seen
 

@@ -24,7 +24,7 @@ from nocplace import (
     objective,
     two_phase_optimize,
 )
-from nocplace import candidates, latency, optimizer, queueing
+from nocplace import candidates, optimizer, queueing, scoring
 from nocplace.candidates import raw_blocks
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import (
@@ -359,10 +359,10 @@ class TestBlocks:
 
 
 class TestPrefilter:
-    @pytest.mark.parametrize("hops", [7, latency._LOW_HOPS])
+    @pytest.mark.parametrize("hops", [7, scoring._LOW_HOPS])
     def test_keeps_exact_top_by_low_value_and_string(self, hops, monkeypatch):
         # The batched LOW values come in chunks of one row at 7 hops.
-        monkeypatch.setattr(latency, "_LOW_HOPS", hops)
+        monkeypatch.setattr(scoring, "_LOW_HOPS", hops)
         spec = TrafficSpec(lambda_g=0.08, miss_l2=0.2)
         cut_ties = 0
         # Phase 1 of criterion 6's HIGH two-phase searches, and spaces whose
