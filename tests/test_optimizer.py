@@ -359,9 +359,10 @@ class TestBlocks:
 
 
 class TestPrefilter:
-    @pytest.mark.parametrize("hops", [7, scoring._LOW_HOPS])
+    @pytest.mark.parametrize("hops", [7, 4096])
     def test_keeps_exact_top_by_low_value_and_string(self, hops, monkeypatch):
-        # The batched LOW values come in chunks of one row at 7 hops.
+        # The batched LOW values come in chunks of one row at 7 hops, of
+        # hundreds of rows at 4,096.
         monkeypatch.setattr(scoring, "_LOW_HOPS", hops)
         spec = TrafficSpec(lambda_g=0.08, miss_l2=0.2)
         cut_ties = 0
