@@ -130,6 +130,18 @@ def sim_cases():
     yield "6x4.distributed-mc.0.1", nc.SimConfig(
         p, nc.TrafficSpec(lambda_g=0.1, miss_l2=0.5, p=p_rows, model_replies=True),
         messages=3000, seed=13)
+    # The spawning paths one at a time: controller legs without replies,
+    # replies without controllers, and both under long queues.
+    p = nc.canonical_placement(nc.CanonicalFamily.CENTRAL, grid, 44, 16, 4)
+    yield "8x8.central-mc.legs.0.1", nc.SimConfig(
+        p, nc.TrafficSpec(lambda_g=0.1, miss_l2=0.3), messages=3000, seed=17)
+    p = nc.canonical_placement(nc.CanonicalFamily.DISTRIBUTED, grid, 48, 16, 0)
+    yield "8x8.distributed.replies.0.05", nc.SimConfig(
+        p, nc.TrafficSpec(lambda_g=0.05, model_replies=True), messages=3000, seed=19)
+    p = nc.canonical_placement(nc.CanonicalFamily.DISTRIBUTED, grid, 44, 16, 4)
+    yield "8x8.distributed-mc.0.15", nc.SimConfig(
+        p, nc.TrafficSpec(lambda_g=0.15, miss_l2=0.3, model_replies=True),
+        messages=3000, seed=23)
 
 
 def sim_spec_dict(spec) -> dict:
