@@ -11,11 +11,12 @@ from overflow.
 
 Two engines run the model and return the same ``SimStats``, bit for bit:
 
-- The event engine (``_run_events``) pops generation and channel-completion
-  events from one heap and breaks time ties by insertion order. It runs
-  every configuration, and it is the only engine for runs that spawn
-  messages: controller legs (controllers present and ``miss_l2 > 0``) and
-  replies (``model_replies``).
+- The event engine (``events.run_events``, reached through ``_run_events``)
+  pops generation and channel-completion events from one heap and breaks
+  time ties by insertion order, in one flat loop that makes no call per
+  event. It runs every configuration, and it is the only engine for runs
+  that spawn messages: controller legs (controllers present and ``miss_l2 >
+  0``) and replies (``model_replies``).
 - The feed-forward engine (``feedforward.run_feedforward``) takes all other
   runs. With no spawned traffic every random draw happens at a generation
   and XY routing orders the channels without cycles, so each channel's
@@ -24,6 +25,9 @@ Two engines run the model and return the same ``SimStats``, bit for bit:
   the same order, and rebuilds the event engine's order of simultaneous
   events (see that module). ``run_sim`` picks the engine; there is no
   option.
+
+Each engine lives in its own module, imported on first use, so ``import
+nocplace`` compiles neither.
 
 Both route on the analytical models' topology: endpoints are the tile ids of
 ``resolve`` and paths the ``routing.xy_hops`` channel ids ``tile * N_PORTS +
@@ -39,11 +43,7 @@ from __future__ import annotations
 
 import csv
 import math
-import random
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
 from typing import IO, Sequence
 
 import numpy as np
@@ -51,8 +51,8 @@ import numpy as np
 from .errors import InvalidConfigError, UnstableError
 from .mesh import Coord, NodeKind, Placement
 from .queueing import PAPER, packet_delay_inspector
-from .routing import N_PORTS, PORT_ORDER, Port, xy_hops
-from .traffic import TrafficSpec, resolve
+from .routing import N_PORTS, PORT_ORDER, Port
+from .traffic import TrafficSpec
 
 # t critical values (two-sided 95%) for small seed counts, df 1..9
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
@@ -81,10 +81,11 @@ class SimConfig:
     def __post_init__(self):
         if self.messages <= 0:
             raise InvalidConfigError("message budget must be > 0")
-        if self.mu <= 0:
-            raise InvalidConfigError("service rate mu must be > 0")
-        if self.mean_message_size <= 0:
-            raise InvalidConfigError("mean message size must be > 0")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise InvalidConfigError(f"service rate mu must be finite and > 0, got {self.mu}")
+        if not (math.isfinite(self.mean_message_size) and self.mean_message_size > 0):
+            raise InvalidConfigError("mean message size must be finite and > 0, "
+                                     f"got {self.mean_message_size}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise InvalidConfigError("warmup fraction must lie in [0, 1)")
 
@@ -158,34 +159,6 @@ def _channel_order(item: tuple[tuple[Coord, Port], ChannelStats]) -> tuple[int, 
     """Sort key of ``SimStats.channels`` items: row-major router, then port."""
     (coord, port), _ = item
     return coord.y, coord.x, port.value
-
-
-class _Channel:
-    __slots__ = ("queue", "last_t", "area", "busy", "arrivals", "completions",
-                 "resp_sum", "svc_sum")
-
-    def __init__(self):
-        self.queue: deque = deque()
-        self.last_t = 0.0
-        self.area = 0.0
-        self.busy = 0.0
-        self.arrivals = 0
-        self.completions = 0
-        self.resp_sum = 0.0
-        self.svc_sum = 0.0
-
-
-class _Message:
-    __slots__ = ("path", "hop", "svc", "origin", "src", "dst", "primary")
-
-    def __init__(self, path, svc, origin, src, dst, primary):
-        self.path = path
-        self.hop = 0
-        self.svc = svc
-        self.origin = origin
-        self.src = src
-        self.dst = dst
-        self.primary = primary
 
 
 def run_sim(config: SimConfig) -> SimStats:
@@ -271,156 +244,10 @@ def _sim_stats(grid, channels, lat: np.ndarray, flows, end_t: float, window: flo
 
 
 def _run_events(config: SimConfig) -> SimStats:
-    """The event engine: one heap of generation and channel-completion events."""
-    placement = config.placement
-    grid = placement.grid
-    n_tiles = grid.n_tiles
-    spec = config.traffic
-    r = resolve(placement, spec)
-    rng = random.Random(config.seed)
-    mu = config.mu
-    inj, active_cores = _injection(config, r)
+    """The event engine (``events.run_events``), imported on first use."""
+    from .events import run_events  # it imports this module
 
-    cores, caches, mcs = (ids.tolist() for ids in (r.core_ids, r.cache_ids, r.mc_ids))
-    # Cumulative access rows for destination sampling.
-    cum_p = np.cumsum(r.p, axis=1).tolist()
-    cum_q = np.cumsum(r.q, axis=1).tolist() if r.q is not None else None
-    cache_index = {cache: j for j, cache in enumerate(caches)}
-
-    # Channel ids along the XY path of every pair a run can draw, keyed by
-    # src * n_tiles + dst. Zero-probability pairs are included: the
-    # sampler's clamp to the last cache or controller can reach them.
-    srcs = [np.repeat(r.core_ids, len(caches)), np.repeat(r.cache_ids, len(mcs))]
-    dsts = [np.tile(r.cache_ids, len(cores)), np.tile(r.mc_ids, len(caches))]
-    if spec.model_replies:
-        srcs, dsts = srcs + [dsts[0]], dsts + [srcs[0]]
-    srcs, dsts = np.concatenate(srcs), np.concatenate(dsts)
-    ids = np.concatenate([channel for _, _, _, channel, _ in xy_hops(grid, srcs, dsts)]).tolist()
-    ends = np.cumsum(grid.hops[srcs, dsts] + 1).tolist()
-    routes = {key: ids[begin:end]
-              for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}
-
-    channels: dict[int, _Channel] = {}
-    paths: dict[int, list[_Channel]] = {}
-
-    def path_of(src: int, dst: int) -> list[_Channel]:
-        key = src * n_tiles + dst
-        path = paths.get(key)
-        if path is None:
-            path = paths[key] = [channels.setdefault(c, _Channel()) for c in routes[key]]
-        return path
-
-    warmup_count = int(config.warmup_frac * config.messages)
-    stats_start = 0.0 if warmup_count == 0 else math.inf
-
-    heap: list = []
-    seq = 0
-
-    def push(t: float, kind: int, payload) -> None:
-        nonlocal seq
-        heappush(heap, (t, seq, kind, payload))
-        seq += 1
-
-    def draw_length() -> float:
-        return max(1.0, round(rng.expovariate(1.0 / config.mean_message_size)))
-
-    generated = 0
-    completed = 0
-    derived_generated = 0
-    derived_completed = 0
-    latencies: list[float] = []
-    flow_sums: dict[int, list] = {}
-
-    def update_clock(ch: _Channel, t: float) -> None:
-        if t > stats_start:
-            dt = t - max(ch.last_t, stats_start)
-            n = len(ch.queue)
-            ch.area += n * dt
-            if n:
-                ch.busy += dt
-        ch.last_t = t
-
-    def arrive(msg: _Message, t: float) -> None:
-        ch = msg.path[msg.hop]
-        update_clock(ch, t)
-        if t >= stats_start:
-            ch.arrivals += 1
-        ch.queue.append((msg, t))
-        if len(ch.queue) == 1:
-            push(t + msg.svc, 1, ch)
-
-    def spawn(src: int, dst: int, t: float, primary: bool) -> None:
-        msg = _Message(path_of(src, dst), draw_length() / mu, t, src, dst, primary)
-        arrive(msg, t)
-
-    # Seed one generation event per active core.
-    for i in active_cores:
-        push(rng.expovariate(inj[i]), 0, i)
-
-    while heap:
-        t, _, kind, payload = heappop(heap)
-        if kind == 0:
-            i = payload
-            if generated >= config.messages:
-                continue
-            generated += 1
-            if generated == warmup_count and math.isinf(stats_start):
-                stats_start = t
-            if generated < config.messages:
-                push(t + rng.expovariate(inj[i]), 0, i)
-            j = min(bisect_left(cum_p[i], rng.random()), len(caches) - 1)
-            spawn(cores[i], caches[j], t, True)
-        else:
-            ch: _Channel = payload
-            update_clock(ch, t)
-            msg, arr_t = ch.queue.popleft()
-            if arr_t >= stats_start:
-                ch.completions += 1
-                ch.resp_sum += t - arr_t
-                ch.svc_sum += msg.svc
-            if ch.queue:
-                head, _ = ch.queue[0]
-                push(t + head.svc, 1, ch)
-            msg.hop += 1
-            if msg.hop < len(msg.path):
-                arrive(msg, t)
-                continue
-            # Delivered.
-            if msg.primary:
-                completed += 1
-            else:
-                derived_completed += 1
-            if msg.origin >= stats_start:
-                latencies.append(t - msg.origin)
-                agg = flow_sums.setdefault(msg.src * n_tiles + msg.dst, [0, 0.0])
-                agg[0] += 1
-                agg[1] += t - msg.origin
-            if msg.primary:
-                j = cache_index[msg.dst]
-                if cum_q is not None and spec.miss_l2 > 0.0 and rng.random() < spec.miss_l2:
-                    k = min(bisect_left(cum_q[j], rng.random()), len(mcs) - 1)
-                    spawn(msg.dst, mcs[k], t, False)
-                    derived_generated += 1
-                if spec.model_replies:
-                    spawn(msg.dst, msg.src, t, False)
-                    derived_generated += 1
-
-    end_t = 0.0
-    for ch in channels.values():
-        end_t = max(end_t, ch.last_t)
-    if math.isinf(stats_start):
-        stats_start = end_t
-    for ch in channels.values():
-        update_clock(ch, end_t)
-    return _sim_stats(
-        grid,
-        ((cid, ch.arrivals, ch.completions, ch.busy, ch.area, ch.resp_sum, ch.svc_sum)
-         for cid, ch in channels.items()),
-        np.asarray(latencies),
-        ((key, n, s) for key, (n, s) in flow_sums.items()),
-        end_t, max(end_t - stats_start, 0.0),
-        generated, completed, derived_generated, derived_completed,
-    )
+    return run_events(config)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,13 @@ class TestSimulate:
                      "--messages", "1000"]) == 0
         assert "seed:" in capsys.readouterr().out
 
+    def test_non_finite_mu_exit_1(self, tmp_path, capsys):
+        p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(3, 3), 8, 1, 0)
+        pfile = write_placement(tmp_path, p)
+        assert main(["simulate", "--placement", pfile, "--mu", "nan",
+                     "--messages", "500", "--seed", "1"]) == 1
+        assert "error: service rate mu must be finite and > 0, got nan" in capsys.readouterr().err
+
     def test_round_trip_placement_file(self, tmp_path):
         p = canonical_placement(CanonicalFamily.DISTRIBUTED, MeshGrid(4, 4), 8, 4, 2)
         pfile = write_placement(tmp_path, p)

@@ -147,6 +147,12 @@ class TestRunSim:
             SimConfig(line3(), TrafficSpec(), warmup_frac=1.0)
         with pytest.raises(InvalidConfigError):
             SimConfig(line3(), TrafficSpec(), mu=0.0)
+        # NaN compares false with everything, so ``<= 0`` alone lets it pass.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidConfigError, match="mu must be finite"):
+                SimConfig(line3(), TrafficSpec(), mu=bad)
+            with pytest.raises(InvalidConfigError, match="message size must be finite"):
+                SimConfig(line3(), TrafficSpec(), mean_message_size=bad)
 
 
 class TestSweep:
