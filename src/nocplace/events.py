@@ -103,7 +103,8 @@ def run_events(config: SimConfig) -> SimStats:
     ends = np.cumsum(grid.hops[srcs, dsts] + 1).tolist()
     routes = {key: ids[begin:end]
               for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}
-    # Channels and paths are built on first use, channels in path order.
+    # Channels are built on first use, in path order: the order that
+    # ``SimStats.channels`` keeps.
     channels: dict[int, _Channel] = {}
     paths: dict[int, list[_Channel]] = {}
 
@@ -156,7 +157,8 @@ def run_events(config: SimConfig) -> SimStats:
             hop = msg.hop + 1
             path = msg.path
             if hop < len(path):
-                # Arrival at the next channel of the path.
+                # Arrival at the next channel of the path. Arrivals count
+                # from the start of the statistics window, area after it.
                 msg.hop = hop
                 msg.arr = t
                 ch = path[hop]
