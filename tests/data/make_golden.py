@@ -209,7 +209,10 @@ def search_cases():
                                        ((1, 5), (2, 1, 0), low, (1, 0)),
                                        ((1, 5), (2, 1, 1), mem, (1, 0)),
                                        ((4, 4), (2, 2, 0), low, (1,)),
-                                       ((4, 4), (1, 1, 1), mem, (1,))):
+                                       ((4, 4), (1, 1, 1), mem, (1,)),
+                                       # The bench's exhaustive case, and 36 tiles.
+                                       ((4, 4), (6, 2, 0), low, (1,)),
+                                       ((6, 6), (2, 1, 0), low, (1,))):
         for prune in prunes:
             name = f"exh.low.{grid[0]}x{grid[1]}.{'.'.join(map(str, counts))}.prune{prune}"
             yield name, "exhaustive", _space(grid, *counts), spec, {"prune_symmetry": bool(prune)}
@@ -231,7 +234,9 @@ def search_cases():
                                                             "prune_symmetry": False}),
                                    ((4, 2), (2, 1, 0), hi, {"prefilter": False}),
                                    ((3, 3), (2, 1, 1), mem, {}),
-                                   ((3, 2), (3, 1, 0), {"lambda_g": 0.35}, {"prefilter": False})):
+                                   ((3, 2), (3, 1, 0), {"lambda_g": 0.35}, {"prefilter": False}),
+                                   # Prefiltered; cache pairs a flip maps onto themselves.
+                                   ((4, 4), (2, 2, 0), hi, {})):
         name = f"exh.high.{grid[0]}x{grid[1]}.{'.'.join(map(str, counts))}"
         name += "".join(f".{k}{int(v)}" for k, v in kw.items())
         yield name, "exhaustive", _space(grid, *counts, **HIGH), spec, kw

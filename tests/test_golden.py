@@ -155,9 +155,12 @@ def test_search_result(c):
 def test_search_result_any_block_size(block, monkeypatch):
     # Blocks of one row prune whole blocks and lower the running minimum
     # block after block; one block larger than any space holds them all.
+    # Blocks of a few rows on the bench's 360,360-candidate space would take
+    # a minute; the smaller spaces cross block boundaries in the same ways.
     monkeypatch.setattr(optimizer, "SEARCH_BLOCK", block)
     for c in SEARCH_CASES:
-        test_search_result(c)
+        if block > 7 or c["id"] != "exh.low.4x4.6.2.0.prune1":
+            test_search_result(c)
 
 
 def test_budget_counts_controllers_on_pool_tiles_only():
