@@ -49,6 +49,14 @@ class _Channel:
         self.svc_sum = 0.0
 
 
+class _Channels(dict):
+    """Channels by id, each one built on its first lookup."""
+
+    def __missing__(self, c: int) -> _Channel:
+        channel = self[c] = _Channel()
+        return channel
+
+
 class _Message:
     """A message in flight; ``arr`` is its arrival time at the channel whose
     queue holds it."""
@@ -105,7 +113,7 @@ def run_events(config: SimConfig) -> SimStats:
               for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}
     # Channels are built on first use, in path order: the order that
     # ``SimStats.channels`` keeps.
-    channels: dict[int, _Channel] = {}
+    channels = _Channels()
     paths: dict[int, list[_Channel]] = {}
 
     warmup_count = int(config.warmup_frac * messages)
@@ -207,7 +215,7 @@ def run_events(config: SimConfig) -> SimStats:
             key = src * n_tiles + dst
             path = paths.get(key)
             if path is None:
-                path = paths[key] = [channels.setdefault(c, _Channel()) for c in routes[key]]
+                path = paths[key] = [channels[c] for c in routes[key]]
             length = round(-log(1.0 - uniform()) / size_rate)
             msg = _Message(path, (length if length > 1.0 else 1.0) / mu, t, src, dst, primary)
             ch = path[0]

@@ -18,7 +18,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .candidates import raw_blocks
 from .errors import BudgetExceededError, InfeasibleError, UnstableError
 from .latency import Mode, _per_core
 from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Placement,
@@ -27,12 +26,13 @@ from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Pl
 from .queueing import EFFECTIVE_UNSTABLE, NON_CONVERGENT, PAPER, UNSTABLE
 from .traffic import TrafficSpec
 
-# The batch scorers of .scoring are imported where they are called, so that
-# importing the package does not compile them.
+# The batch scorers of .scoring and the enumerators of .candidates are
+# imported where they are called, so that importing the package does not
+# compile them.
 
 OBJECTIVE_TIE_REL_TOL = 1e-9
 
-# Candidate rows enumerated, filtered and LOW-scored per array block.
+# Candidate rows enumerated and LOW-scored per array block.
 SEARCH_BLOCK = 4096
 
 # Candidates scored as +inf, by cause: counted into SearchResult.extras.
@@ -179,20 +179,6 @@ def _raw_count(free: list[int], counts: tuple[int, int, int], pool: list[int] | 
                * math.comb(p - a, n_mcs) for a in range(min(p, m) + 1))
 
 
-def _canonical(rows: np.ndarray, perms: list[tuple[int, ...]]) -> np.ndarray:
-    """Mask of the rows that are the lexicographically smallest string of
-    their orbit under ``perms``. The bytes of ``$ . C M`` sort as the
-    characters do, so for each map the first tile where a row and its image
-    differ decides."""
-    wide = rows.astype(np.int16)
-    keep = np.ones(len(rows), dtype=bool)
-    at = np.arange(len(rows))
-    for perm in perms[1:]:  # perms[0] is the identity
-        d = wide[:, perm] - wide
-        keep &= d[at, (d != 0).argmax(axis=1)] >= 0
-    return keep
-
-
 def _strings(rows: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in rows]
 
@@ -246,15 +232,17 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             pool: list[int] | None, perms: list[tuple[int, ...]], spec: TrafficSpec,
             mode: Mode, budget: int, prefilter: bool, queue_mode: str,
             jobs: int) -> SearchResult:
-    """Score every candidate row of ``raw_blocks`` that is canonical
-    under ``perms`` (all of them when ``perms`` is empty) and return the
-    argmin ties expanded to their orbits.
+    """Score the lexicographically smallest placement of every orbit under
+    ``perms`` (``representative_blocks``; every placement, ``raw_blocks``,
+    when ``perms`` holds no map but the identity) and return the argmin ties
+    expanded to their orbits.
 
     LOW candidates are scored a block at a time by ``low_objective_batch``;
     only those within the tie tolerance plus its error bound of the lowest
     batched value so far are scored exactly, as ``objective`` scores, and the
     result is taken from those exact values. HIGH candidates are scored
     in batches by ``high_objective_batch`` (over ``jobs`` processes)."""
+    from .candidates import raw_blocks, representative_blocks
     from .scoring import low_objective_batch
     raw = _raw_count(free, counts, pool)
     estimate = -(-raw // max(1, len(perms)))
@@ -265,17 +253,15 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             count=int(raw),
         )
 
-    pruned = evaluated = 0
+    evaluated = 0
     failures: Counter = Counter()
     scored: dict[str, float] = {}
     high_rows: list[np.ndarray] = []
     floor = math.inf
-    for block in raw_blocks(base, free, counts, pool, SEARCH_BLOCK):
-        rows = block[_canonical(block, perms)] if perms else block
-        pruned += len(block) - len(rows)
+    blocks = (representative_blocks(base, free, counts, pool, perms, SEARCH_BLOCK)
+              if len(perms) > 1 else raw_blocks(base, free, counts, pool, SEARCH_BLOCK))
+    for rows in blocks:
         evaluated += len(rows)
-        if not len(rows):
-            continue
         if mode is Mode.HIGH:
             high_rows.append(rows)
             continue
@@ -291,6 +277,7 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     if not evaluated:
         raise InfeasibleError("search space is empty")
 
+    pruned = raw - evaluated
     extras: dict = {}
     if mode is Mode.HIGH:
         rows = np.concatenate(high_rows)

@@ -31,7 +31,11 @@ def _first_resolved(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> Reso
 
 def _kind_ids(rows: np.ndarray, kind: NodeKind, n: int) -> np.ndarray:
     """The tile ids of the n tiles of ``kind`` in each row, ascending."""
-    return np.nonzero(rows == ord(_CHAR_OF_KIND[kind]))[1].reshape(len(rows), n)
+    # One flat index array: a 2-D np.nonzero is about 3x slower and also
+    # returns the row indices.
+    ids = np.flatnonzero(rows == ord(_CHAR_OF_KIND[kind]))
+    ids %= rows.shape[1]
+    return ids.reshape(len(rows), n)
 
 
 def low_objective_batch(grid: MeshGrid, rows: np.ndarray,

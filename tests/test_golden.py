@@ -153,10 +153,10 @@ def test_search_result(c):
 
 @pytest.mark.parametrize("block", [1, 2, 7, 1 << 30])
 def test_search_result_any_block_size(block, monkeypatch):
-    # Blocks of one row prune whole blocks and lower the running minimum
-    # block after block; one block larger than any space holds them all.
-    # Blocks of a few rows on the bench's 360,360-candidate space would take
-    # a minute; the smaller spaces cross block boundaries in the same ways.
+    # Blocks of one row lower the running minimum block after block; one
+    # block larger than any space holds them all. Blocks of a few rows on
+    # the bench's 45,315 representatives would add 7 s; the smaller spaces
+    # cross block boundaries in the same ways.
     monkeypatch.setattr(optimizer, "SEARCH_BLOCK", block)
     for c in SEARCH_CASES:
         if block > 7 or c["id"] != "exh.low.4x4.6.2.0.prune1":

@@ -25,11 +25,10 @@ from nocplace import (
     two_phase_optimize,
 )
 from nocplace import candidates, optimizer, queueing, scoring
-from nocplace.candidates import raw_blocks
+from nocplace.candidates import raw_blocks, representative_blocks
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import (
     SearchSpace,
-    _canonical,
     _prefilter,
     _raw_count,
     _symmetries,
@@ -81,6 +80,21 @@ def is_canonical(s, perms):
     return True
 
 
+def _canonical(rows, perms):
+    """Oracle: the array filter the search kept candidates with before it
+    generated orbit representatives. Mask of the rows that are the
+    lexicographically smallest string of their orbit under ``perms``. The
+    bytes of ``$ . C M`` sort as the characters do, so for each map the first
+    tile where a row and its image differ decides."""
+    wide = rows.astype(np.int16)
+    keep = np.ones(len(rows), dtype=bool)
+    at = np.arange(len(rows))
+    for perm in perms[1:]:  # perms[0] is the identity
+        d = wide[:, perm] - wide
+        keep &= d[at, (d != 0).argmax(axis=1)] >= 0
+    return keep
+
+
 def _candidate_strings(base, free, counts, pool):
     """Oracle: the string generator the search enumerated candidates with
     before it wrote them into arrays. All assignment strings that place
@@ -128,12 +142,14 @@ def rows_of(strings, n_tiles):
                     dtype=np.uint8).reshape(len(strings), n_tiles)
 
 
-def canonical_rows(space):
-    """The canonical candidate rows of an exhaustive search of ``space``."""
+def canonical_rows(space, perms=None):
+    """Oracle: the rows of ``raw_blocks`` for ``space`` that ``_canonical``
+    keeps under ``perms`` (default: the search's symmetries), in order."""
     base, free, counts, pool = _tile_ids(space)
-    perms = _symmetries(space, pool)
+    perms = _symmetries(space, pool) if perms is None else perms
     return np.concatenate([rows[_canonical(rows, perms)] for rows in
-                           raw_blocks(base, free, counts, pool, optimizer.SEARCH_BLOCK)])
+                           raw_blocks(base, free, counts, pool, optimizer.SEARCH_BLOCK)]
+                          or [np.empty((0, space.grid.n_tiles), np.uint8)])
 
 
 class TestExhaustive:
@@ -328,28 +344,130 @@ class TestRawBlocks:
         assert peak < 4 << 20
 
 
+class TestRepresentativeBlocks:
+    """The orbit-representative enumerator against the array oracle: the
+    same set of rows, each once, in blocks of the requested size."""
+
+    @staticmethod
+    def check(space, perms=None, block=optimizer.SEARCH_BLOCK):
+        base, free, counts, pool = _tile_ids(space)
+        perms = _symmetries(space, pool) if perms is None else perms
+        blocks = list(representative_blocks(base, free, counts, pool, perms, block))
+        assert all(len(b) == block for b in blocks[:-1]) and all(len(b) for b in blocks)
+        assert all(b.dtype == np.uint8 and b.shape[1:] == (len(base),) for b in blocks)
+        got = [r.tobytes() for b in blocks for r in b]
+        want = [r.tobytes() for r in canonical_rows(space, perms)]
+        assert len(set(got)) == len(got), "duplicate representatives"
+        assert set(got) == set(want), (space, len(got), len(want))
+        return len(got)
+
+    @pytest.mark.parametrize("axis_preserving", [False, True])
+    def test_every_small_grid(self, axis_preserving):
+        # Square, non-square and 1xN grids up to 5x5, under the full group
+        # (LOW) and the axis-preserving one (HIGH).
+        rng = random.Random(21)
+        mode = Mode.HIGH if axis_preserving else Mode.LOW
+        compared = 0
+        for w in range(1, 6):
+            for h in range(1, 6):
+                n = w * h
+                triples = {(0, 0, 0), (n, 0, 0), (0, n, 0), (1, 1, 1), (2, 2, 0)}
+                while len(triples) < 7:
+                    triples.add(tuple(rng.randint(0, min(n, 4)) for _ in range(3)))
+                for counts in sorted(triples):
+                    space = SearchSpace(MeshGrid(w, h), *counts, mode=mode)
+                    if sum(counts) <= n and _raw_count(*_tile_ids(space)[1:]) <= 40_000:
+                        compared += 1
+                        self.check(space)
+        assert compared > 120
+
+    def test_zero_caches(self):
+        # One cache set, the empty one, that every map fixes: the cores and
+        # controllers are filtered under the whole group.
+        for w, h, counts in ((4, 4, (3, 0, 0)), (4, 4, (2, 0, 2)), (5, 3, (0, 0, 3)),
+                             (1, 6, (2, 0, 1))):
+            for mode in Mode:
+                self.check(SearchSpace(MeshGrid(w, h), *counts, mode=mode))
+
+    def test_pool_preserving_subgroups(self):
+        rng = random.Random(4)
+        for w, h, counts in ((3, 3, (2, 1, 1)), (4, 4, (2, 1, 2)), (4, 3, (1, 2, 1)),
+                             (5, 5, (1, 1, 2)), (1, 5, (1, 1, 1)), (4, 4, (0, 2, 2))):
+            g = MeshGrid(w, h)
+            corners = {Coord(x, y) for x in (0, w - 1) for y in (0, h - 1)}
+            pools = [frozenset(g.perimeter()), frozenset(corners), frozenset()] + [
+                frozenset(rng.sample(list(g.tiles()), rng.randint(1, g.n_tiles)))
+                for _ in range(3)]
+            for pool in pools:
+                for mode in Mode:
+                    self.check(SearchSpace(g, *counts, mode=mode, mc_tiles=pool))
+
+    def test_more_than_26_tiles(self):
+        # Keys of two and three float64 words.
+        for w, h, counts in ((6, 6, (2, 1, 0)), (9, 3, (1, 1, 1)), (7, 4, (0, 2, 1)),
+                             (8, 8, (1, 2, 0))):
+            for mode in Mode:
+                self.check(SearchSpace(MeshGrid(w, h), *counts, mode=mode))
+
+    @pytest.mark.parametrize("block", [1, 3, 100])
+    def test_small_blocks_and_steps(self, block, monkeypatch):
+        # Steps of 2 rows split every table into chunks, and cache sets
+        # reach the cores in groups of one or a few.
+        monkeypatch.setattr(candidates, "_STEP_ROWS", 2)
+        for w, h, counts in ((3, 3, (2, 2, 1)), (4, 3, (1, 3, 0)), (4, 4, (0, 4, 0))):
+            self.check(SearchSpace(MeshGrid(w, h), *counts), block=block)
+
+    def test_unpruned_group(self):
+        # The identity alone: every placement is its own representative.
+        space = SearchSpace(MeshGrid(3, 3), 2, 2, 1)
+        assert self.check(space, perms=[tuple(range(9))]) == _raw_count(*_tile_ids(space)[1:])
+
+    def test_first_block_memory_is_bounded(self):
+        # 3.2e28 raw placements, of which the first cache set alone has
+        # 1.2e18: nothing may be built whole before the first block.
+        space = SearchSpace(MeshGrid(8, 8), n_cores=24, n_caches=9, n_mcs=2)
+        base, free, counts, pool = _tile_ids(space)
+        perms = _symmetries(space, pool)
+        tracemalloc.start()
+        try:
+            first = next(representative_blocks(base, free, counts, pool, perms,
+                                               optimizer.SEARCH_BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (optimizer.SEARCH_BLOCK, 64)
+        strings = [r.tobytes().decode("ascii") for r in first]
+        assert all(is_canonical(s, perms) for s in strings)
+        assert all(Counter(s) == Counter({"$": 9, "C": 24, "M": 2, ".": 29}) for s in strings)
+        assert len(set(strings)) == len(strings)
+        assert peak < 4 << 20
+
+
 class TestBlocks:
     def test_pruned_blocks_and_dropped_near_ties(self, monkeypatch):
         space = SearchSpace(MeshGrid(3, 3), n_cores=2, n_caches=2)
         spec = TrafficSpec(miss_l2=0.3)
         whole = exhaustive_search(space, spec)
-        masks, rescored = [], []
-        canonical, value, scalar = optimizer._canonical, optimizer._value, objective
+        sizes, rescored = [], []
+        blocks, value, scalar = candidates.representative_blocks, optimizer._value, objective
 
-        def record_mask(rows, perms):
-            masks.append(canonical(rows, perms))
-            return masks[-1]
+        def record_blocks(*args):
+            for rows in blocks(*args):
+                sizes.append(len(rows))
+                yield rows
 
         def record_value(placement, *args):
             rescored.append(placement_string(placement))
             return value(placement, *args)
 
         monkeypatch.setattr(optimizer, "SEARCH_BLOCK", 3)
-        monkeypatch.setattr(optimizer, "_canonical", record_mask)
+        monkeypatch.setattr(candidates, "representative_blocks", record_blocks)
         monkeypatch.setattr(optimizer, "_value", record_value)
         blocked = exhaustive_search(space, spec)
         assert blocked.to_json_dict() == whole.to_json_dict()
-        assert any(not m.any() for m in masks)
+        # 108 representatives of 756 placements, three to a block.
+        assert sizes == [3] * 36
+        assert (blocked.evaluated, blocked.pruned) == (108, 756 - 108)
         # Near-minimum candidates of early blocks that a later block beat.
         winners = {placement_string(p) for p in whole.best}
         losers = set(rescored) - winners

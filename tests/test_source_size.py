@@ -16,9 +16,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nocplace"
 # The feed-forward simulator is imported on first use only, so its compile
 # cost stays off the paths that do not simulate.
 OVER_THE_STEP = {"feedforward.py"}
-# Modules imported on first use only: the two simulator engines and the
-# batch scorers of the search.
-ON_FIRST_USE = {"nocplace.events", "nocplace.feedforward", "nocplace.scoring"}
+# Modules imported on first use only: the two simulator engines, and the
+# candidate enumerators and batch scorers of the search.
+ON_FIRST_USE = {"nocplace.candidates", "nocplace.events", "nocplace.feedforward",
+                "nocplace.scoring"}
 
 
 def tokens(path: Path) -> int:
