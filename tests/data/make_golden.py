@@ -5,9 +5,13 @@ and the simulator against.
     PYTHONPATH=src python3 tests/data/make_golden.py sim tests/data/golden_sim.json
     PYTHONPATH=src python3 tests/data/make_golden.py search tests/data/golden_search.json
 
-The committed models file was written by the dict-walking implementation of
+The models file was first written by the dict-walking implementation of
 the HIGH model that the integer-indexed kernel replaced (commit 2fa444d), so
-the test pins the kernel to the results of the code it replaced. Per case it
+the test pins the kernel to the results of the code it replaced. Later
+summation-order changes moved 12 HIGH values in their last digits (at most
+4e-15 relative, within the test's 1e-12), and the file was then regenerated
+by the kernel, so that CI can regenerate it and compare it byte for byte as
+it does the other two files. Per case it
 stores the LOW and HIGH objective values, the per-router response times of
 the delay inspector (13 significant digits, row-major routers, ports in
 ``PORT_ORDER``), the SHA-256 of the ``derive_channel_rates`` CSV, and for
