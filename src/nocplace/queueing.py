@@ -23,6 +23,11 @@ changes no bit) and stops at its own convergence; ``solve_router`` is the
 same kernel on a batch of one. The kernel reports each row's outcome rather
 than raising, so one batch can also hold the meshes of many candidate
 placements: a saturated or non-convergent router ends only its own mesh.
+Since a row's outcome depends on its own (lam, turns) alone, the HIGH batch
+scorer goes further: it solves each distinct row of many placements once,
+as networks of one router, and reads a placement's outcome off its rows.
+The waiting-time formula's arguments are checked once per batch, not on
+every iteration.
 """
 
 from __future__ import annotations
@@ -252,15 +257,24 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
         rho_out[fail] = rho[fail]
         rows = rows[~(fail | drop)]
 
-    lam_a = lam[rows]
-    rhs = _contention_rhs(lam_a, turns[rows], es)
+    lam_a, turns_a = lam[rows], turns[rows]
+    rhs = _contention_rhs(lam_a, turns_a, es)
     contention = np.zeros((n_rows, n, n))
     wq_out = np.zeros((n_rows, n))
     iterations = np.zeros(n_rows, dtype=np.int64)
     final_delta = np.zeros(n_rows)
-    # Like a network alone, the batch reaches the waiting-time formula (and
-    # its argument checks) only if some first router passed the plain check.
-    nq = lam_a * kingman_wait(rho[rows], ca2, svc.scv, es, mode) if rows.size else lam_a
+    nq = lam_a
+    if rows.size:
+        # Like a network alone, the batch reaches the waiting-time formula
+        # (and its argument checks) only if some first router passed the
+        # plain check. Checked once here: with rates >= 0 every contention
+        # term is >= 0, so no later effective utilization is negative, and
+        # the loop drops those >= 1 before the formula sees them.
+        nq = lam_a * kingman_wait(rho[rows], ca2, svc.scv, es, mode)
+        if (turns_a < 0.0).any():
+            raise UnstableError("turn rates must be >= 0")
+    # kingman_wait's and effective_utilization's arithmetic, unchecked.
+    num, es_f = 0.5 * (ca2 + svc.scv) * es, float(es)
     diagonal = np.eye(n, dtype=bool)
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
         if not rows.size:
@@ -268,7 +282,7 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.where(nq[:, None, :] > 0.0, rhs / nq[:, None, :], 0.0)
         c[:, diagonal] = 1.0
-        rho_e = effective_utilization(lam_a, c, es)
+        rho_e = lam_a * _port_sum(c * es_f)
         bad = rho_e.max(axis=1) >= 1.0
         if bad.any():
             fail, drop = _first_failures(rows, bad, group)
@@ -276,7 +290,9 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
             rho_out[rows[fail]] = rho_e[fail]
             left = ~(fail | drop)
             rows, lam_a, rhs, nq, c, rho_e = (a[left] for a in (rows, lam_a, rhs, nq, c, rho_e))
-        wq = kingman_wait(rho_e, ca2, svc.scv, es, mode)
+        wq = num / (1.0 - rho_e)
+        if mode == STANDARD:
+            wq = rho_e * wq
         nq_next = lam_a * wq
         delta = np.abs(nq_next - nq).max(axis=1, initial=0.0)
         nq = (1.0 - FIXED_POINT_DAMPING) * nq + FIXED_POINT_DAMPING * nq_next

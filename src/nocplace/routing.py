@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -77,8 +77,9 @@ class FlowKind(Enum):
 _KINDS = tuple(sorted(FlowKind, key=lambda k: k.value))
 _KIND_CODE = {k: i for i, k in enumerate(_KINDS)}
 
-# Flows expanded into hops per chunk: bounds the hop arrays of a 16x16 grid
-# to ~32k entries.
+# Flows gathered into hops per chunk: a chunk's hop arrays hold at most
+# _HOP_CHUNK * (width + height - 1) entries (31,744 on a 16x16 grid, stacked
+# copies included), however many flows there are.
 _HOP_CHUNK = 1024
 
 
@@ -214,39 +215,67 @@ def build_flows(placement: Placement, spec: TrafficSpec,
     return flow_set(placement, spec, resolved).flows(placement.grid)
 
 
+@lru_cache(maxsize=8)
+def _xy_table(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every XY path of ``grid`` by displacement, for ``xy_hops`` to gather.
+
+    XY routing is translation-invariant (Dally & Seitz 1987): a path's hops
+    depend only on the displacement (dx - sx, dy - sy). Displacement key
+    ``(dy - sy + height - 1) * (2 * width - 1) + dx - sx + width - 1``
+    owns hops ``first[key]:first[key] + length[key]`` of ``rel``, each
+    hop's input channel less ``N_PORTS * src``, and of ``out``, its out
+    port. The (2w-1)(2h-1) paths hold 15,841 hops at 16x16. Built one
+    row of displacements at a time, so no temporary outgrows a row.
+    """
+    w, h = grid.width, grid.height
+    dx = np.arange(1 - w, w)
+    nx, east = np.abs(dx), dx > 0
+    rel, out = [], []
+    for dy in range(1 - h, h):
+        ny, south = abs(dy), dy > 0
+        length = nx + ny + 1
+        path = np.repeat(np.arange(len(dx)), length)
+        pos = np.arange(int(length.sum())) - np.repeat(np.cumsum(length) - length, length)
+        nxp, e = nx[path], east[path]
+        x = np.sign(dx)[path] * np.minimum(pos, nxp)
+        y = (1 if south else -1) * np.maximum(pos - nxp, 0)
+        in_port = np.where(pos == 0, _L, np.where(pos <= nxp, np.where(e, _W, _E),
+                                                  _N if south else _S))
+        rel.append(((y * w + x) * N_PORTS + in_port).astype(np.int32))
+        out.append(np.where(pos < nxp, np.where(e, _E, _W),
+                            np.where(pos < nxp + ny, _S if south else _N, _L)).astype(np.int32))
+    length = np.add.outer(np.abs(np.arange(1 - h, h)), nx + 1).ravel().astype(np.int32)
+    first = np.cumsum(length, dtype=np.int32) - length
+    table = (first, length, np.concatenate(rel), np.concatenate(out))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def xy_hops(grid: MeshGrid, src: np.ndarray,
             dst: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Expand XY paths into hops, a chunk of flows at a time.
+    """Expand XY paths into hops, a chunk of flows at a time, by gathering
+    them from the grid's displacement table.
 
     Yields ``(start, flow, pos, channel, out_port)``: hop arrays for flows
     ``start + flow``, in flow order and path order within each flow. ``pos``
     is the hop's position on its path (0 is the injection hop at the
     source), ``channel`` the input channel id ``tile * N_PORTS + in_port``
-    and ``out_port`` the port index the hop leaves by.
+    and ``out_port`` the port index the hop leaves by. Tile ids may name
+    stacked copies of ``grid`` (``copy * n_tiles + tile``).
     """
-    w = grid.width
+    first, length, rel, out = _xy_table(grid)
+    w, span = grid.width, 2 * grid.width - 1
     for start in range(0, len(src), _HOP_CHUNK):
         s = src[start:start + _HOP_CHUNK].astype(np.int32)
         d = dst[start:start + _HOP_CHUNK].astype(np.int32)
-        sx, sy, dx, dy = s % w, s // w, d % w, d // w
-        nx, ny = np.abs(dx - sx), np.abs(dy - sy)
-        length = nx + ny + 1
-        flow = np.repeat(np.arange(len(s), dtype=np.int32), length)
-        first = np.cumsum(length, dtype=np.int32) - length
-        pos = np.arange(int(length.sum()), dtype=np.int32) - np.repeat(first, length)
-        east, south = dx > sx, dy > sy
-        step_x = np.where(east, 1, -1).astype(np.int32)[flow]
-        step_y = np.where(south, 1, -1).astype(np.int32)[flow]
-        nxf, nyf = nx[flow], ny[flow]
-        x = sx[flow] + step_x * np.minimum(pos, nxf)
-        y = sy[flow] + step_y * np.maximum(pos - nxf, 0)
-        in_port = np.where(pos == 0, _L,
-                           np.where(pos <= nxf, np.where(east, _W, _E)[flow],
-                                    np.where(south, _N, _S)[flow]))
-        out_port = np.where(pos < nxf, np.where(east, _E, _W)[flow],
-                            np.where(pos < nxf + nyf, np.where(south, _S, _N)[flow], _L))
-        channel = (y * w + x) * N_PORTS + in_port
-        yield start, flow, pos, channel.astype(np.int32), out_port.astype(np.int32)
+        key = (d // w - s // w + grid.height - 1) * span + d % w - s % w + w - 1
+        n = length[key]
+        flow = np.repeat(np.arange(len(s), dtype=np.int32), n)
+        pos = np.arange(len(flow), dtype=np.int32)
+        pos -= np.repeat(np.cumsum(n, dtype=np.int32) - n, n)
+        idx = pos + np.repeat(first[key], n)
+        yield start, flow, pos, rel[idx] + np.repeat(N_PORTS * s, n), out[idx]
 
 
 def path_sums(grid: MeshGrid, src: np.ndarray, dst: np.ndarray,
@@ -340,8 +369,11 @@ def _superpose(flows: FlowSet, grid: MeshGrid,
     ``channel_loads``."""
     nz = flows.rate != 0.0
     src, dst, kind, rate = flows.src[nz], flows.dst[nz], flows.kind[nz], flows.rate[nz]
-    w = grid.width
-    order = np.lexsort((rate, kind, dst // w, dst % w, src // w, src % w))
+    # The canonical order: (src x, src y, dst x, dst y, kind) packed into one
+    # integer key, then rate.
+    w, h = grid.width, copies * grid.height
+    src_xy, dst_xy = src % w * h + src // w, dst % w * h + dst // w
+    order = np.lexsort((rate, (src_xy * np.int64(w * h) + dst_xy) * len(_KINDS) + kind))
     src, dst, rate = src[order], dst[order], rate[order]
     n_ch = copies * grid.n_tiles * N_PORTS
     lam = np.zeros(n_ch)

@@ -129,3 +129,52 @@ def test_non_convergence_names_first_router_over_the_cap(placement, spec, monkey
         packet_delay_inspector(placement, spec)
     assert f"router {first} " in str(exc.value)
     assert f"within {cap} iterations" in str(exc.value)
+
+
+def checked_fixed_point(lam, turns, svc, ca2, mode):
+    """One router's damped fixed point through the public, argument-checking
+    ``kingman_wait`` and ``effective_utilization`` on every iteration: the
+    oracle of the batched loop, which checks their arguments once."""
+    es = svc.mean_service
+    rhs = queueing._contention_rhs(lam[None], turns[None], es)[0]
+    nq = lam * queueing.kingman_wait(lam * es, ca2, svc.scv, es, mode)
+    for it in range(1, queueing.FIXED_POINT_MAX_ITER + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(nq[None, :] > 0.0, rhs / nq[None, :], 0.0)
+        np.fill_diagonal(c, 1.0)
+        rho_e = queueing.effective_utilization(lam, c, es)
+        wq = queueing.kingman_wait(rho_e, ca2, svc.scv, es, mode)
+        nq_next = lam * wq
+        delta = np.abs(nq_next - nq).max(initial=0.0)
+        nq = (1.0 - queueing.FIXED_POINT_DAMPING) * nq + queueing.FIXED_POINT_DAMPING * nq_next
+        if delta < queueing.FIXED_POINT_TOL:
+            return c, rho_e, wq, it, delta
+    raise AssertionError("did not converge")
+
+
+@pytest.mark.parametrize("mode", [PAPER, STANDARD])
+@pytest.mark.parametrize("placement,spec", CASES)
+def test_unchecked_loop_matches_the_checked_functions(placement, spec, mode):
+    loads = _loads(placement, spec)
+    fp = solve_network(loads, spec.svc, spec.arrival_scv, mode)
+    for t in range(placement.grid.n_tiles):
+        c, rho_e, wq, it, delta = checked_fixed_point(loads.lam[t], loads.turns[t], spec.svc,
+                                                      spec.arrival_scv, mode)
+        assert np.array_equal(fp.contention[t], c)
+        assert np.array_equal(fp.rho_e[t], rho_e)
+        assert np.array_equal(fp.wq[t], wq)
+        assert (fp.iterations[t], fp.final_delta[t]) == (it, delta)
+
+
+def test_waiting_time_arguments_are_checked_before_iterating():
+    rl = router_loads(_loads(*CASES[0]), Coord(1, 1))
+    with pytest.raises(ValueError, match="unknown waiting-time mode"):
+        solve_router(rl, ServiceSpec(), mode="bogus")
+    with pytest.raises(UnstableError, match="SCVs must be >= 0"):
+        solve_router(rl, ServiceSpec(), ca2=-1.0)
+    # Negative turn rates could make an effective utilization negative
+    # inside the loop, which no longer checks its range.
+    rl.turns = rl.turns.copy()
+    rl.turns[0, 1] = -0.1
+    with pytest.raises(UnstableError, match="turn rates must be >= 0"):
+        solve_router(rl, ServiceSpec())

@@ -187,3 +187,68 @@ def test_memory_is_bounded_by_the_chunk():
             tracemalloc.stop()
         assert np.isfinite(values).all()
         assert peak < 3 << 20, (side, peak)
+
+
+def spy_fixed_point(monkeypatch):
+    """Record the (rows, group) of every fixed point the batch scorer runs."""
+    calls = []
+    real = scoring._fixed_point
+
+    def spy(lam, turns, svc, ca2, mode, group):
+        calls.append((np.concatenate([lam, turns.reshape(len(lam), -1)], axis=1), group))
+        return real(lam, turns, svc, ca2, mode, group)
+
+    monkeypatch.setattr(scoring, "_fixed_point", spy)
+    return calls
+
+
+@pytest.mark.parametrize("memo_rows,wait_rows", [(1 << 11, 1 << 16), (100, 1 << 16), (1 << 11, 40)])
+def test_distinct_rows_with_repeats_and_every_failure_kind(memo_rows, wait_rows, monkeypatch):
+    # Repeated candidates and every failure kind (at 28 iterations some
+    # routers have not settled), over several flushes: each distinct row is
+    # solved once, in fixed points of at most _BATCH_ROWS rows, however the
+    # memo and the waiting placements are bounded.
+    monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", 28)
+    monkeypatch.setattr(scoring, "_BATCH_ROWS", 48)
+    monkeypatch.setattr(scoring, "_MEMO_ROWS", memo_rows)
+    monkeypatch.setattr(scoring, "_WAIT_ROWS", wait_rows)
+    rng = random.Random(3)
+    kinds = list("CCCCCCCC$$$$....")
+    distinct = []
+    for _ in range(40):
+        rng.shuffle(kinds)
+        distinct.append("".join(kinds))
+    strings = [rng.choice(distinct) for _ in range(120)]
+    calls = spy_fixed_point(monkeypatch)
+    spec = TrafficSpec(lambda_g=0.4, miss_l2=0.3, model_replies=True)
+    causes = assert_matches_alone(MeshGrid(4, 4), strings, spec, PAPER)
+    assert set(causes.tolist()) == {OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT}
+    assert len(calls) > 2
+    assert all(group == 1 and 0 < len(rows) <= 48 for rows, group in calls)
+    solved = [row.tobytes() for rows, _ in calls for row in rows]
+    if memo_rows >= 16 * len(distinct):  # the memo never fills
+        assert len(solved) == len(set(solved))
+
+
+def test_distinct_rows_are_solved_once_per_pass(monkeypatch):
+    # A 6x6 swap pass repeats most router rows: 315 candidates, 11,340 rows.
+    calls = spy_fixed_point(monkeypatch)
+    grid, rows = neighbourhood(6, 24, 9)
+    values, causes = high_objective_batch(grid, rows, TrafficSpec(lambda_g=0.1))
+    assert (causes == OK).all()
+    solved = [row.tobytes() for part, _ in calls for row in part]
+    assert len(solved) == len(set(solved)) < rows.size // 10
+    assert all(len(part) <= scoring._BATCH_ROWS for part, _ in calls)
+    strings = [row.tobytes().decode("ascii") for row in rows[::40]]
+    for s, value in zip(strings, values[::40].tolist()):
+        assert value == alone(placement_from_string(grid, s), TrafficSpec(lambda_g=0.1), PAPER)[0]
+
+
+def test_empty_batches_return_empty_arrays():
+    grid = MeshGrid(3, 3)
+    empty = np.empty((0, grid.n_tiles), dtype=np.uint8)
+    values, causes = high_objective_batch(grid, empty, TrafficSpec())
+    assert values.shape == causes.shape == (0,)
+    assert values.dtype == float and causes.dtype == np.int8
+    values, bound = scoring.low_objective_batch(grid, empty, TrafficSpec())
+    assert values.shape == (0,) and values.dtype == float and bound == 0.0

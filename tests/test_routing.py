@@ -291,3 +291,103 @@ class TestArrayPaths:
                 ins = [Port.LOCAL] + [out.opposite for _, out in hops[:-1]]
                 expected = {(r, i, o): 1.0 for (r, o), i in zip(hops, ins)}
                 assert loads.turn_rates == expected
+
+
+def expand_xy_hops(grid, src, dst, chunk):
+    """The arithmetic XY expansion that ``xy_hops`` replaced by a gather from
+    its displacement table: the oracle of ``TestHopGather``."""
+    import numpy as np
+
+    from nocplace.routing import N_PORTS
+
+    n_, s_, e_, w_, l_ = range(N_PORTS)
+    w = grid.width
+    for start in range(0, len(src), chunk):
+        s = src[start:start + chunk].astype(np.int32)
+        d = dst[start:start + chunk].astype(np.int32)
+        sx, sy, dx, dy = s % w, s // w, d % w, d // w
+        nx, ny = np.abs(dx - sx), np.abs(dy - sy)
+        length = nx + ny + 1
+        flow = np.repeat(np.arange(len(s), dtype=np.int32), length)
+        first = np.cumsum(length, dtype=np.int32) - length
+        pos = np.arange(int(length.sum()), dtype=np.int32) - np.repeat(first, length)
+        east, south = dx > sx, dy > sy
+        step_x = np.where(east, 1, -1).astype(np.int32)[flow]
+        step_y = np.where(south, 1, -1).astype(np.int32)[flow]
+        nxf, nyf = nx[flow], ny[flow]
+        x = sx[flow] + step_x * np.minimum(pos, nxf)
+        y = sy[flow] + step_y * np.maximum(pos - nxf, 0)
+        in_port = np.where(pos == 0, l_,
+                           np.where(pos <= nxf, np.where(east, w_, e_)[flow],
+                                    np.where(south, n_, s_)[flow]))
+        out_port = np.where(pos < nxf, np.where(east, e_, w_)[flow],
+                            np.where(pos < nxf + nyf, np.where(south, s_, n_)[flow], l_))
+        channel = (y * w + x) * N_PORTS + in_port
+        yield start, flow, pos, channel.astype(np.int32), out_port.astype(np.int32)
+
+
+class TestHopGather:
+    """``xy_hops`` gathers from a per-grid displacement table: the same hop
+    arrays, dtypes and chunks as the arithmetic expansion, from a table
+    whose size grows with the displacements, not with the tile pairs."""
+
+    GRIDS = [(1, 1), (1, 7), (7, 1), (5, 3), (8, 8), (16, 16)]
+
+    @staticmethod
+    def assert_same(grid, src, dst):
+        from nocplace.routing import _HOP_CHUNK, xy_hops
+
+        got = list(xy_hops(grid, src, dst))
+        want = list(expand_xy_hops(grid, src, dst, _HOP_CHUNK))
+        assert len(got) == len(want)
+        for g, e in zip(got, want):
+            assert g[0] == e[0]
+            for a, b in zip(g[1:], e[1:]):
+                assert a.dtype == b.dtype
+                assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("w,h", GRIDS)
+    def test_all_pairs(self, w, h):
+        import numpy as np
+
+        g = MeshGrid(w, h)
+        src, dst = np.divmod(np.arange(g.n_tiles ** 2), g.n_tiles)
+        self.assert_same(g, src, dst)
+
+    @pytest.mark.parametrize("w,h", GRIDS)
+    @pytest.mark.parametrize("copies", [1, 6])
+    def test_random_flows_on_stacked_copies(self, w, h, copies):
+        # Tile b * n_tiles + t is tile t of copy b, as _superpose and the
+        # HIGH batch scorer stack their candidates; paths stay in a copy.
+        import numpy as np
+
+        g = MeshGrid(w, h)
+        rng = np.random.default_rng(w * 31 + h + copies)
+        m = 2500
+        base = rng.integers(0, copies, m) * g.n_tiles
+        src, dst = base + rng.integers(0, g.n_tiles, m), base + rng.integers(0, g.n_tiles, m)
+        for dtype in (np.int64, np.int32):
+            self.assert_same(g, src.astype(dtype), dst.astype(dtype))
+        self.assert_same(g, src[:0], dst[:0])
+
+    def test_table_of_16x16_is_small(self):
+        # (2w - 1)(2h - 1) displacement paths, 15,841 hops: the all-pairs
+        # table would hold 761,856.
+        import tracemalloc
+
+        from nocplace.routing import _xy_table
+
+        grid = MeshGrid(16, 16)
+        _xy_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = _xy_table(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        first, length, rel, out = table
+        assert len(first) == len(length) == 31 * 31
+        assert len(rel) == len(out) == int(length.sum()) == 15841
+        assert peak <= 512 << 10, peak
+        assert _xy_table(MeshGrid(16, 16)) is table
+        assert not rel.flags.writeable
