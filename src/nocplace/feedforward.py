@@ -7,7 +7,9 @@ S_k`` (Lindley 1952), taken channel by channel in dependency order with no
 event heap. ``run_feedforward`` returns the ``SimStats`` of the event engine
 bit for bit:
 
-- The random stream is the same: every draw happens at a generation.
+- The random stream is the same: every draw happens at a generation, and a
+  window's uniforms come from one ``getrandbits`` call that yields the words
+  ``random()`` would use (``_uniforms``).
 - Every float is computed by the same operations in the same order: each
   departure by the recursion in FIFO order; each running sum (response,
   service, queue-length area, busy time, flow latency) one term at a time in
@@ -21,7 +23,11 @@ bit for bit:
   scheduled a departure. Ties it does not rebuild raise ``TieUnresolved``.
 
 The working set is bounded: generations come in windows of ``_WINDOW``, and
-only the messages in flight and the current window's events are kept.
+only the messages in flight and the current window's event records are kept.
+A record takes 26 bytes (int32 ids while every event id fits, int16 push
+ranks): a window of 4,096 generations on an 8x8 mesh holds up to about
+30,000 records, 0.8 MB. Fewer, larger windows make fewer numpy calls per
+message.
 """
 
 from __future__ import annotations
@@ -40,25 +46,18 @@ from .traffic import resolve
 
 _N, _S, _E, _W, _L = range(N_PORTS)  # port indices in PORT_ORDER
 
-# Generations per window of the feed-forward engine. Its working set is a
-# few windows of messages and events; fewer, larger windows cost less numpy
-# call overhead.
-_WINDOW = 2048
-
-# One in-flight message of the feed-forward engine, one array per field:
-# generation time, service time and flow (core index * n_caches + cache
-# index); ``cur`` is the time of its latest event, ``level``/``next`` the
-# level of that event and of its next channel, and ``sched_t``/``sched``/
-# ``rank`` the record of that event: when and by which event it was
-# scheduled, and its push rank within that event.
-_MSG_FIELDS = {"t0": np.float64, "svc": np.float64, "cur": np.float64,
-               "sched_t": np.float64, "sched": np.int64, "flow": np.int32,
-               "rank": np.int32, "level": np.int16, "next": np.int16}
+# Generations per window of the feed-forward engine. Its working set is
+# about one window of event records plus up to two windows of messages;
+# fewer, larger windows cost less numpy call overhead. 4,096 keeps the
+# traced peak of ``test_working_set_within_event_engine_bound`` at about
+# 1.6x the event engine's, within its 2x bound.
+_WINDOW = 4096
 
 
 class _Events(NamedTuple):
-    """Events of the current window, kept until its ties are ranked: time,
-    the record fields of ``_MSG_FIELDS`` and the event id."""
+    """Records of the current window's events, kept until its ties are
+    ranked: time, when and by which event it was scheduled, its push rank
+    within that event, and the event id."""
 
     t: np.ndarray
     sched_t: np.ndarray
@@ -70,9 +69,20 @@ class _Events(NamedTuple):
 class TieUnresolved(Exception):
     """An event coincides with another whose relative pop order the engine
     does not rebuild: two arrivals at one channel from different channels
-    (their FIFO order), or an arrival and the warmup-th generation (whether
-    it counts). Each takes a coincidence of float sums; such runs are left
-    to the event engine."""
+    (their FIFO order), an arrival and the warmup-th generation (whether it
+    counts), or the generations of two cores. Each takes a coincidence of
+    float sums; such runs are left to the event engine."""
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` values of ``rng.random()``, bit for bit, in one call.
+
+    ``random()`` builds ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` from two
+    32-bit Mersenne Twister words; ``getrandbits(64 * n)`` draws the same
+    ``2n`` words, least significant first, and leaves the generator in the
+    same state."""
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _draws(rng: random.Random, inj: list[float], active_cores: list[int],
@@ -82,44 +92,62 @@ def _draws(rng: random.Random, inj: list[float], active_cores: list[int],
     Without derived messages every draw happens at a generation event: the
     gap to the core's next generation (none after the last), the cache and
     the length, in that order, one ``rng.random()`` each (``expovariate`` is
-    ``-log(1 - u) / rate``). So a window's uniforms are drawn in one go, and
+    ``-log(1 - u) / rate``, with ``math.log``, whose last bits ``np.log``
+    does not always match). So a window's uniforms are drawn in one go, and
     only the order of the generations is replayed one at a time, on a heap
-    of the active cores whose time ties break by their own push counter: the
-    order the event engine's global counter gives them. Yields (times, core
-    indices, cache indices, lengths, time of the next generation or inf).
+    of the active cores' next generation times. The event engine pops equal
+    times in push order, which the heap does not keep, so two cores due at
+    one instant raise ``TieUnresolved``. Yields (times, core indices, cache
+    indices, lengths, time of the next generation or inf).
     """
     uniform, log = rng.random, math.log
-    heap = [(-log(1.0 - uniform()) / inj[i], seq, i) for seq, i in enumerate(active_cores)]
+    owner: dict[float, int] = {}  # the core due at each time on the heap
+    for i in active_cores:
+        if owner.setdefault(-log(1.0 - uniform()) / inj[i], i) != i:
+            raise TieUnresolved
+    heap = list(owner)
     heapify(heap)
-    seq = len(heap)
+    # Each core's cumulative access row, padded with inf to a power of two
+    # so that a branch-free binary search stays inside the row.
+    width = 1 << cum_p.shape[1].bit_length()
+    rows = np.full((cum_p.shape[0], width), math.inf)
+    rows[:, :cum_p.shape[1]] = cum_p
+    rows = rows.ravel()
     while messages:
         n = min(_WINDOW, messages)
         messages -= n
-        u = [uniform() for _ in range(3 * n - (not messages))]
-        if not messages:
-            u.insert(3 * n - 3, 0.0)  # the last generation draws no gap
+        last = not messages
+        u = _uniforms(rng, 3 * n - last)
+        if last:
+            u = np.insert(u, 3 * n - 3, 0.0)  # the last generation draws no gap
         times, cores = [], []
-        for s, x in zip(range(seq, seq + n - (not messages)), u[0::3]):
-            t, _, i = heap[0]
-            heapreplace(heap, (t + -log(1.0 - x) / inj[i], s, i))
-            times.append(t)
-            cores.append(i)
-        seq += n
-        if not messages:
-            t, _, i = heap[0]
-            times.append(t)
-            cores.append(i)
-        cores = np.array(cores, dtype=np.int64)
-        pick = np.array(u[1::3])
-        caches = np.empty(n, dtype=np.int64)
-        for i in np.unique(cores).tolist():
-            mine = cores == i
-            caches[mine] = np.searchsorted(cum_p[i], pick[mine])
-        sizes = np.array([-log(1.0 - x) for x in u[2::3]]) / (1.0 / mean_size)
-        times = np.array(times)
-        del u, pick
+        push_t, push_i = times.append, cores.append
+        for g in map(log, (1.0 - u[0:3 * (n - last):3]).tolist()):
+            t = heap[0]
+            i = owner.pop(t)
+            push_t(t)
+            push_i(i)
+            t = t + -g / inj[i]
+            if owner.setdefault(t, i) != i:
+                raise TieUnresolved
+            heapreplace(heap, t)
+        if last:
+            push_t(heap[0])
+            push_i(owner[heap[0]])
+        del push_t, push_i  # they hold the lists, and each list its floats
+        times, cores = np.array(times), np.array(cores)
+        # searchsorted(cum_p[core], pick) for every generation at once.
+        pick = u[1::3]
+        at = cores * width - 1
+        step = width >> 1
+        while step:
+            at += step * (rows[at + step] < pick)
+            step >>= 1
+        caches = at - (cores * width - 1)
+        sizes = -np.fromiter(map(log, (1.0 - u[2::3]).tolist()), float, n) / (1.0 / mean_size)
+        del u, pick, at
         yield (times, cores, np.minimum(caches, cum_p.shape[1] - 1),
-               np.maximum(np.rint(sizes), 1.0), heap[0][0] if messages else math.inf)
+               np.maximum(np.rint(sizes), 1.0), math.inf if last else heap[0])
 
 
 def _lindley(arrive: list[float], service: list[float], starts: list[int],
@@ -136,28 +164,11 @@ def _lindley(arrive: list[float], service: list[float], starts: list[int],
     return out
 
 
-def _add_in_order(acc: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``acc[i] += v`` for each ``v`` of ``values`` at index ``i``, one at a
-    time in array order, as the event engine's running sums add (``bincount``
-    accumulates sequentially; ``np.add.at`` is slow before numpy 1.25)."""
-    n = acc.size
-    acc[:] = np.bincount(np.concatenate((np.arange(n), idx)),
-                         np.concatenate((acc, values)), minlength=n)
-
-
 def _segments(keys: np.ndarray) -> np.ndarray:
     """Boolean mask of the first element of each run of equal ``keys``."""
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return first
-
-
-def _sort_by_channel(t: np.ndarray, ch: np.ndarray, kind: str = "stable") -> np.ndarray:
-    """Order by channel, then time; equal times keep their order when
-    ``kind`` is stable."""
-    o = np.argsort(t, kind=kind)
-    return o[np.argsort(ch[o].astype(np.int16 if ch.size and ch.max() < 2**15 else np.int64),
-                        kind="stable")]
 
 
 def _rank_ties(events: list[_Events], ranks: dict[int, int], amb: dict,
@@ -169,13 +180,23 @@ def _rank_ties(events: list[_Events], ranks: dict[int, int], amb: dict,
     an event was scheduled at the instant its channel's previous departure
     left (``amb``), whichever of the two popped later scheduled it."""
     t = np.concatenate([part.t for part in events])
-    o = np.argsort(t)
-    same = t[o[1:]] == t[o[:-1]]
-    if not same.any():
+    t.sort()
+    dup = t[1:][t[1:] == t[:-1]]
+    del t
+    if not dup.size:
         return
-    o = o[np.append(same, False) | np.insert(same, 0, False)]
-    t, sched_t, sched, rank, ids = (np.concatenate([part[k] for part in events])[o]
-                                    for k in range(len(_Events._fields)))
+    # Only the records of tied events are gathered. A table indexed by the
+    # low 16 bits of a time flags those of the duplicated times, and each
+    # flagged event is checked against them (inf ends the search table).
+    flag = np.zeros(1 << 16, dtype=bool)
+    flag[dup.view(np.int64) & 0xFFFF] = True
+    dup = np.append(dup, math.inf)
+    hits = []
+    for part in events:
+        k = np.flatnonzero(flag[part.t.view(np.int64) & 0xFFFF])
+        hits.append(k[dup[np.searchsorted(dup, part.t[k])] == part.t[k]])
+    t, sched_t, sched, rank, ids = (np.concatenate([part[f][k] for part, k in zip(events, hits)])
+                                    for f in range(len(_Events._fields)))
     # Most ties split on the scheduling time or share the scheduling event;
     # the rest need the scheduling events' own tie ranks, taken in time order.
     o = np.lexsort((rank, sched, sched_t, t))
@@ -240,7 +261,7 @@ class _FeedForward:
         n_cores, n_caches = len(r.core_ids), len(r.cache_ids)
         self.n_caches = n_caches
         n_flows = n_cores * n_caches
-        n_ch = n_tiles * N_PORTS
+        self.n_ch = n_ch = n_tiles * N_PORTS
         self.w = w
         self.n_levels = w + h - 1
         self.done = self.n_levels
@@ -254,24 +275,38 @@ class _FeedForward:
         self.dst = dst = np.tile(r.cache_ids, n_cores).astype(np.int64)
         sx, sy, dx, dy = src % w, src // w, dst % w, dst // w
         east, south = dx > sx, dy > sy
-        self.local_ch = src * N_PORTS + _L
-        self.x_base = np.where(east, sy * w * N_PORTS + _W, (sy * w + w - 1) * N_PORTS + _E)
-        self.x_step = np.where(east, N_PORTS, -N_PORTS)
+        # A mesh has at most 16x16 tiles (``mesh.MAX_SIDE``), so channel ids,
+        # their four running-sum bins and every base + step * L fit int16,
+        # which ``lexsort`` radix-sorts.
+        self.local_ch = (src * N_PORTS + _L).astype(np.int16)
+        self.x_base = np.where(east, sy * w * N_PORTS + _W,
+                               (sy * w + w - 1) * N_PORTS + _E).astype(np.int16)
+        self.x_step = np.where(east, N_PORTS, -N_PORTS).astype(np.int16)
         self.y_base = np.where(south, dx * N_PORTS + _N - (w - 1) * w * N_PORTS,
-                               ((h - 1) * w + dx) * N_PORTS + _S + (w - 1) * w * N_PORTS)
-        self.y_step = np.where(south, w * N_PORTS, -w * N_PORTS)
+                               ((h - 1) * w + dx) * N_PORTS + _S + (w - 1) * w * N_PORTS
+                               ).astype(np.int16)
+        self.y_step = np.where(south, w * N_PORTS, -w * N_PORTS).astype(np.int16)
         self.x_last = np.where(east, dx, w - 1 - dx)
         self.y_last = (w - 1) + np.where(south, dy, h - 1 - dy)
         self.after_x = np.where(dy != sy, (w - 1) + np.where(south, sy + 1, h - sy), self.done)
         self.after_local = np.where(dx != sx, np.where(east, sx + 1, w - sx), self.after_x)
 
-        self.warmup_count = int(config.warmup_frac * config.messages)
+        messages = config.messages
+        self.warmup_count = int(config.warmup_frac * messages)
         self.stats_start = 0.0 if self.warmup_count == 0 else math.inf
         self.svc_max = 0.0
 
         # Messages: index i holds message base + i; lo:size may be in flight.
-        cap = min(2 * _WINDOW, config.messages)
-        self.msg = {name: np.empty(cap, dtype) for name, dtype in _MSG_FIELDS.items()}
+        # Each holds its generation time, service time and flow, and its
+        # latest event: time ``cur``, id ``eid`` and record (when and by
+        # which event it was scheduled, push rank within that event), and
+        # the level of its next channel.
+        # Push ranks stay below the number of cores.
+        ids = np.int32 if messages * self.stride < 2**31 else np.int64
+        fields = {"t0": np.float64, "svc": np.float64, "cur": np.float64, "sched_t": np.float64,
+                  "sched": ids, "eid": ids, "flow": np.int32, "rank": np.int16, "next": np.int16}
+        cap = min(2 * _WINDOW, messages)
+        self.msg = {name: np.empty(cap, dtype) for name, dtype in fields.items()}
         self.base = self.size = self.lo = 0
         self.core_last = np.full(n_cores, -1, dtype=np.int64)  # latest generation per core
         self.core_last_t = np.zeros(n_cores)
@@ -279,17 +314,19 @@ class _FeedForward:
         self.push_rank[self.active_cores] = np.arange(len(self.active_cores))
 
         # Channels: each server's free time and the id of the departure that
-        # frees it; the event engine's running sums; the queue length and
-        # time of the last event folded into the area, and per level the
-        # departures not yet folded.
+        # frees it; the event engine's running sums, side by side (response,
+        # service, queue-length area, busy time) so that one ``bincount``
+        # adds a level's terms; the queue length and time of the last event
+        # folded into the area, and per level the departures not yet folded
+        # as channel + 1j * time, in channel and time order.
         self.free = np.full(n_ch, -math.inf)
         self.last_id = np.full(n_ch, -1, dtype=np.int64)
         self.arrivals = np.zeros(n_ch, dtype=np.int64)
-        self.completions = np.zeros(n_ch, dtype=np.int64)
-        self.resp_sum, self.svc_sum, self.area, self.busy = (np.zeros(n_ch) for _ in range(4))
+        self.sums = np.zeros(4 * n_ch)
+        self.bins = np.arange(4 * n_ch)
         self.queued = np.zeros(n_ch, dtype=np.int64)
         self.last_t = np.zeros(n_ch)
-        self.pending = [(np.empty(0, dtype=np.int64), np.empty(0))] * self.n_levels
+        self.pending = [np.empty(0, dtype=complex)] * self.n_levels
 
         # Ties: the pop rank of each event that shares its time, by group for
         # pruning, and the events scheduled at the instant their channel's
@@ -306,7 +343,7 @@ class _FeedForward:
         self.seen_order: list[np.ndarray] = []
         self.flow_n = np.zeros(n_flows, dtype=np.int64)
         self.flow_sum = np.zeros(n_flows)
-        self.lat = np.empty(config.messages)
+        self.lat = np.empty(messages)
         self.n_lat = 0
         self.end_t = 0.0
 
@@ -341,7 +378,8 @@ class _FeedForward:
         msg["t0"][new] = msg["cur"][new] = times
         msg["svc"][new] = lengths / self.config.mu
         msg["flow"][new] = flow = cores * self.n_caches + caches
-        msg["level"][new], msg["next"][new] = -1, 0
+        msg["eid"][new] = np.arange(g0 * self.stride, (g0 + c) * self.stride, self.stride)
+        msg["next"][new] = 0
         # A new message's latest event is its generation. The same core's
         # previous generation pushed it (rank 0: before the LOCAL push); the
         # first generation of each core was pushed in active-core order.
@@ -365,12 +403,17 @@ class _FeedForward:
         self.made_order.append(_first_seen(flow, self.made))
 
     def _level(self, level: int, stop: float, window: list) -> None:
-        """Serve the arrivals before ``stop`` at the channels of one level and
-        fold that level's events before ``stop`` into the area sums."""
+        """Serve the arrivals before ``stop`` at the channels of one level,
+        record their events and fold that level's events before ``stop``
+        into the running sums."""
         msg, lo, size = self.msg, self.lo, self.size
-        sel = np.flatnonzero((msg["next"][lo:size] == level) & (msg["cur"][lo:size] < stop)) + lo
-        dep_ch, dep_t = self.pending[level]
-        if not sel.size and not dep_t.size:
+        cur = msg["cur"]
+        sel = np.flatnonzero((msg["next"][lo:size] == level) & (cur[lo:size] < stop))
+        sel += lo
+        if not sel.size:
+            if self.pending[level].size:
+                empty = np.empty(0)
+                self._fold(level, stop, sel, empty, empty, empty)
             return
         f = msg["flow"][sel]
         if level == 0:
@@ -379,41 +422,39 @@ class _FeedForward:
             ch = self.x_base[f] + self.x_step[f] * level
         else:
             ch = self.y_base[f] + self.y_step[f] * level
-        o = _sort_by_channel(msg["cur"][sel], ch)
-        sel, ch = sel[o], ch[o]
-        arrive = msg["cur"][sel]
-        up = _Events(arrive, msg["sched_t"][sel], msg["sched"][sel], msg["rank"][sel],
-                     (self.base + sel) * self.stride + msg["level"][sel] + 1)
-        if level and np.any((arrive[1:] == arrive[:-1]) & (ch[1:] == ch[:-1])):
+        # By channel, then time; equal times keep message order.
+        o = np.lexsort((cur[sel], ch))
+        sel, ch, f = sel[o], ch[o], f[o]
+        arrive = cur[sel]
+        first = _segments(ch)
+        if level and np.any((arrive[1:] == arrive[:-1]) & ~first[1:]):
             raise TieUnresolved
+        up = _Events(arrive, msg["sched_t"][sel], msg["sched"][sel], msg["rank"][sel],
+                     msg["eid"][sel])
         window.append(up)
-        dep = self._serve(level, sel, ch, arrive, up.id)
-        dep_ch, dep_t = np.concatenate((dep_ch, ch)), np.concatenate((dep_t, dep))
-        later = dep_t >= stop
-        self.pending[level] = dep_ch[later], dep_t[later]
-        self._fold(np.concatenate((ch, dep_ch[~later])),
-                   np.concatenate((arrive, dep_t[~later])), sel.size)
+        dep, svc = self._serve(level, sel, f, ch, first, arrive, up.id)
+        self._fold(level, stop, ch, arrive, dep, svc)
 
-    def _serve(self, level, sel, ch, arrive, up) -> np.ndarray:
-        """Departures of the messages ``sel`` arriving at ``ch`` (sorted by
-        channel, then in FIFO order) from upstream events ``up``; updates the
-        messages, the channels and the running sums."""
-        n = sel.size
-        if not n:
-            return np.empty(0)
+    def _serve(self, level, sel, f, ch, first, arrive, up) -> tuple[np.ndarray, np.ndarray]:
+        """Departures and service times of the messages ``sel`` of flows
+        ``f`` arriving at ``ch`` (sorted by channel, then in FIFO order;
+        ``first`` marks each channel's first) from upstream events ``up``;
+        updates the messages and the channels."""
         msg = self.msg
+        n = sel.size
+        heads = np.flatnonzero(first)
+        hc = ch[heads]
+        free = self.free[hc]
         svc = msg["svc"][sel]
-        heads = np.flatnonzero(_segments(ch))
-        free = self.free[ch[heads]]
-        dep = np.fromiter(_lindley(arrive.tolist(), svc.tolist(), heads.tolist(),
-                                   free.tolist()), float, n)
-        own = (self.base + sel) * self.stride + level + 1
+        dep = np.fromiter(_lindley(arrive.tolist(), svc.tolist(), heads.tolist(), free.tolist()),
+                          float, n)
+        own = sel * self.stride + (self.base * self.stride + level + 1)
         prev_dep = np.empty(n)
         prev_dep[1:] = dep[:-1]
         prev_dep[heads] = free
-        prev_id = np.empty(n, dtype=np.int64)
+        prev_id = np.empty(n, dtype=own.dtype)
         prev_id[1:] = own[:-1]
-        prev_id[heads] = self.last_id[ch[heads]]
+        prev_id[heads] = self.last_id[hc]
         for k in np.flatnonzero(arrive == prev_dep).tolist():
             self.amb[int(own[k])] = (int(prev_id[k]), float(dep[k]))
         # Whether an arrival at the warmup instant counts depends on its pop
@@ -429,8 +470,7 @@ class _FeedForward:
         msg["sched"][sel] = np.where(by_arrival, up, prev_id)
         msg["rank"][sel] = by_arrival
         msg["cur"][sel] = dep
-        msg["level"][sel] = level
-        f = msg["flow"][sel]
+        msg["eid"][sel] = own
         if level == 0:
             msg["next"][sel] = self.after_local[f]
         elif level < self.w:
@@ -438,45 +478,68 @@ class _FeedForward:
         else:
             msg["next"][sel] = np.where(level < self.y_last[f], level + 1, self.done)
         tails = np.append(heads[1:], n) - 1
-        self.free[ch[tails]] = dep[tails]
-        self.last_id[ch[tails]] = own[tails]
+        self.free[hc] = dep[tails]
+        self.last_id[hc] = own[tails]
+        return dep, svc
 
-        counted = arrive >= self.stats_start
-        cc = ch[counted]
-        n_arr = np.bincount(cc, minlength=self.free.size)
-        self.arrivals += n_arr
-        self.completions += n_arr
-        _add_in_order(self.resp_sum, cc, (dep - arrive)[counted])
-        _add_in_order(self.svc_sum, cc, svc[counted])
-        return dep
-
-    def _fold(self, ch: np.ndarray, t: np.ndarray, n_arrivals: int) -> None:
-        """Add queue-length area and busy time over the events ``t`` at ``ch``:
-        ``n_arrivals`` arrivals, then departures. Each channel's events are
-        taken in time order, as the event engine meets them; events at one
-        instant add dt = 0, so their order among themselves does not matter."""
-        if not t.size:
+    def _fold(self, level, stop, ch, arrive, dep, svc) -> None:
+        """Add the level's running sums: response and service time of the
+        counted arrivals at ``ch``, and queue-length area and busy time over
+        the arrivals and the departures before ``stop``. Each channel's
+        events are taken in time order, as the event engine meets them;
+        events at one instant add dt = 0, so their order among themselves
+        does not matter."""
+        n_ch, na, pend = self.n_ch, arrive.size, self.pending[level]
+        # Arrivals, pending departures and new departures are each in
+        # channel and time order: a stable sort merges the three runs.
+        key = np.empty(2 * na + pend.size, dtype=complex)
+        key[na:na + pend.size] = pend
+        key.real[:na] = key.real[na + pend.size:] = ch
+        key.imag[:na], key.imag[na + pend.size:] = arrive, dep
+        o = np.argsort(key, kind="stable")
+        key = key[o]
+        later = key.imag >= stop
+        self.pending[level] = key[later]
+        now = ~later
+        step = np.where(o[now] < na, 1, -1)
+        key = key[now]
+        del o, later, now
+        if not key.size:
             return
-        step = np.ones(t.size, dtype=np.int64)
-        step[n_arrivals:] = -1
-        o = _sort_by_channel(t, ch, "quicksort")
-        ch, t, step = ch[o], t[o], step[o]
-        heads = np.flatnonzero(_segments(ch))
-        tails = np.append(heads[1:], t.size) - 1
-        before = np.cumsum(step) - step
-        seg = np.repeat(np.arange(heads.size), np.diff(np.append(heads, t.size)))
-        n = self.queued[ch] + before - before[heads][seg]
+        t = key.imag.copy()
+        ch_all = key.real.astype(np.int16)
+        del key
+        # Queue length before each event: the channel's queue, then one
+        # cumulative sum whose first step on each channel restarts it.
+        heads = np.flatnonzero(_segments(ch_all))
+        hc = ch_all[heads]
+        queued = self.queued[hc]
+        self.queued[hc] = ends = queued + np.add.reduceat(step, heads)
+        restart = step.copy()
+        restart[heads] += queued
+        restart[heads[1:]] -= ends[:-1]
+        n = np.cumsum(restart)
+        n -= step
+        del restart, step
         prev_t = np.empty(t.size)
         prev_t[1:] = t[:-1]
-        prev_t[heads] = self.last_t[ch[heads]]
-        live = t > self.stats_start
-        dt = t[live] - np.maximum(prev_t[live], self.stats_start)
-        n, lc = n[live], ch[live]
-        _add_in_order(self.area, lc, n * dt)
-        _add_in_order(self.busy, lc[n > 0], dt[n > 0])
-        ends = ch[tails]
-        self.queued[ends] += before[tails] + step[tails] - before[heads]
-        self.last_t[ends] = t[tails]
+        prev_t[heads] = self.last_t[hc]
+        self.last_t[hc] = t[np.append(heads[1:], t.size) - 1]
+
+        # Terms of events before the statistics window are 0.0, which adds
+        # nothing to a sum of non-negative terms.
+        stats_start = self.stats_start
+        if stats_start == math.inf:
+            return
+        counted = arrive >= stats_start
+        self.arrivals += np.bincount(ch[counted], minlength=n_ch)
+        dt = t - np.maximum(prev_t, stats_start)
+        dt[t <= stats_start] = 0.0
+        self.sums = np.bincount(
+            np.concatenate((self.bins, ch, ch + n_ch, ch_all + 2 * n_ch, ch_all + 3 * n_ch)),
+            np.concatenate((self.sums, np.where(counted, dep - arrive, 0.0),
+                            np.where(counted, svc, 0.0), n * dt, np.where(n > 0, dt, 0.0))),
+            minlength=4 * n_ch)
 
     def _deliver(self, start: float, stop: float, window: list) -> None:
         """Rank the window's ties and record its deliveries in pop order."""
@@ -485,7 +548,7 @@ class _FeedForward:
         waiting = (msg["next"][lo:size] != done) | (cur >= stop)
         fin = np.flatnonzero(~waiting & (cur >= start)) + lo
         final = _Events(msg["cur"][fin], msg["sched_t"][fin], msg["sched"][fin], msg["rank"][fin],
-                        (self.base + fin) * self.stride + msg["level"][fin] + 1)
+                        msg["eid"][fin])
         window.append(final)
         _rank_ties(window, self.ranks, self.amb, self.ranked)
         window.clear()
@@ -499,7 +562,9 @@ class _FeedForward:
         self.n_lat += fin.size
         f = msg["flow"][fin]
         self.flow_n += np.bincount(f, minlength=self.flow_n.size)
-        _add_in_order(self.flow_sum, f, lat)
+        self.flow_sum = np.bincount(np.concatenate((np.arange(self.flow_sum.size), f)),
+                                    np.concatenate((self.flow_sum, lat)),
+                                    minlength=self.flow_sum.size)
         self.seen_order.append(_first_seen(f, self.seen))
 
         for eid in [k for k, (_, t) in self.amb.items() if t < stop]:
@@ -516,8 +581,9 @@ class _FeedForward:
         channel_ids = dict.fromkeys(np.concatenate(
             [hops for _, _, _, hops, _ in xy_hops(self.grid, self.src[made], self.dst[made])]
         ).tolist())
-        columns = [a.tolist() for a in (self.arrivals, self.completions, self.busy, self.area,
-                                        self.resp_sum, self.svc_sum)]
+        resp_sum, svc_sum, area, busy = self.sums.reshape(4, self.n_ch).tolist()
+        arrivals = self.arrivals.tolist()
+        columns = (arrivals, arrivals, busy, area, resp_sum, svc_sum)
         flows = np.concatenate(self.seen_order)
         keys = self.src[flows] * self.grid.n_tiles + self.dst[flows]
         messages = self.config.messages

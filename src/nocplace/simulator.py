@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
@@ -79,6 +80,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A float or bool budget would reach numpy array sizes and fail there.
+        try:
+            if isinstance(self.messages, bool):
+                raise TypeError
+            object.__setattr__(self, "messages", operator.index(self.messages))
+        except TypeError:
+            raise InvalidConfigError(
+                f"message budget must be an integer, got {self.messages!r}") from None
         if self.messages <= 0:
             raise InvalidConfigError("message budget must be > 0")
         if not (math.isfinite(self.mu) and self.mu > 0):

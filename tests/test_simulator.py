@@ -143,6 +143,11 @@ class TestRunSim:
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidConfigError):
             SimConfig(line3(), TrafficSpec(), messages=0)
+        # Non-integral budgets used to pass and fail later inside numpy.
+        for bad in (2.5, 1000.0, True, math.inf, "100"):
+            with pytest.raises(InvalidConfigError, match="must be an integer"):
+                SimConfig(line3(), TrafficSpec(), messages=bad)
+        assert type(SimConfig(line3(), TrafficSpec(), messages=np.int64(50)).messages) is int
         with pytest.raises(InvalidConfigError):
             SimConfig(line3(), TrafficSpec(), warmup_frac=1.0)
         with pytest.raises(InvalidConfigError):

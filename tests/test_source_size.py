@@ -38,11 +38,29 @@ def test_module_stays_below_the_parser_step(name):
         assert count < PARSER_STEP, f"{name} has {count} tokens"
 
 
-def test_package_import_leaves_the_first_use_modules_uncompiled():
-    code = "import sys, nocplace; print(*sorted(sys.modules))"
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True).stdout.split()
+    code += "\nimport sys; print(*sorted(sys.modules))"
+    return set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split())
+
+
+def test_package_import_leaves_the_first_use_modules_uncompiled():
+    loaded = loaded_after("import nocplace")
     assert "nocplace.simulator" in loaded
-    assert not ON_FIRST_USE & set(loaded)
+    assert not ON_FIRST_USE & loaded
+
+
+def test_feedforward_run_leaves_numpy_random_unimported():
+    # The feed-forward engine draws through ``random.Random``; importing
+    # ``numpy.random`` would add about 5 MB of resident memory to a run.
+    loaded = loaded_after(
+        "import nocplace as nc\n"
+        "grid = nc.MeshGrid(4, 4)\n"
+        "p = nc.canonical_placement(nc.CanonicalFamily.CENTRAL, grid, 8, 4, 0)\n"
+        "nc.run_sim(nc.SimConfig(p, nc.TrafficSpec(lambda_g=0.1), messages=300, seed=1))")
+    assert "nocplace.feedforward" in loaded
+    assert "nocplace.events" not in loaded  # no fallback to the event engine
+    assert "numpy.random" not in loaded
