@@ -145,12 +145,7 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
                            spec.svc, spec.arrival_scv, queue_mode)
         transit = _link_transit(grid, fp.rt)
     else:
-        # float(): an integer E{S} times the int8 hop table would stay int8.
-        es = float(spec.svc.mean_service)
-
-        def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            return (es * grid.hops[src[0]][:, dst[0]])[None]  # one placement
-
+        transit = _hop_transit(grid, spec)
     l2, mem, total = _compose(spec, r.p, None if r.q is None else r.q[None], transit,
                               r.core_ids[None], r.cache_ids[None], r.mc_ids[None])
     return r.cores, l2[0], mem[0], total[0]
@@ -168,6 +163,20 @@ def _link_transit(grid: MeshGrid, rt: np.ndarray):
     return transit
 
 
+def _hop_transit(grid: MeshGrid, spec: TrafficSpec):
+    """LOW transit times for ``_compose``: E{S} per hop of each pair's
+    manhattan distance."""
+    # float(): an integer E{S} times the int8 hop table would stay int8.
+    table = (float(spec.svc.mean_service) * grid.hops).ravel()
+    n = grid.n_tiles
+
+    def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        k, n_src, n_dst = len(src), src.shape[1], dst.shape[1]
+        at = np.repeat(src * n, n_dst, axis=1) + np.tile(dst, (1, n_src))
+        return table.take(at).reshape(k, n_src, n_dst)
+    return transit
+
+
 def _compose(spec: TrafficSpec, p: np.ndarray, q: np.ndarray | None, transit,
              cores: np.ndarray, caches: np.ndarray,
              mcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,10 +186,29 @@ def _compose(spec: TrafficSpec, p: np.ndarray, q: np.ndarray | None, transit,
     the transit matrices, one leading entry per placement. Each placement's
     terms are bit-identical to its own: every reduction runs per placement
     (the matrix products one matrix-vector product each)."""
-    l2 = (p * transit(cores, caches)).sum(axis=2)
+    l2 = _row_sums(p * transit(cores, caches))
     mem = np.zeros(l2.shape)
     if q is not None:
-        per_cache_mem = (q * transit(caches, mcs)).sum(axis=2)
+        per_cache_mem = _row_sums(q * transit(caches, mcs))
         mem = np.matmul(p, per_cache_mem[:, :, None])[:, :, 0] + spec.mem_fixed_latency
     miss1 = spec.miss_l1
     return l2, mem, spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-1)``, bit for bit. numpy adds a row of fewer than 8
+    terms one term at a time from 0.0, but slowly for every row of a short
+    last axis, so those rows are added a column at a time instead."""
+    if terms.shape[-1] >= 8:
+        return terms.sum(axis=-1)
+    return _sum_in_order(terms)
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """``terms`` added up along the last axis one term at a time from 0.0,
+    as Python's ``sum`` adds them; on rows of ``_compose``'s totals, the
+    objective values of their placements."""
+    acc = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        acc = acc + terms[..., j]
+    return acc

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, InfeasibleError, UnstableError
-from .latency import Mode, _per_core
+from .latency import Mode
 from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Placement,
                    canonical_placement, placement_count, placement_from_string,
                    placement_string)
@@ -88,6 +88,18 @@ def _tie_cutoff(best: float) -> float:
     return best + OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best))
 
 
+def _meet(best: float, ties: set[str], value: float, strings: set[str]) -> tuple[float, set[str]]:
+    """The best value and its ties after meeting ``strings`` at ``value``:
+    they replace the ties when the best lies beyond ``value``'s tie cutoff
+    (so a finite value replaces +inf), and join them when ``value`` lies
+    within the best's."""
+    if best > _tie_cutoff(value):
+        return value, strings
+    if value <= _tie_cutoff(best):
+        return best, ties | strings
+    return best, ties
+
+
 def _tile_ids(space: SearchSpace) -> tuple[str, list[int], tuple[int, int, int],
                                            list[int] | None]:
     """Check counts against the grid and pinned tiles, and read the space
@@ -129,12 +141,6 @@ def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, .
     if pool is None:
         return perms
     return [p for p in perms if {p[i] for i in pool} == set(pool)]
-
-
-def _value(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
-           queue_mode: str = PAPER) -> float:
-    """``objective(...).objective_value``, without building the report."""
-    return float(sum(_per_core(placement, spec, mode, queue_mode)[3].tolist()))
 
 
 def _count_failures(failures: Counter, causes: np.ndarray) -> None:
@@ -184,48 +190,30 @@ def _strings(rows: np.ndarray) -> list[str]:
 
 
 def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarray:
-    """The rows among the first max(100, 5%) by (LOW objective, string).
-
-    Batched LOW values select; the candidates whose batched value lies
-    within twice its error bound of the cut are ordered by their exact
-    values, so the kept set is the one exact values alone would give."""
+    """The rows among the first max(100, 5%) by (LOW objective, string)."""
     from .scoring import low_objective_batch
     keep = max(100, math.ceil(0.05 * len(rows)))
     if len(rows) <= keep:
         return rows
-    low, bound = low_objective_batch(grid, rows, spec)
-    # The keep-th smallest exact value lies within bound of cut, the keep-th
-    # smallest batched value. So rows more than 2 * bound below cut are
-    # kept, rows more than 2 * bound above it are not, and the exact values
-    # order the rest.
+    low = low_objective_batch(grid, rows, spec)
     cut = np.partition(low, keep - 1)[keep - 1]
-    sure = low < cut - 2 * bound
-    near = np.nonzero(~sure & (low <= cut + 2 * bound))[0]
-    names = _strings(rows[near])
-    exact = [_value(placement_from_string(grid, s), spec) for s in names]
-    order = sorted(range(len(near)), key=lambda i: (exact[i], names[i]))
-    return np.concatenate([rows[sure], rows[near[order[:keep - int(sure.sum())]]]])
+    below = low < cut
+    at_cut = sorted(np.flatnonzero(low == cut).tolist(), key=lambda i: rows[i].tobytes())
+    return np.concatenate([rows[below], rows[at_cut[:keep - int(below.sum())]]])
 
 
 def _first_min(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode,
                queue_mode: str, failures: Counter) -> tuple[int, float]:
-    """The first row of least exact objective value, and that value.
-
-    HIGH rows are scored by ``high_objective_batch`` (failures counted).
-    LOW rows are scored by ``low_objective_batch``; only rows within twice
-    its error bound of the lowest batched value can hold the exact minimum,
-    and those are scored exactly."""
+    """The first row of least objective value, and that value (HIGH
+    failures counted)."""
     from .scoring import high_objective_batch, low_objective_batch
     if mode is Mode.HIGH:
         values, causes = high_objective_batch(grid, rows, spec, queue_mode)
         _count_failures(failures, causes)
-        i = int(values.argmin())
-        return i, float(values[i])
-    low, bound = low_objective_batch(grid, rows, spec)
-    near = np.flatnonzero(low <= low.min() + 2 * bound)
-    exact = [_value(placement_from_string(grid, s), spec) for s in _strings(rows[near])]
-    j = int(np.argmin(exact))
-    return int(near[j]), exact[j]
+    else:
+        values = low_objective_batch(grid, rows, spec)
+    i = int(values.argmin())
+    return i, float(values[i])
 
 
 def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, int],
@@ -237,11 +225,10 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     when ``perms`` holds no map but the identity) and return the argmin ties
     expanded to their orbits.
 
-    LOW candidates are scored a block at a time by ``low_objective_batch``;
-    only those within the tie tolerance plus its error bound of the lowest
-    batched value so far are scored exactly, as ``objective`` scores, and the
-    result is taken from those exact values. HIGH candidates are scored
-    in batches by ``high_objective_batch`` (over ``jobs`` processes)."""
+    LOW candidates are scored a block at a time by ``low_objective_batch``,
+    and only those within the tie tolerance of the lowest value so far are
+    kept. HIGH candidates are scored in batches by ``high_objective_batch``
+    (over ``jobs`` processes)."""
     from .candidates import raw_blocks, representative_blocks
     from .scoring import low_objective_batch
     raw = _raw_count(free, counts, pool)
@@ -265,15 +252,12 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
         if mode is Mode.HIGH:
             high_rows.append(rows)
             continue
-        low, bound = low_objective_batch(grid, rows, spec)
+        low = low_objective_batch(grid, rows, spec)
         floor = min(floor, float(low.min()))
-        # The exact minimum is at most floor + bound, and a tie's batched
-        # value lies within bound of its exact value.
-        near = _strings(rows[low <= _tie_cutoff(floor + bound) + bound])
-        scored.update((s, _value(placement_from_string(grid, s), spec)) for s in near)
-        # Drop what the lowest exact value so far already rules out.
-        cutoff = _tie_cutoff(min(scored.values()))
+        cutoff = _tie_cutoff(floor)
+        near = low <= cutoff
         scored = {s: v for s, v in scored.items() if v <= cutoff}
+        scored.update(zip(_strings(rows[near]), low[near].tolist()))
     if not evaluated:
         raise InfeasibleError("search space is empty")
 
@@ -355,17 +339,19 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
     evaluated = phase1.evaluated
     failures = Counter({kind: phase1.extras[kind] for kind in FAILURE_KINDS})
     for winner in map(placement_string, phase1.best):
-        result = _search(grid, winner, [i for i in free if winner[i] == "."],
-                         (0, 0, counts[2]), pool, [], spec, space.mode, budget, True,
-                         queue_mode, jobs)
+        open_tiles = [i for i in free if winner[i] == "."]
+        sites = None if pool is None else [i for i in pool if winner[i] == "."]
+        if len(open_tiles if sites is None else sites) < counts[2]:
+            continue  # the winner covers the tiles the controllers need
+        result = _search(grid, winner, open_tiles, (0, 0, counts[2]), sites, [], spec,
+                         space.mode, budget, True, queue_mode, jobs)
         evaluated += result.evaluated
         failures.update({kind: result.extras[kind] for kind in FAILURE_KINDS})
-        tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(result.objective_value))
-        if result.objective_value < best_value - tol:
-            best_value = result.objective_value
-            best_strings = {placement_string(p) for p in result.best}
-        elif result.objective_value <= _tie_cutoff(best_value):
-            best_strings |= {placement_string(p) for p in result.best}
+        best_value, best_strings = _meet(best_value, best_strings, result.objective_value,
+                                         {placement_string(p) for p in result.best})
+    if not best_strings:
+        raise InfeasibleError(f"no phase-1 winner leaves room for {counts[2]} memory "
+                              "controllers" + ("" if pool is None else " on mc_tiles"))
 
     return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
                         objective_value=best_value, evaluated=evaluated,
@@ -429,12 +415,8 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
             remaining -= len(a)
             if value < current_value:
                 current, current_value = rows[i].copy(), value
-                tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
-                if current_value < best_value - tol:
-                    best_value = current_value
-                    best_strings = {current.tobytes().decode("ascii")}
-                elif current_value <= best_value + tol:
-                    best_strings.add(current.tobytes().decode("ascii"))
+                best_value, best_strings = _meet(best_value, best_strings, current_value,
+                                                 {current.tobytes().decode("ascii")})
                 if remaining > 0:
                     continue
         if remaining <= 0:
@@ -446,12 +428,8 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         current_value = first_min(current[None])[1]
         evaluated += 1
         remaining -= 1
-        tol = OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
-        if current_value < best_value - tol:
-            best_value = current_value
-            best_strings = {current.tobytes().decode("ascii")}
-        elif current_value <= best_value + tol:
-            best_strings.add(current.tobytes().decode("ascii"))
+        best_value, best_strings = _meet(best_value, best_strings, current_value,
+                                         {current.tobytes().decode("ascii")})
 
     return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
                         objective_value=best_value, evaluated=evaluated, pruned=0,

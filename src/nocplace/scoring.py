@@ -1,7 +1,7 @@
-"""Objective values of many placements at once, for the searches: LOW
-values with an error bound against ``objective``'s, for selecting, and HIGH
-values bit-identical to ``objective``'s. Placements come as ``uint8`` rows
-of placement-string bytes.
+"""Objective values of many placements at once, for the searches, each
+bit-identical to ``objective``'s: every batch runs ``objective``'s own
+composition with a leading placement axis. Placements come as ``uint8``
+rows of placement-string bytes.
 
 HIGH placements are superposed a chunk at a time on a stack of grid copies,
 and each distinct (``lam``, ``turns``) router row is solved once: the
@@ -17,19 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .latency import _compose, _link_transit
+from .latency import _compose, _hop_transit, _link_transit, _sum_in_order
 from .mesh import _CHAR_OF_KIND, MeshGrid, NodeKind, placement_from_string
 from .queueing import OK, PAPER, _fixed_point
 from .routing import N_PORTS, _stacked_flows, _superpose
 from .traffic import ResolvedTraffic, TrafficSpec, nearest_split, resolve
 
-# Hop counts that ``low_objective_batch`` gathers per chunk. Router rows
-# that ``high_objective_batch`` superposes per chunk, and that one fixed
-# point solves at most (about 2 KB of temporaries each); distinct rows it
-# remembers (about 0.4 KB each) before starting afresh; and rows of the
-# superposed placements that may wait for their rows' solutions (4 bytes
+# Hop counts that ``low_objective_batch`` gathers per chunk (about 26 bytes
+# of float64 and index temporaries each). A chunk's arrays then stay within
+# 128 KiB, glibc's default mmap threshold, so they are not mapped afresh for
+# every chunk: at 1 << 15 a 6x6 24/9 LOW local search ran about 40% slower.
+# Router rows that ``high_objective_batch`` superposes per chunk, and that
+# one fixed point solves at most (about 2 KB of temporaries each); distinct
+# rows it remembers (about 0.4 KB each) before starting afresh; and rows of
+# the superposed placements that may wait for their rows' solutions (4 bytes
 # each). Memory is bounded by these, not by the batch.
-_LOW_HOPS = 1 << 20
+_LOW_HOPS = 1 << 14
 _BATCH_ROWS = 512
 _MEMO_ROWS = 1 << 11
 _WAIT_ROWS = 1 << 16
@@ -49,11 +52,9 @@ def _kind_ids(rows: np.ndarray, kind: NodeKind, n: int) -> np.ndarray:
     return ids.reshape(len(rows), n)
 
 
-def low_objective_batch(grid: MeshGrid, rows: np.ndarray,
-                        spec: TrafficSpec) -> tuple[np.ndarray, float]:
-    """LOW ``objective_value`` of many placements at once, for selecting
-    candidates, and a bound on how far each value may lie from the one
-    ``objective`` returns.
+def low_objective_batch(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarray:
+    """LOW ``objective_value`` of many placements at once, bit-identical to
+    ``objective``'s.
 
     ``rows`` holds one placement string per row as ``uint8`` bytes, every
     row with the same number of cores, caches and controllers. The spec is
@@ -61,44 +62,17 @@ def low_objective_batch(grid: MeshGrid, rows: np.ndarray,
     errors. Rows are scored in chunks that gather at most ``_LOW_HOPS`` hop
     counts, so memory does not grow with the number of rows.
     """
+    values = np.empty(len(rows))
     if not len(rows):
-        return np.empty(0), 0.0
+        return values
     r = _first_resolved(grid, rows, spec)
+    transit = _hop_transit(grid, spec)
     n_cores, n_caches, n_mcs = len(r.core_ids), len(r.cache_ids), len(r.mc_ids)
-    es = float(spec.svc.mean_service)
-    miss1 = spec.miss_l1
-    value = np.empty(len(rows))
     step = max(1, _LOW_HOPS // max(1, n_cores * n_caches + n_caches * n_mcs))
     for i in range(0, len(rows), step):
-        chunk = rows[i:i + step]
-        cores = _kind_ids(chunk, NodeKind.CORE, n_cores)
-        caches = _kind_ids(chunk, NodeKind.CACHE, n_caches)
-        # sum_i l2_i: the p-weighted core->cache hops of every core.
-        l2 = es * np.einsum("ij,bij->b", r.p, grid.hops[cores[:, :, None], caches[:, None, :]])
-        value[i:i + step] = n_cores * spec.latency_l1 + miss1 * l2
-        if n_mcs:
-            # q splits a cache's misses evenly over its nearest controllers,
-            # so sum_k q_jk * hops_jk is the distance to the nearest one.
-            mcs = _kind_ids(chunk, NodeKind.MC, n_mcs)
-            nearest = grid.hops[caches[:, :, None], mcs[:, None, :]].min(axis=2)
-            mem = es * (nearest @ r.p.sum(axis=0)) + n_cores * spec.mem_fixed_latency
-            value[i:i + step] += miss1 * spec.miss_l2 * mem
-    reach = np.abs(r.p).sum() * es * (grid.width + grid.height - 2)
-    scale = n_cores * abs(spec.latency_l1) + miss1 * reach
-    if n_mcs:
-        scale += miss1 * spec.miss_l2 * (reach + n_cores * abs(spec.mem_fixed_latency))
-    # Both this value and objective's are the same sum of products
-    # (latency_l1; miss1 * p_ij * E{S} * hops; miss1 * miss_l2 * (p_ij * q_jk *
-    # E{S} * hops + mem_fixed_latency)) evaluated in different orders. Along
-    # either order no product meets more than K = cores + caches + mcs + 8
-    # roundings (its factors, q's division, then one per addition it takes
-    # part in), so each computed value is within gamma_K * scale of the exact
-    # sum, where scale bounds the sum of the products' magnitudes (Higham,
-    # Accuracy and Stability of Numerical Algorithms, sections 3.1 and 4.2).
-    # The two values therefore differ by at most 2 * gamma_K * scale, and
-    # gamma_K = K u / (1 - K u) <= K * eps for the unit roundoff u = eps / 2.
-    k = n_cores + n_caches + n_mcs + 8
-    return value, float(2 * k * np.finfo(float).eps * scale)
+        cores, caches, mcs, q = _local_ids(grid, rows[i:i + step], r)
+        values[i:i + step] = _sum_in_order(_compose(spec, r.p, q, transit, cores, caches, mcs)[2])
+    return values
 
 
 def high_objective_batch(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec,
@@ -186,20 +160,25 @@ class _RouterRows:
         self.rt, self.status = np.concatenate(rt), np.concatenate(status)
 
 
+def _local_ids(grid: MeshGrid, rows: np.ndarray, r: ResolvedTraffic) -> tuple:
+    """The core, cache and controller tile ids of ``rows``, one row each,
+    and their q (None without controllers)."""
+    cores = _kind_ids(rows, NodeKind.CORE, len(r.core_ids))
+    caches = _kind_ids(rows, NodeKind.CACHE, len(r.cache_ids))
+    if r.q is None:
+        return cores, caches, np.empty((len(rows), 0), dtype=cores.dtype), None
+    mcs = _kind_ids(rows, NodeKind.MC, len(r.mc_ids))
+    return cores, caches, mcs, nearest_split(grid.hops[caches[:, :, None], mcs[:, None, :]])
+
+
 def _stacked_ids(grid: MeshGrid, rows: np.ndarray, r: ResolvedTraffic) -> tuple:
-    """The core, cache and controller tile ids of ``rows`` on a stack of
-    grid copies, and their q (None without controllers)."""
+    """``_local_ids`` on a stack of grid copies."""
     # Placement b's tile t is tile b * n + t of a stack of b copies of the
     # grid, so its channels are offset by b * n routers: one flow set and
     # one superposition serve all of them.
-    b, n = len(rows), grid.n_tiles
-    local = [_kind_ids(rows, kind, len(ids)) for kind, ids in
-             ((NodeKind.CORE, r.core_ids), (NodeKind.CACHE, r.cache_ids), (NodeKind.MC, r.mc_ids))]
-    cores, caches, mcs = (ids + np.arange(0, b * n, n)[:, None] for ids in local)
-    q = None
-    if r.q is not None:
-        q = nearest_split(grid.hops[local[1][:, :, None], local[2][:, None, :]])
-    return cores, caches, mcs, q
+    *local, q = _local_ids(grid, rows, r)
+    offset = np.arange(0, len(rows) * grid.n_tiles, grid.n_tiles)[:, None]
+    return (*(ids + offset for ids in local), q)
 
 
 def _superposed(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, r: ResolvedTraffic,
@@ -225,6 +204,5 @@ def _finish(grid: MeshGrid, spec: TrafficSpec, r: ResolvedTraffic, memo: _Router
         transit = _link_transit(grid, memo.rt[refs.ravel()])
         total = _compose(spec, r.p, None if q is None else q[ok], transit,
                          cores[ok], caches[ok], mcs[ok])[2]
-        # Added up as _value adds one placement's totals.
-        values[ok] = [float(sum(t)) for t in total.tolist()]
+        values[ok] = _sum_in_order(total)
     return values, causes

@@ -20,6 +20,8 @@ from nocplace import (
     low_traffic_mem_latency,
     objective,
 )
+from nocplace import scoring
+from nocplace.latency import _row_sums, _sum_in_order
 from nocplace.scoring import low_objective_batch
 from nocplace.mesh import apply_symmetry, placement_from_string
 from nocplace.traffic import matrix
@@ -207,7 +209,7 @@ class TestObjective:
 
 
 class TestLowObjectiveBatch:
-    """The batched LOW scorer the search selects with, against objective."""
+    """The batched LOW scorer of the searches, against objective."""
 
     @staticmethod
     def _skewed_p(rng, n_cores, n_caches):
@@ -220,7 +222,12 @@ class TestLowObjectiveBatch:
             rows.append([v / sum(w) for v in w])
         return matrix(rows)
 
-    def test_matches_objective_within_its_bound(self):
+    @pytest.mark.parametrize("chunk_hops", [50, None])
+    def test_matches_objective_bit_for_bit(self, chunk_hops, monkeypatch):
+        # At 50 hops a chunk holds a few rows of the small grids and one row
+        # of the large ones; at the default, all 25 rows of every grid.
+        if chunk_hops is not None:
+            monkeypatch.setattr(scoring, "_LOW_HOPS", chunk_hops)
         rng = random.Random(2016)
         ties = 0
         for w, h, n_cores, n_caches, n_mcs in ((1, 7, 3, 2, 1), (7, 1, 2, 2, 2), (1, 6, 2, 1, 0),
@@ -245,12 +252,10 @@ class TestLowObjectiveBatch:
                 strings.append("".join(chars))
             rows = np.array([list(s.encode("ascii")) for s in strings], dtype=np.uint8)
             for spec in specs:
-                values, bound = low_objective_batch(g, rows, spec)
+                values = low_objective_batch(g, rows, spec)
                 exact = [objective(placement_from_string(g, s), spec).objective_value
                          for s in strings]
-                assert np.all(np.abs(values - exact) <= bound), (w, h, spec)
-                # Tight enough to leave the tie tolerance (1e-9 relative) alone.
-                assert bound <= 1e-12 * max(1.0, *map(abs, exact)), (w, h, spec, bound)
+                assert values.tolist() == exact, (w, h, spec)
             if n_mcs > 1:
                 for s in strings:
                     hops = g.hops[[i for i, c in enumerate(s) if c == "$"]][
@@ -265,3 +270,16 @@ class TestLowObjectiveBatch:
             low_objective_batch(g, rows, TrafficSpec(p=((1.0,),)))
         with pytest.raises(NoCachesError):
             low_objective_batch(g, rows[:, [0, 1, 2, 3, 5, 5, 6, 7, 8]], TrafficSpec())
+
+
+def test_sums_keep_numpy_and_python_order():
+    # _compose adds each row of terms as numpy's sum does (one term at a
+    # time below 8 terms, pairwise above), and each placement's per-core
+    # totals as Python's sum does, so objective and the batches agree.
+    rng = np.random.default_rng(7)
+    for n in range(12):
+        terms = rng.random((50, 3, n)) * 10.0 ** rng.integers(-6, 7, (50, 3, n))
+        assert _row_sums(terms).tolist() == terms.sum(axis=-1).tolist(), n
+    for n in (0, 1, 5, 24, 48):
+        total = rng.random((50, n)) * 10.0 ** rng.integers(-6, 7, (50, n))
+        assert _sum_in_order(total).tolist() == [float(sum(t)) for t in total.tolist()], n

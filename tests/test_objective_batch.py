@@ -1,6 +1,6 @@
 """The candidate-batched HIGH scorer against scoring one candidate at a time:
 the same values bit for bit and the same failure causes, at any chunk size,
-with bounded memory."""
+with bounded memory; and the LOW scorer's memory bound."""
 
 import json
 import math
@@ -28,8 +28,9 @@ from nocplace import (
     canonical_placement,
     exhaustive_search,
     local_search,
+    objective,
 )
-from nocplace import optimizer, queueing, scoring
+from nocplace import queueing, scoring
 from nocplace.scoring import high_objective_batch
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.queueing import EFFECTIVE_UNSTABLE, NON_CONVERGENT, OK, UNSTABLE
@@ -43,7 +44,7 @@ def alone(placement, spec, queue_mode):
     """One candidate scored as the search scored it before batching: its
     value, or +inf and the status of the router its error names."""
     try:
-        return optimizer._value(placement, spec, Mode.HIGH, queue_mode), OK
+        return objective(placement, spec, Mode.HIGH, queue_mode).objective_value, OK
     except NonConvergentError:
         return math.inf, NON_CONVERGENT
     except UnstableError as exc:
@@ -165,9 +166,9 @@ def test_spec_errors_raise():
             search()
 
 
-def neighbourhood(side, cores, caches):
+def neighbourhood(side, cores, caches, mcs=0):
     grid = MeshGrid(side, side)
-    s = placement_string(canonical_placement(CanonicalFamily.CENTRAL, grid, cores, caches, 0))
+    s = placement_string(canonical_placement(CanonicalFamily.CENTRAL, grid, cores, caches, mcs))
     return grid, as_rows(swaps(s, random.Random(0), side ** 4))
 
 
@@ -187,6 +188,25 @@ def test_memory_is_bounded_by_the_chunk():
             tracemalloc.stop()
         assert np.isfinite(values).all()
         assert peak < 3 << 20, (side, peak)
+
+
+def test_low_memory_is_bounded_by_the_chunk():
+    # Whole swap passes scored LOW, one with controllers: the float64
+    # transit terms are gathered at most _LOW_HOPS hops at a time, so the
+    # 944 candidates of 8x8 44/16/4 (724,992 hops) stay under one bound.
+    spec = TrafficSpec(lambda_g=0.1, miss_l2=0.3)
+    for side, counts, size in ((6, (24, 9), 315), (8, (48, 16), 768), (8, (44, 16, 4), 944)):
+        grid, rows = neighbourhood(side, *counts)
+        assert len(rows) == size
+        scoring.low_objective_batch(grid, rows[:2], spec)
+        tracemalloc.start()
+        try:
+            values = scoring.low_objective_batch(grid, rows, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(values).all()
+        assert peak < 3 << 19, (side, counts, peak)
 
 
 def spy_fixed_point(monkeypatch):
@@ -250,5 +270,5 @@ def test_empty_batches_return_empty_arrays():
     values, causes = high_objective_batch(grid, empty, TrafficSpec())
     assert values.shape == causes.shape == (0,)
     assert values.dtype == float and causes.dtype == np.int8
-    values, bound = scoring.low_objective_batch(grid, empty, TrafficSpec())
-    assert values.shape == (0,) and values.dtype == float and bound == 0.0
+    values = scoring.low_objective_batch(grid, empty, TrafficSpec())
+    assert values.shape == (0,) and values.dtype == float

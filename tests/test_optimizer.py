@@ -202,6 +202,26 @@ class TestExhaustive:
         result = exhaustive_search(space, TrafficSpec(lambda_g=0.1))
         assert len(result.best) == 8  # adjacency still decides at light load
 
+    def test_all_tie_space_builds_only_the_winners(self, monkeypatch):
+        # Without cores every placement of 8 caches on 4x4 costs 0.0: each
+        # of the 1,674 representatives ties. Their values are final, so
+        # only the winners are built into placements, plus the first row of
+        # each block, which checks the spec.
+        built = []
+        real = optimizer.placement_from_string
+
+        def spy(grid, s):
+            built.append(s)
+            return real(grid, s)
+
+        monkeypatch.setattr(optimizer, "placement_from_string", spy)
+        monkeypatch.setattr(scoring, "placement_from_string", spy)
+        result = exhaustive_search(SearchSpace(MeshGrid(4, 4), 0, 8), TrafficSpec())
+        assert (result.objective_value, len(result.best)) == (0.0, math.comb(16, 8))
+        assert result.evaluated == 1_674
+        blocks = math.ceil(result.evaluated / optimizer.SEARCH_BLOCK)
+        assert len(built) <= len(result.best) + blocks
+
     def test_fixed_tiles_respected(self):
         space = SearchSpace(
             MeshGrid(3, 3), n_cores=1, n_caches=1,
@@ -448,32 +468,21 @@ class TestBlocks:
         space = SearchSpace(MeshGrid(3, 3), n_cores=2, n_caches=2)
         spec = TrafficSpec(miss_l2=0.3)
         whole = exhaustive_search(space, spec)
-        sizes, rescored = [], []
-        blocks, value, scalar = candidates.representative_blocks, optimizer._value, objective
+        sizes = []
+        blocks = candidates.representative_blocks
 
         def record_blocks(*args):
             for rows in blocks(*args):
                 sizes.append(len(rows))
                 yield rows
 
-        def record_value(placement, *args):
-            rescored.append(placement_string(placement))
-            return value(placement, *args)
-
         monkeypatch.setattr(optimizer, "SEARCH_BLOCK", 3)
         monkeypatch.setattr(candidates, "representative_blocks", record_blocks)
-        monkeypatch.setattr(optimizer, "_value", record_value)
         blocked = exhaustive_search(space, spec)
         assert blocked.to_json_dict() == whole.to_json_dict()
         # 108 representatives of 756 placements, three to a block.
         assert sizes == [3] * 36
         assert (blocked.evaluated, blocked.pruned) == (108, 756 - 108)
-        # Near-minimum candidates of early blocks that a later block beat.
-        winners = {placement_string(p) for p in whole.best}
-        losers = set(rescored) - winners
-        assert losers and all(
-            scalar(placement_from_string(space.grid, s), spec).objective_value
-            > whole.objective_value + 1e-9 for s in losers)
 
 
 class TestPrefilter:
@@ -543,6 +552,27 @@ class TestTwoPhase:
         mc_sites = {p.mcs[0] for p in result.best}
         assert mc_sites == {Coord(2, 0), Coord(0, 2), Coord(4, 2), Coord(2, 4)}
 
+    @pytest.mark.parametrize("counts,tile,value", [((1, 1, 1), (0, 0), 2.1),
+                                                   ((2, 1, 1), (0, 1), 4.2)])
+    def test_winners_covering_the_pool_are_skipped(self, counts, tile, value):
+        # Some phase-1 winners sit on the only controller tile; phase 2 runs
+        # on the others, and finds the joint optimum.
+        space = SearchSpace(MeshGrid(3, 3), *counts, mc_tiles=frozenset({Coord(*tile)}))
+        spec = TrafficSpec(miss_l2=0.1)
+        joint = exhaustive_search(space, spec)
+        decomposed = two_phase_optimize(space, spec)
+        assert decomposed.objective_value == pytest.approx(value)
+        assert decomposed.objective_value == pytest.approx(joint.objective_value)
+        assert {placement_string(p) for p in decomposed.best} == \
+            {placement_string(p) for p in joint.best}
+
+    def test_no_winner_leaves_the_pool_free(self):
+        # The one phase-1 winner, a cache ringed by four cores, covers (0, 1).
+        space = SearchSpace(MeshGrid(3, 3), 4, 1, 1, mc_tiles=frozenset({Coord(0, 1)}))
+        with pytest.raises(InfeasibleError, match="no phase-1 winner.*mc_tiles"):
+            two_phase_optimize(space, TrafficSpec(miss_l2=0.1))
+        assert exhaustive_search(space, TrafficSpec(miss_l2=0.1)).best
+
     def test_pinned_router_tiles_stay_routers(self):
         space = SearchSpace(
             MeshGrid(3, 3), 2, 1, 1,
@@ -610,6 +640,18 @@ class TestLocalSearch:
             local_search(space, TrafficSpec(), seed=1, budget=50)
 
 
+def meet(best, ties, value, string):
+    """The tie rule of the searches: a value replaces the best when the best
+    lies beyond its tie tolerance, and ties when within the best's."""
+    def cutoff(v):
+        return v + optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, abs(v))
+    if best > cutoff(value):
+        return value, {string}
+    if value <= cutoff(best):
+        return best, ties | {string}
+    return best, ties
+
+
 def sequential_local_search(space, spec, seed, budget):
     """``local_search`` scoring one neighbour at a time, as it did before
     its passes were batched: the oracle for its moves, restarts, counts and
@@ -651,11 +693,8 @@ def sequential_local_search(space, spec, seed, budget):
             a, b = best_move
             current[a], current[b] = current[b], current[a]
             current_value = best_move_value
-            tol = optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
-            if current_value < best_value - tol:
-                best_value, best_strings = current_value, {"".join(current)}
-            elif current_value <= best_value + tol:
-                best_strings.add("".join(current))
+            best_value, best_strings = meet(best_value, best_strings, current_value,
+                                            "".join(current))
             if remaining > 0:
                 continue
         if remaining <= 0:
@@ -667,11 +706,8 @@ def sequential_local_search(space, spec, seed, budget):
         current_value = value_of(current)
         evaluated += 1
         remaining -= 1
-        tol = optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best_value))
-        if current_value < best_value - tol:
-            best_value, best_strings = current_value, {"".join(current)}
-        elif current_value <= best_value + tol:
-            best_strings.add("".join(current))
+        best_value, best_strings = meet(best_value, best_strings, current_value,
+                                        "".join(current))
     return best_value, sorted(best_strings), evaluated, failures
 
 
@@ -759,6 +795,18 @@ class TestFailedCandidates:
         assert 0 < capped.extras["non_convergent"] < capped.evaluated
         assert math.isfinite(capped.objective_value)
         assert capped.objective_value >= exact.objective_value
+
+    def test_local_search_leaves_an_unstable_start(self):
+        # The pinned core's row-major start saturates; the first move finds
+        # a stable placement, which becomes the best.
+        space = SearchSpace(MeshGrid(3, 3), 6, 1, 0, mode=Mode.HIGH,
+                            fixed={Coord(2, 2): NodeKind.CORE})
+        spec = TrafficSpec(lambda_g=0.25, miss_l2=0.3)
+        assert local_search(space, spec, seed=1, budget=0).objective_value == math.inf
+        result = local_search(space, spec, seed=1, budget=40)
+        assert math.isfinite(result.objective_value) and result.extras["unstable"] > 0
+        assert [objective(p, spec, Mode.HIGH).objective_value for p in result.best] == \
+            [result.objective_value]
 
     def test_local_search_survives_when_nothing_converges(self, monkeypatch):
         monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", 1)
