@@ -5,6 +5,8 @@ objective, high-traffic queueing model), search for optimal placements, and
 validate predictions with a discrete-event simulator.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -13,12 +15,11 @@ from .errors import (
     InvalidTrafficError,
     NoCachesError,
     NocError,
-    NoMemControllersError,
     NonConvergentError,
     OutOfBoundsError,
     UnstableError,
 )
-from .latency import LatencyReport, Mode, low_traffic_l2_latency, low_traffic_mem_latency, objective
+from .latency import LatencyReport, Mode, objective
 from .mesh import (
     CanonicalFamily,
     Coord,
@@ -30,7 +31,6 @@ from .mesh import (
     canonical_placement,
     manhattan,
     placement_count,
-    symmetry_orbit,
 )
 from .optimizer import SearchResult, SearchSpace, exhaustive_search, local_search, two_phase_optimize
 from .queueing import (
@@ -38,13 +38,12 @@ from .queueing import (
     STANDARD,
     DelayReport,
     RouterQueueModel,
-    contention_matrix,
     effective_utilization,
     kingman_wait,
     mm1_response,
     packet_delay_inspector,
 )
-from .routing import ChannelLoadMap, Flow, FlowKind, Port, build_flows, derive_channel_rates, xy_route
+from .routing import ChannelLoadMap, Flow, FlowKind, Port
 from .simulator import (
     CompareReport,
     SimConfig,
@@ -59,4 +58,6 @@ from .traffic import ServiceSpec, TrafficSpec
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules bound by the imports above are not part of ``import *``.
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -25,10 +25,6 @@ class NoCachesError(NocError):
     """Operation requires at least one cache in the placement."""
 
 
-class NoMemControllersError(NocError):
-    """Operation requires at least one memory controller in the placement."""
-
-
 class DimensionMismatchError(NocError):
     """Vector/matrix arguments disagree on channel count."""
 

@@ -25,11 +25,10 @@ from typing import IO
 
 import numpy as np
 
-from .errors import NoCachesError, NoMemControllersError
 from .mesh import Coord, MeshGrid, Placement
 from .queueing import PAPER, solve_network
 from .routing import channel_loads, flow_set, path_sums
-from .traffic import ResolvedTraffic, TrafficSpec, resolve
+from .traffic import TrafficSpec, resolve
 
 
 class Mode(Enum):
@@ -87,37 +86,6 @@ class LatencyReport:
     def write_json(self, out: IO[str]) -> None:
         json.dump(self.to_json_dict(), out, indent=2)
         out.write("\n")
-
-
-def low_traffic_l2_latency(core: Coord, placement: Placement, spec: TrafficSpec,
-                           resolved: ResolvedTraffic | None = None) -> float:
-    """Probability-weighted Manhattan distance from one core to all caches."""
-    r = resolved if resolved is not None else resolve(placement, spec)
-    if not r.caches:
-        raise NoCachesError("placement has no caches")
-    i = r.cores.index(core)
-    return float(r.p[i] @ placement.grid.hops[r.core_ids[i], r.cache_ids])
-
-
-def low_traffic_mem_latency(placement: Placement, spec: TrafficSpec,
-                            core: Coord | None = None,
-                            resolved: ResolvedTraffic | None = None) -> float:
-    """Expected cache-to-memory-controller distance plus the fixed off-chip
-    access time.
-
-    The expectation nests over caches (weighted by the core's access row, or
-    the cache average when no core is given) and over the nearest-controller
-    assignment.
-    """
-    r = resolved if resolved is not None else resolve(placement, spec)
-    if r.q is None:
-        raise NoMemControllersError("placement has no memory controllers")
-    per_cache = (r.q * placement.grid.hops[r.cache_ids][:, r.mc_ids]).sum(axis=1)
-    if core is None:
-        weights = np.full(len(per_cache), 1.0 / len(per_cache))
-    else:
-        weights = r.p[r.cores.index(core)]
-    return float(weights @ per_cache) + spec.mem_fixed_latency
 
 
 def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,

@@ -273,15 +273,6 @@ def build_placement(grid: MeshGrid, assignment: Mapping[Coord, NodeKind]) -> Pla
     return Placement(grid, tuple(kinds))  # type: ignore[arg-type]
 
 
-def apply_symmetry(p: Placement, perm: tuple[int, ...]) -> Placement:
-    return Placement(p.grid, tuple(p.kinds[i] for i in perm))
-
-
-def symmetry_orbit(p: Placement) -> set[Placement]:
-    """All distinct images of a placement under the grid's symmetry group."""
-    return {apply_symmetry(p, perm) for perm in p.grid.symmetry_permutations()}
-
-
 def placement_count(n_tiles: int, n_cores: int, n_caches: int, n_mcs: int) -> int:
     """Number of distinct placements: n!/(cores! caches! mcs! rest!), exact.
 

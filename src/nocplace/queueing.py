@@ -19,10 +19,10 @@ Poisson-arrival / exponential-service configuration.
 All routers of a mesh are solved in one batched pass over (router, port)
 arrays. Each router runs exactly the iteration it would run alone (ports
 are summed in a fixed sequential order, so padding a router with idle ports
-changes no bit) and stops at its own convergence; ``solve_router`` is the
-same kernel on a batch of one. The kernel reports each row's outcome rather
-than raising, so one batch can also hold the meshes of many candidate
-placements: a saturated or non-convergent router ends only its own mesh.
+changes no bit) and stops at its own convergence. The kernel reports each
+row's outcome rather than raising, so one batch can also hold the meshes of
+many candidate placements: a saturated or non-convergent router ends only
+its own mesh.
 Since a row's outcome depends on its own (lam, turns) alone, the HIGH batch
 scorer goes further: it solves each distinct row of many placements once,
 as networks of one router, and reads a placement's outcome off its rows.
@@ -46,7 +46,6 @@ from .errors import (
 from .mesh import Coord, Placement
 from .routing import (
     N_PORTS,
-    PORT_INDEX,
     PORT_ORDER,
     ChannelLoadMap,
     Flow,
@@ -54,7 +53,6 @@ from .routing import (
     channel_loads,
     flow_set,
     path_sums,
-    valid_in_ports,
     valid_port_mask,
 )
 from .traffic import ResolvedTraffic, ServiceSpec, TrafficSpec, resolve
@@ -120,27 +118,6 @@ def effective_utilization(lam, contention, es) -> np.ndarray:
             f"lambda has {n} channels, C is {c.shape}, E{{S}} is {es.shape}"
         )
     return lam * _port_sum(c * es)
-
-
-@dataclass
-class RouterLoads:
-    """One router's channel arrival rates: lam[i] per input channel and
-    turns[i][k] per (input channel, output port)."""
-
-    router: Coord
-    ports: tuple[Port, ...]
-    out_ports: tuple[Port, ...]
-    lam: np.ndarray
-    turns: np.ndarray
-
-
-def router_loads(loads: ChannelLoadMap, router: Coord) -> RouterLoads:
-    ports = tuple(valid_in_ports(loads.grid, router))
-    idx = [PORT_INDEX[p] for p in ports]
-    t = loads.grid.index(router)
-    # The same port set acts as outputs (local = ejection).
-    return RouterLoads(router, ports, ports, loads.lam[t, idx],
-                       loads.turns[t][np.ix_(idx, idx)])
 
 
 @dataclass
@@ -370,26 +347,6 @@ def _router_model(router: Coord, ports: tuple[Port, ...], svc: ServiceSpec, ca2:
         iterations=int(fp.iterations[row]),
         final_delta=float(fp.final_delta[row]),
     )
-
-
-def solve_router(rl: RouterLoads, svc: ServiceSpec, ca2: float = 1.0,
-                 mode: str = PAPER) -> RouterQueueModel:
-    """Run the per-router contention fixed point and return the solved model.
-
-    Raises UnstableError when any channel's (effective) utilization reaches 1
-    and NonConvergentError when the queue-length iteration does not settle.
-    """
-    lam = np.asarray(rl.lam, dtype=float)[None]
-    turns = np.asarray(rl.turns, dtype=float)[None]
-    fp = _fixed_point(lam, turns, svc, ca2, mode, 1)
-    _raise_first_failure(fp, lambda _: rl.router, rl.ports)
-    return _router_model(rl.router, rl.ports, svc, ca2, fp, 0, np.arange(len(rl.ports)))
-
-
-def contention_matrix(rl: RouterLoads, svc: ServiceSpec, ca2: float = 1.0,
-                      mode: str = PAPER) -> np.ndarray:
-    """Contention matrix of one router at the solved fixed point."""
-    return solve_router(rl, svc, ca2, mode).contention
 
 
 @dataclass

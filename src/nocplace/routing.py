@@ -16,11 +16,10 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import OutOfBoundsError
 from .mesh import Coord, MeshGrid, Placement
 from .traffic import ResolvedTraffic, TrafficSpec, resolve
 
@@ -91,47 +90,6 @@ class Flow:
     kind: FlowKind
 
 
-def xy_route(src: Coord, dst: Coord) -> list[tuple[Coord, Port]]:
-    """Dimension-ordered path: (router, output port) pairs from src to dst.
-
-    Moves east/west along the source row to the destination column, then
-    north/south; the final entry delivers on the local port. Path length is
-    manhattan(src, dst) + 1 routers, both endpoints included.
-    """
-    path = []
-    x, y = src.x, src.y
-    step_x = Port.EAST if dst.x > x else Port.WEST
-    while x != dst.x:
-        path.append((Coord(x, y), step_x))
-        x += step_x.delta[0]
-    step_y = Port.SOUTH if dst.y > y else Port.NORTH
-    while y != dst.y:
-        path.append((Coord(x, y), step_y))
-        y += step_y.delta[1]
-    path.append((dst, Port.LOCAL))
-    return path
-
-
-def path_channels(src: Coord, dst: Coord) -> list[tuple[Coord, Port]]:
-    """Input channels traversed along the XY path: (router, input port).
-
-    The source router is entered through its local injection port; every
-    later router through the port facing the previous hop.
-    """
-    hops = xy_route(src, dst)
-    channels = [(src, Port.LOCAL)]
-    for (router, out), (nxt, _) in zip(hops, hops[1:]):
-        channels.append((nxt, out.opposite))
-    return channels
-
-
-def valid_in_ports(grid: MeshGrid, router: Coord) -> list[Port]:
-    """Input ports that exist at a router (edge routers lack out-of-grid
-    ports), in fixed enumeration order."""
-    row = valid_port_mask(grid)[grid.index(router)]
-    return [port for port, ok in zip(PORT_ORDER, row) if ok]
-
-
 def valid_port_mask(grid: MeshGrid) -> np.ndarray:
     """(n_tiles, N_PORTS) mask of the input ports that exist: a port exists
     when the neighbour it faces is on the grid (the local port always)."""
@@ -164,8 +122,14 @@ class FlowSet(NamedTuple):
 
 def flow_set(placement: Placement, spec: TrafficSpec,
              resolved: ResolvedTraffic | None = None) -> FlowSet:
-    """Array form of ``build_flows``: the same flows, in the same order and
-    with bit-identical rates."""
+    """Flow set induced by a placement and traffic spec.
+
+    Core i sends to cache j at rate lambda_i * miss_l1 * p_ij. When memory
+    controllers are present, cache j forwards its aggregate misses to
+    controller k at the miss_l2-scaled rate weighted by the nearest-controller
+    split q_jk. Reply flows (reverse direction, equal rate) appear only when
+    spec.model_replies is set. Zero-probability pairs yield no flow.
+    """
     r = resolved if resolved is not None else resolve(placement, spec)
     return _stacked_flows(spec, r.lam, r.p, r.core_ids[None], r.cache_ids[None],
                           r.mc_ids[None], None if r.q is None else r.q[None])
@@ -200,19 +164,6 @@ def _stacked_flows(spec: TrafficSpec, lam: np.ndarray, p: np.ndarray, cores: np.
         kind = np.concatenate([kind, reply])
         rate = np.concatenate([rate, rate])
     return FlowSet(src, dst, kind, rate)
-
-
-def build_flows(placement: Placement, spec: TrafficSpec,
-                resolved: ResolvedTraffic | None = None) -> list[Flow]:
-    """Flow set induced by a placement and traffic spec.
-
-    Core i sends to cache j at rate lambda_i * miss_l1 * p_ij. When memory
-    controllers are present, cache j forwards its aggregate misses to
-    controller k at the miss_l2-scaled rate weighted by the nearest-controller
-    split q_jk. Reply flows (reverse direction, equal rate) appear only when
-    spec.model_replies is set. Zero-probability pairs yield no flow.
-    """
-    return flow_set(placement, spec, resolved).flows(placement.grid)
 
 
 @lru_cache(maxsize=8)
@@ -281,7 +232,8 @@ def xy_hops(grid: MeshGrid, src: np.ndarray,
 def path_sums(grid: MeshGrid, src: np.ndarray, dst: np.ndarray,
               values: np.ndarray, skip_injection: bool = False) -> np.ndarray:
     """Sum of ``values[tile, in_port]`` over the input channels of each XY
-    path, in path order from 0.0 (as ``sum`` over ``path_channels`` adds).
+    path, added in path order from 0.0: the source's local injection channel,
+    then every later router's input channel facing the previous hop.
 
     ``skip_injection`` leaves out the source's local injection channel, so
     only the routers entered through links count.
@@ -388,23 +340,3 @@ def _superpose(flows: FlowSet, grid: MeshGrid,
     shape = (copies * grid.n_tiles, N_PORTS)
     return (lam.reshape(shape), turns.reshape(shape + (N_PORTS,)),
             used.reshape(shape + (N_PORTS,)))
-
-
-def derive_channel_rates(flows: Iterable[Flow], grid: MeshGrid) -> ChannelLoadMap:
-    """Superpose flow rates along their XY paths into per-channel loads.
-
-    Flows are processed in a canonical order so the floating-point sums are
-    identical no matter how the caller ordered them.
-    """
-    flows = list(flows)
-    outside = [f for f in flows if not (grid.contains(f.src) and grid.contains(f.dst))]
-    if outside:
-        f = min(outside, key=lambda f: (f.src, f.dst, f.kind.value, f.rate))
-        raise OutOfBoundsError(f"flow {f.src}->{f.dst} leaves the grid")
-    fs = FlowSet(
-        src=np.array([grid.index(f.src) for f in flows], dtype=np.int32),
-        dst=np.array([grid.index(f.dst) for f in flows], dtype=np.int32),
-        kind=np.array([_KIND_CODE[f.kind] for f in flows], dtype=np.int8),
-        rate=np.array([f.rate for f in flows], dtype=float),
-    )
-    return channel_loads(fs, grid)

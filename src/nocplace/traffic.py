@@ -3,6 +3,7 @@ and the simulator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -24,10 +25,11 @@ class ServiceSpec:
     scv: float = 1.0
 
     def __post_init__(self):
-        if self.mean_service <= 0:
-            raise InvalidTrafficError(f"mean service time must be > 0, got {self.mean_service}")
-        if self.scv < 0:
-            raise InvalidTrafficError(f"service SCV must be >= 0, got {self.scv}")
+        if not (math.isfinite(self.mean_service) and self.mean_service > 0):
+            raise InvalidTrafficError(
+                f"mean service time must be finite and > 0, got {self.mean_service}")
+        if not (math.isfinite(self.scv) and self.scv >= 0):
+            raise InvalidTrafficError(f"service SCV must be finite and >= 0, got {self.scv}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,11 @@ class TrafficSpec:
             raise InvalidTrafficError(f"hit_l1 must be in [0,1], got {self.hit_l1}")
         if not 0.0 <= self.miss_l2 <= 1.0:
             raise InvalidTrafficError(f"miss_l2 must be in [0,1], got {self.miss_l2}")
-        if self.arrival_scv < 0:
-            raise InvalidTrafficError("arrival SCV must be >= 0")
+        if not (math.isfinite(self.arrival_scv) and self.arrival_scv >= 0):
+            raise InvalidTrafficError(f"arrival SCV must be finite and >= 0, got {self.arrival_scv}")
+        for name in ("latency_l1", "mem_fixed_latency"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidTrafficError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def miss_l1(self) -> float:
@@ -114,18 +119,24 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
     if isinstance(spec.lambda_g, (int, float)):
         lam = np.full(len(cores), float(spec.lambda_g))
     else:
-        lam = np.asarray([float(v) for v in spec.lambda_g], dtype=float)
+        try:
+            lam = np.asarray([float(v) for v in spec.lambda_g], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidTrafficError(f"lambda_g entries must be numbers: {exc}") from None
         if lam.shape != (len(cores),):
             raise InvalidTrafficError(
                 f"lambda_g has {lam.size} entries for {len(cores)} cores"
             )
-    if not (lam >= 0).all():
-        raise InvalidTrafficError("injection rates must be >= 0")
+    if not (np.isfinite(lam) & (lam >= 0)).all():
+        raise InvalidTrafficError("injection rates must be finite and >= 0")
 
     if spec.p is None:
         p = np.full((len(cores), len(caches)), 1.0 / len(caches))
     else:
-        p = np.asarray(spec.p, dtype=float)
+        try:
+            p = np.asarray(spec.p, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidTrafficError(f"p must be a numeric matrix: {exc}") from None
         if p.shape != (len(cores), len(caches)):
             raise InvalidTrafficError(
                 f"p has shape {p.shape}, expected ({len(cores)}, {len(caches)})"

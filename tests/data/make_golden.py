@@ -14,7 +14,7 @@ by the kernel, so that CI can regenerate it and compare it byte for byte as
 it does the other two files. Per case it
 stores the LOW and HIGH objective values, the per-router response times of
 the delay inspector (13 significant digits, row-major routers, ports in
-``PORT_ORDER``), the SHA-256 of the ``derive_channel_rates`` CSV, and for
+``PORT_ORDER``), the SHA-256 of the ``channel_loads`` CSV, and for
 unstable cases the raised error's router, channel and message.
 
 The committed simulator file was written by the ``Coord``-keyed event engine
@@ -37,7 +37,7 @@ import json
 import sys
 
 import nocplace as nc
-from nocplace.routing import build_flows, derive_channel_rates
+from nocplace.routing import channel_loads, flow_set
 
 FAMILIES = ("central", "concentric", "striped", "checkerboard", "distributed")
 
@@ -74,7 +74,7 @@ def spec_from_dict(d: dict):
 
 def loads_sha256(placement, spec) -> str:
     buf = io.StringIO()
-    derive_channel_rates(build_flows(placement, spec), placement.grid).write_csv(buf)
+    channel_loads(flow_set(placement, spec), placement.grid).write_csv(buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 

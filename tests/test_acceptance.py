@@ -34,9 +34,10 @@ from nocplace import (
     run_sim,
     two_phase_optimize,
 )
-from nocplace.mesh import apply_symmetry, placement_from_string, placement_string
+from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import SearchSpace
 from nocplace.traffic import matrix
+from oracles import apply_symmetry
 
 GRID8 = MeshGrid(8, 8)
 N_CORES, N_CACHES = 48, 16  # documented defaults for the 8x8 experiments

@@ -126,6 +126,13 @@ class TestAnalyze:
                      "--mode", "high"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_mean_service_exit_1(self, tmp_path, capsys):
+        p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 12, 4, 0)
+        pfile = write_placement(tmp_path, p)
+        assert main(["analyze", "--placement", pfile, "--mean-service", "nan"]) == 1
+        assert ("error: mean service time must be finite and > 0, got nan"
+                in capsys.readouterr().err)
+
     def test_router_outputs_need_high_mode(self, tmp_path, capsys):
         p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 12, 4, 0)
         pfile = write_placement(tmp_path, p)

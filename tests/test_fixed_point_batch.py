@@ -23,9 +23,10 @@ from nocplace import (
     packet_delay_inspector,
 )
 from nocplace import queueing
-from nocplace.queueing import router_loads, solve_network, solve_router
-from nocplace.routing import build_flows, derive_channel_rates
+from nocplace.queueing import solve_network
+from nocplace.routing import PORT_ORDER, channel_loads, flow_set, valid_port_mask
 from nocplace.traffic import matrix
+from oracles import solve_one
 
 CASES = [
     (canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 12, 4, 0),
@@ -38,7 +39,20 @@ CASES = [
 
 
 def _loads(placement, spec):
-    return derive_channel_rates(build_flows(placement, spec), placement.grid)
+    return channel_loads(flow_set(placement, spec), placement.grid)
+
+
+def own_ports(loads, coord):
+    """Router ``coord``'s loads on the input ports it has (edge routers lack
+    the out-of-grid ones): ``lam``, ``turns`` and the ports."""
+    t = loads.grid.index(coord)
+    idx = np.flatnonzero(valid_port_mask(loads.grid)[t])
+    return loads.lam[t, idx], loads.turns[t][np.ix_(idx, idx)], tuple(PORT_ORDER[i] for i in idx)
+
+
+def solve_alone(loads, coord, svc, ca2=1.0, mode=PAPER):
+    lam, turns, ports = own_ports(loads, coord)
+    return solve_one(lam, turns, svc, ca2, mode, router=coord, ports=ports)
 
 
 @pytest.mark.parametrize("mode", [PAPER, STANDARD])
@@ -48,7 +62,7 @@ def test_batch_matches_one_router_solves(placement, spec, mode):
     report = packet_delay_inspector(placement, spec, mode=mode)
     batch = solve_network(loads, spec.svc, spec.arrival_scv, mode)
     for t, coord in enumerate(placement.grid.tiles()):
-        alone = solve_router(router_loads(loads, coord), spec.svc, spec.arrival_scv, mode)
+        alone = solve_alone(loads, coord, spec.svc, spec.arrival_scv, mode)
         viewed = report.routers[coord]
         assert alone.ports == viewed.ports
         assert np.array_equal(alone.rt, viewed.rt)
@@ -85,7 +99,7 @@ def test_lowest_failing_router_raises_its_own_error():
     loads = _loads(placement, spec)
     assert loads.in_rate(Coord(2, 0), Port.WEST) >= 1.0
     with pytest.raises(UnstableError) as alone:
-        solve_router(router_loads(loads, Coord(1, 0)), spec.svc)
+        solve_alone(loads, Coord(1, 0), spec.svc)
     for run in (lambda: packet_delay_inspector(placement, spec),
                 lambda: objective(placement, spec, Mode.HIGH),
                 lambda: solve_network(loads, spec.svc)):
@@ -100,7 +114,7 @@ def test_lowest_failing_router_raises_its_own_error():
 def test_plain_utilization_is_checked_before_iterating():
     placement, spec = _line()
     with pytest.raises(UnstableError) as exc:
-        solve_router(router_loads(_loads(placement, spec), Coord(2, 0)), spec.svc)
+        solve_alone(_loads(placement, spec), Coord(2, 0), spec.svc)
     assert str(exc.value).startswith("utilization")
     assert exc.value.router == Coord(2, 0)
 
@@ -167,14 +181,14 @@ def test_unchecked_loop_matches_the_checked_functions(placement, spec, mode):
 
 
 def test_waiting_time_arguments_are_checked_before_iterating():
-    rl = router_loads(_loads(*CASES[0]), Coord(1, 1))
+    lam, turns, _ = own_ports(_loads(*CASES[0]), Coord(1, 1))
     with pytest.raises(ValueError, match="unknown waiting-time mode"):
-        solve_router(rl, ServiceSpec(), mode="bogus")
+        solve_one(lam, turns, ServiceSpec(), mode="bogus")
     with pytest.raises(UnstableError, match="SCVs must be >= 0"):
-        solve_router(rl, ServiceSpec(), ca2=-1.0)
+        solve_one(lam, turns, ServiceSpec(), ca2=-1.0)
     # Negative turn rates could make an effective utilization negative
     # inside the loop, which no longer checks its range.
-    rl.turns = rl.turns.copy()
-    rl.turns[0, 1] = -0.1
+    turns = turns.copy()
+    turns[0, 1] = -0.1
     with pytest.raises(UnstableError, match="turn rates must be >= 0"):
-        solve_router(rl, ServiceSpec())
+        solve_one(lam, turns, ServiceSpec())

@@ -36,7 +36,7 @@ from nocplace import (
     two_phase_optimize,
 )
 from nocplace import optimizer
-from nocplace.routing import build_flows, derive_channel_rates
+from nocplace.routing import channel_loads, flow_set
 
 REL = 1e-12
 DATA = Path(__file__).parent / "data"
@@ -64,7 +64,7 @@ def test_low_objective(case):
 def test_loads_csv_bytes(case):
     c, placement, spec = case
     buf = io.StringIO()
-    derive_channel_rates(build_flows(placement, spec), placement.grid).write_csv(buf)
+    channel_loads(flow_set(placement, spec), placement.grid).write_csv(buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == c["loads_sha256"]
 
 

@@ -11,20 +11,18 @@ from nocplace import (
     InvalidTrafficError,
     NoCachesError,
     NodeKind,
-    NoMemControllersError,
     ServiceSpec,
     TrafficSpec,
     build_placement,
     canonical_placement,
-    low_traffic_l2_latency,
-    low_traffic_mem_latency,
     objective,
 )
 from nocplace import scoring
 from nocplace.latency import _row_sums, _sum_in_order
 from nocplace.scoring import low_objective_batch
-from nocplace.mesh import apply_symmetry, placement_from_string
+from nocplace.mesh import placement_from_string
 from nocplace.traffic import matrix
+from oracles import apply_symmetry
 
 
 def place(grid, cores=(), caches=(), mcs=()):
@@ -33,6 +31,12 @@ def place(grid, cores=(), caches=(), mcs=()):
     kinds.update({c: NodeKind.CACHE for c in caches})
     kinds.update({c: NodeKind.MC for c in mcs})
     return build_placement(grid, kinds)
+
+
+def core_terms(placement, spec, core):
+    """``core``'s (L2 term, memory term) of the LOW objective."""
+    [c] = [c for c in objective(placement, spec, Mode.LOW).per_core if c.core == core]
+    return c.l2_term, c.mem_term
 
 
 def ring_of_cores_3x3(cache_at=Coord(1, 1)):
@@ -45,36 +49,36 @@ class TestLowTrafficL2:
     def test_adjacent_single_cache(self):
         g = MeshGrid(2, 1)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0)])
-        assert low_traffic_l2_latency(Coord(0, 0), p, TrafficSpec()) == pytest.approx(1.0)
+        assert core_terms(p, TrafficSpec(), Coord(0, 0))[0] == pytest.approx(1.0)
 
     def test_equidistant_pair(self):
         g = MeshGrid(5, 1)
         p = place(g, cores=[Coord(2, 0)], caches=[Coord(0, 0), Coord(4, 0)])
-        assert low_traffic_l2_latency(Coord(2, 0), p, TrafficSpec()) == pytest.approx(2.0)
+        assert core_terms(p, TrafficSpec(), Coord(2, 0))[0] == pytest.approx(2.0)
 
     def test_weighted_distances(self):
         g = MeshGrid(3, 3)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(2, 0), Coord(0, 2)])
         t = TrafficSpec(p=matrix([[0.25, 0.75]]))
-        assert low_traffic_l2_latency(Coord(0, 0), p, t) == pytest.approx(2.0)
+        assert core_terms(p, t, Coord(0, 0))[0] == pytest.approx(2.0)
 
     def test_no_caches(self):
         g = MeshGrid(2, 1)
         p = place(g, cores=[Coord(0, 0)])
         with pytest.raises(NoCachesError):
-            low_traffic_l2_latency(Coord(0, 0), p, TrafficSpec())
+            objective(p, TrafficSpec(), Mode.LOW)
 
 
 class TestLowTrafficMem:
     def test_adjacent_mc(self):
         g = MeshGrid(3, 1)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0)], mcs=[Coord(2, 0)])
-        assert low_traffic_mem_latency(p, TrafficSpec()) == pytest.approx(1.0)
+        assert core_terms(p, TrafficSpec(), p.cores[0])[1] == pytest.approx(1.0)
 
     def test_same_column_distance_one(self):
         g = MeshGrid(2, 2)
         p = place(g, cores=[Coord(1, 0)], caches=[Coord(0, 0)], mcs=[Coord(0, 1)])
-        assert low_traffic_mem_latency(p, TrafficSpec()) == pytest.approx(1.0)
+        assert core_terms(p, TrafficSpec(), p.cores[0])[1] == pytest.approx(1.0)
 
     def test_average_over_caches(self):
         # Caches at distances 2 and 4 from their nearest controllers.
@@ -83,19 +87,13 @@ class TestLowTrafficMem:
                   caches=[Coord(2, 0), Coord(4, 0)],
                   mcs=[Coord(0, 0)])
         # d(cache1, mc) = 2, d(cache2, mc) = 4 -> mean 3.
-        assert low_traffic_mem_latency(p, TrafficSpec()) == pytest.approx(3.0)
+        assert core_terms(p, TrafficSpec(), p.cores[0])[1] == pytest.approx(3.0)
 
     def test_fixed_latency_added(self):
         g = MeshGrid(3, 1)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0)], mcs=[Coord(2, 0)])
         t = TrafficSpec(mem_fixed_latency=50.0)
-        assert low_traffic_mem_latency(p, t) == pytest.approx(51.0)
-
-    def test_no_mcs(self):
-        g = MeshGrid(2, 1)
-        p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0)])
-        with pytest.raises(NoMemControllersError):
-            low_traffic_mem_latency(p, TrafficSpec())
+        assert core_terms(p, t, p.cores[0])[1] == pytest.approx(51.0)
 
 
 class TestObjective:

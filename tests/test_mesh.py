@@ -18,9 +18,9 @@ from nocplace import (
     canonical_placement,
     manhattan,
     placement_count,
-    symmetry_orbit,
 )
-from nocplace.mesh import apply_symmetry, placement_from_string, placement_string
+from nocplace.mesh import placement_from_string, placement_string
+from oracles import apply_symmetry, symmetry_orbit
 
 
 def grid_coords(max_side=8):

@@ -16,7 +16,6 @@ from nocplace import (
     UnstableError,
     build_placement,
     canonical_placement,
-    contention_matrix,
     effective_utilization,
     kingman_wait,
     manhattan,
@@ -24,9 +23,8 @@ from nocplace import (
     packet_delay_inspector,
 )
 from nocplace.errors import DimensionMismatchError
-from nocplace.queueing import RouterLoads, solve_router
-from nocplace.routing import path_channels
 from nocplace.traffic import matrix
+from oracles import path_channels, solve_one
 
 
 def place(grid, cores=(), caches=(), mcs=()):
@@ -93,15 +91,10 @@ class TestEffectiveUtilization:
             effective_utilization([0.2, 0.4], np.eye(3), [1.0, 1.0])
 
 
-def two_channel_loads(lam1, lam2, shared=True):
-    turns = np.array([[0.0, lam1], [0.0, lam2]]) if shared else np.diag([lam1, lam2])
-    return RouterLoads(
-        router=Coord(0, 0),
-        ports=(Port.NORTH, Port.SOUTH),
-        out_ports=(Port.NORTH, Port.SOUTH),
-        lam=np.array([lam1, lam2]),
-        turns=turns,
-    )
+def solve_two_channels(lam1, lam2, svc, mode=PAPER):
+    """A router whose two input channels both turn into the second port."""
+    return solve_one([lam1, lam2], [[0.0, lam1], [0.0, lam2]], svc, mode=mode,
+                     ports=(Port.NORTH, Port.SOUTH))
 
 
 def scalar_contention_oracle(lam, es=1.0, tol=1e-12):
@@ -126,36 +119,29 @@ def scalar_contention_oracle(lam, es=1.0, tol=1e-12):
 
 class TestContentionMatrix:
     def test_single_busy_channel_has_no_cross_contention(self):
-        rl = RouterLoads(
-            router=Coord(0, 0),
-            ports=(Port.NORTH, Port.SOUTH),
-            out_ports=(Port.NORTH, Port.SOUTH),
-            lam=np.array([0.4, 0.0]),
-            turns=np.array([[0.0, 0.4], [0.0, 0.0]]),
-        )
-        c = contention_matrix(rl, ServiceSpec())
+        c = solve_two_channels(0.4, 0.0, ServiceSpec()).contention
         assert c[0, 1] == pytest.approx(0.0)
         assert c[1, 0] == pytest.approx(0.0)
         assert c[0, 0] == c[1, 1] == 1.0
 
     def test_symmetric_channels_give_symmetric_matrix(self):
-        c = contention_matrix(two_channel_loads(0.3, 0.3), ServiceSpec())
+        c = solve_two_channels(0.3, 0.3, ServiceSpec()).contention
         assert c[0, 1] == pytest.approx(c[1, 0], rel=1e-9)
         assert c[0, 1] > 0.0
 
     def test_matches_independent_scalar_fixed_point(self):
-        c = contention_matrix(two_channel_loads(0.3, 0.3), ServiceSpec())
+        c = solve_two_channels(0.3, 0.3, ServiceSpec()).contention
         assert c[0, 1] == pytest.approx(scalar_contention_oracle(0.3), rel=1e-6)
 
     def test_unstable_channel_rejected(self):
         with pytest.raises(UnstableError):
-            contention_matrix(two_channel_loads(1.0, 0.1), ServiceSpec())
+            solve_two_channels(1.0, 0.1, ServiceSpec())
 
     def test_contention_can_saturate_subcritical_channels(self):
         # Plain utilization 0.95 per channel is stable in isolation, but the
         # shared output inflates the effective utilization past 1.
         with pytest.raises(UnstableError) as exc:
-            contention_matrix(two_channel_loads(0.95, 0.95), ServiceSpec())
+            solve_two_channels(0.95, 0.95, ServiceSpec())
         assert "effective" in str(exc.value)
 
 
@@ -163,26 +149,19 @@ class TestSolveRouter:
     def test_mm1_degeneracy_single_channel(self):
         # One channel, no cross traffic, unit SCVs, paper mode: the channel
         # response time is exactly 1/(mu - lambda).
-        rl = RouterLoads(
-            router=Coord(0, 0),
-            ports=(Port.LOCAL,),
-            out_ports=(Port.LOCAL,),
-            lam=np.array([0.5]),
-            turns=np.array([[0.5]]),
-        )
-        model = solve_router(rl, ServiceSpec(mean_service=1.0, scv=1.0), ca2=1.0, mode=PAPER)
+        model = solve_one([0.5], [[0.5]], ServiceSpec(mean_service=1.0, scv=1.0), ca2=1.0,
+                          mode=PAPER, ports=(Port.LOCAL,))
         assert model.contention == pytest.approx(np.eye(1))
         assert model.rt[0] == pytest.approx(mm1_response(0.5, 1.0))
 
     def test_standard_mode_rt_is_service_plus_wait(self):
-        rl = two_channel_loads(0.2, 0.4)
-        model = solve_router(rl, ServiceSpec(), mode=STANDARD)
+        model = solve_two_channels(0.2, 0.4, ServiceSpec(), mode=STANDARD)
         assert model.rt == pytest.approx(model.svc.mean_service + model.wq)
         assert np.all(model.wq >= 0.0)
 
     def test_rt_at_least_service_time_both_modes(self):
         for mode in (PAPER, STANDARD):
-            model = solve_router(two_channel_loads(0.3, 0.5), ServiceSpec(), mode=mode)
+            model = solve_two_channels(0.3, 0.5, ServiceSpec(), mode=mode)
             assert np.all(model.rt >= model.svc.mean_service - 1e-15)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +13,13 @@ from nocplace import (
     NodeKind,
     Port,
     TrafficSpec,
-    build_flows,
     build_placement,
     canonical_placement,
-    derive_channel_rates,
     manhattan,
-    xy_route,
 )
-from nocplace.routing import path_channels
+from nocplace.routing import _KIND_CODE, FlowSet, channel_loads, flow_set
 from nocplace.traffic import matrix
+from oracles import path_channels, xy_route
 
 
 def place(grid, cores=(), caches=(), mcs=()):
@@ -29,6 +28,21 @@ def place(grid, cores=(), caches=(), mcs=()):
     kinds.update({c: NodeKind.CACHE for c in caches})
     kinds.update({c: NodeKind.MC for c in mcs})
     return build_placement(grid, kinds)
+
+
+def flows_of(placement, spec):
+    return flow_set(placement, spec).flows(placement.grid)
+
+
+def loads_of(flows, grid):
+    """``channel_loads`` of a list of ``Flow`` objects."""
+    flows = list(flows)
+    return channel_loads(FlowSet(
+        src=np.array([grid.index(f.src) for f in flows], dtype=np.int32),
+        dst=np.array([grid.index(f.dst) for f in flows], dtype=np.int32),
+        kind=np.array([_KIND_CODE[f.kind] for f in flows], dtype=np.int8),
+        rate=np.array([f.rate for f in flows], dtype=float),
+    ), grid)
 
 
 class TestXYRoute:
@@ -74,7 +88,7 @@ class TestBuildFlows:
         g = MeshGrid(2, 2)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0)])
         t = TrafficSpec(lambda_g=1.0, hit_l1=0.5, p=matrix([[1.0]]))
-        flows = build_flows(p, t)
+        flows = flows_of(p, t)
         assert len(flows) == 1
         assert flows[0].rate == pytest.approx(0.5)
         assert flows[0].kind is FlowKind.CORE_TO_CACHE
@@ -83,7 +97,7 @@ class TestBuildFlows:
         g = MeshGrid(3, 1)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0), Coord(2, 0)])
         t = TrafficSpec(lambda_g=2.0, hit_l1=0.5)
-        flows = build_flows(p, t)
+        flows = flows_of(p, t)
         assert sorted(f.rate for f in flows) == pytest.approx([0.5, 0.5])
 
     def test_memory_chain_rates(self):
@@ -94,7 +108,7 @@ class TestBuildFlows:
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0), Coord(2, 0)],
                   mcs=[Coord(3, 0)])
         t = TrafficSpec(lambda_g=2.0, hit_l1=0.5, miss_l2=0.4)
-        flows = build_flows(p, t)
+        flows = flows_of(p, t)
         mc_flows = [f for f in flows if f.kind is FlowKind.CACHE_TO_MC]
         assert sorted(f.rate for f in mc_flows) == pytest.approx([0.2, 0.2])
         assert sum(f.rate for f in mc_flows) == pytest.approx(
@@ -104,7 +118,7 @@ class TestBuildFlows:
         g = MeshGrid(2, 1)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0)])
         t = TrafficSpec(lambda_g=1.0, model_replies=True)
-        flows = build_flows(p, t)
+        flows = flows_of(p, t)
         req = [f for f in flows if f.kind is FlowKind.CORE_TO_CACHE]
         rep = [f for f in flows if f.kind is FlowKind.REPLY]
         assert len(req) == len(rep) == 1
@@ -115,9 +129,9 @@ class TestBuildFlows:
         g = MeshGrid(3, 1)
         p = place(g, cores=[Coord(0, 0)], caches=[Coord(1, 0), Coord(2, 0)])
         with pytest.raises(InvalidTrafficError):
-            build_flows(p, TrafficSpec(lambda_g=1.0, p=matrix([[0.6, 0.6]])))
+            flows_of(p, TrafficSpec(lambda_g=1.0, p=matrix([[0.6, 0.6]])))
         with pytest.raises(InvalidTrafficError):
-            build_flows(p, TrafficSpec(lambda_g=1.0, p=matrix([[1.2, -0.2]])))
+            flows_of(p, TrafficSpec(lambda_g=1.0, p=matrix([[1.2, -0.2]])))
 
 
 def naive_channel_loads(flows, grid):
@@ -152,7 +166,7 @@ def naive_channel_loads(flows, grid):
 class TestDeriveChannelRates:
     def test_single_flow_path(self):
         g = MeshGrid(3, 1)
-        loads = derive_channel_rates(
+        loads = loads_of(
             [Flow(Coord(0, 0), Coord(2, 0), 0.5, FlowKind.CORE_TO_CACHE)], g)
         assert loads.in_rate(Coord(1, 0), Port.WEST) == pytest.approx(0.5)
         assert loads.turn_rate(Coord(1, 0), Port.WEST, Port.EAST) == pytest.approx(0.5)
@@ -163,7 +177,7 @@ class TestDeriveChannelRates:
         g = MeshGrid(3, 3)
         f1 = Flow(Coord(0, 1), Coord(2, 1), 0.3, FlowKind.CORE_TO_CACHE)
         f2 = Flow(Coord(1, 0), Coord(1, 2), 0.2, FlowKind.CORE_TO_CACHE)
-        loads = derive_channel_rates([f1, f2], g)
+        loads = loads_of([f1, f2], g)
         assert loads.in_rate(Coord(1, 1), Port.WEST) == pytest.approx(0.3)
         assert loads.in_rate(Coord(1, 1), Port.NORTH) == pytest.approx(0.2)
 
@@ -171,8 +185,8 @@ class TestDeriveChannelRates:
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 12, 4, 0)
         t = TrafficSpec(lambda_g=1.0)
-        flows = build_flows(p, t)
-        loads = derive_channel_rates(flows, g)
+        flows = flows_of(p, t)
+        loads = loads_of(flows, g)
         in_oracle, turn_oracle = naive_channel_loads(flows, g)
         assert set(loads.in_rates) == set(in_oracle)
         for key, rate in in_oracle.items():
@@ -183,7 +197,7 @@ class TestDeriveChannelRates:
     def test_center_links_beat_corner_links_central_config(self):
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 12, 4, 0)
-        loads = derive_channel_rates(build_flows(p, TrafficSpec(lambda_g=1.0)), g)
+        loads = channel_loads(flow_set(p, TrafficSpec(lambda_g=1.0)), g)
         center = max(
             rate for (router, port), rate in loads.in_rates.items()
             if router in (Coord(1, 1), Coord(2, 1), Coord(1, 2), Coord(2, 2))
@@ -200,8 +214,7 @@ class TestDeriveChannelRates:
     def test_flow_conservation(self):
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.DISTRIBUTED, g, 8, 4, 2)
-        flows = build_flows(p, TrafficSpec(lambda_g=0.7, miss_l2=0.3))
-        loads = derive_channel_rates(flows, g)
+        loads = channel_loads(flow_set(p, TrafficSpec(lambda_g=0.7, miss_l2=0.3)), g)
         for router in g.tiles():
             for out in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST):
                 dx, dy = out.delta
@@ -219,8 +232,8 @@ class TestDeriveChannelRates:
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.STRIPED, g, 8, 4, 0,
                                 )
-        flows = build_flows(p, TrafficSpec(lambda_g=0.9))
-        loads = derive_channel_rates(flows, g)
+        flows = flows_of(p, TrafficSpec(lambda_g=0.9))
+        loads = loads_of(flows, g)
         sink_total = sum(
             rate for (router, in_port, out_port), rate in loads.turn_rates.items()
             if out_port is Port.LOCAL
@@ -230,10 +243,8 @@ class TestDeriveChannelRates:
     def test_linear_in_rates(self):
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 12, 4, 0)
-        base = build_flows(p, TrafficSpec(lambda_g=0.5))
-        scaled = build_flows(p, TrafficSpec(lambda_g=1.5))
-        lo = derive_channel_rates(base, g)
-        hi = derive_channel_rates(scaled, g)
+        lo = channel_loads(flow_set(p, TrafficSpec(lambda_g=0.5)), g)
+        hi = channel_loads(flow_set(p, TrafficSpec(lambda_g=1.5)), g)
         assert set(lo.in_rates) == set(hi.in_rates)
         for key, rate in lo.in_rates.items():
             assert hi.in_rates[key] == pytest.approx(3.0 * rate, rel=1e-9)
@@ -241,9 +252,9 @@ class TestDeriveChannelRates:
     def test_order_independence(self):
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 12, 4, 0)
-        flows = build_flows(p, TrafficSpec(lambda_g=1.0))
-        a = derive_channel_rates(flows, g)
-        b = derive_channel_rates(list(reversed(flows)), g)
+        flows = flows_of(p, TrafficSpec(lambda_g=1.0))
+        a = loads_of(flows, g)
+        b = loads_of(list(reversed(flows)), g)
         assert a.in_rates == b.in_rates
         assert a.turn_rates == b.turn_rates
 
@@ -253,7 +264,7 @@ class TestLoadsCsv:
         import io
 
         g = MeshGrid(3, 1)
-        loads = derive_channel_rates(
+        loads = loads_of(
             [Flow(Coord(0, 0), Coord(2, 0), 0.5, FlowKind.CORE_TO_CACHE)], g)
         buf = io.StringIO()
         loads.write_csv(buf)
@@ -266,8 +277,6 @@ class TestArrayPaths:
     """The array hop expansion against the per-flow path walkers."""
 
     def test_path_sums_match_path_channels_for_all_pairs(self):
-        import numpy as np
-
         from nocplace.routing import PORT_INDEX, path_sums
 
         g = MeshGrid(5, 3)
@@ -286,7 +295,7 @@ class TestArrayPaths:
         g = MeshGrid(4, 3)
         for a in g.tiles():
             for b in g.tiles():
-                loads = derive_channel_rates([Flow(a, b, 1.0, FlowKind.CORE_TO_CACHE)], g)
+                loads = loads_of([Flow(a, b, 1.0, FlowKind.CORE_TO_CACHE)], g)
                 hops = xy_route(a, b)
                 ins = [Port.LOCAL] + [out.opposite for _, out in hops[:-1]]
                 expected = {(r, i, o): 1.0 for (r, o), i in zip(hops, ins)}
@@ -296,8 +305,6 @@ class TestArrayPaths:
 def expand_xy_hops(grid, src, dst, chunk):
     """The arithmetic XY expansion that ``xy_hops`` replaced by a gather from
     its displacement table: the oracle of ``TestHopGather``."""
-    import numpy as np
-
     from nocplace.routing import N_PORTS
 
     n_, s_, e_, w_, l_ = range(N_PORTS)
@@ -348,8 +355,6 @@ class TestHopGather:
 
     @pytest.mark.parametrize("w,h", GRIDS)
     def test_all_pairs(self, w, h):
-        import numpy as np
-
         g = MeshGrid(w, h)
         src, dst = np.divmod(np.arange(g.n_tiles ** 2), g.n_tiles)
         self.assert_same(g, src, dst)
@@ -359,8 +364,6 @@ class TestHopGather:
     def test_random_flows_on_stacked_copies(self, w, h, copies):
         # Tile b * n_tiles + t is tile t of copy b, as _superpose and the
         # HIGH batch scorer stack their candidates; paths stay in a copy.
-        import numpy as np
-
         g = MeshGrid(w, h)
         rng = np.random.default_rng(w * 31 + h + copies)
         m = 2500

@@ -104,7 +104,8 @@ class TestResolve:
 
 class TestNanTraffic:
     """NaN compares false both ways, so range checks written as ``< low`` or
-    ``> high`` let it through; every entry point must reject it instead."""
+    ``> high`` let it through, and an infinite rate passes ``>= 0``; every
+    entry point must reject both instead."""
 
     NAN_P = ((math.nan, 1.0), (0.5, 0.5))
 
@@ -117,7 +118,7 @@ class TestNanTraffic:
         with pytest.raises(InvalidTrafficError, match="p entries"):
             resolve(self._placement(), TrafficSpec(p=rows))
 
-    @pytest.mark.parametrize("lam", [math.nan, (0.1, math.nan)])
+    @pytest.mark.parametrize("lam", [math.nan, (0.1, math.nan), math.inf, (0.1, math.inf)])
     def test_resolve_rejects_nan_rate(self, lam):
         with pytest.raises(InvalidTrafficError, match="injection rates"):
             resolve(self._placement(), TrafficSpec(lambda_g=lam))
@@ -133,3 +134,41 @@ class TestNanTraffic:
     def test_run_sim_rejects_nan(self):
         with pytest.raises(InvalidTrafficError):
             run_sim(SimConfig(self._placement(), TrafficSpec(p=self.NAN_P), messages=100))
+
+
+class TestNonFiniteValues:
+    """NaN and infinities are neither rates, times nor SCVs. Accepted, they
+    made the LOW objective nan or inf, and HIGH run its fixed point to the
+    iteration cap and then report non-convergence."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("mean_service", math.nan), ("mean_service", math.inf), ("mean_service", -math.inf),
+        ("scv", math.nan), ("scv", math.inf),
+    ])
+    def test_service_spec_rejects(self, field, value):
+        with pytest.raises(InvalidTrafficError, match="must be finite"):
+            ServiceSpec(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("arrival_scv", math.nan), ("arrival_scv", math.inf),
+        ("latency_l1", math.nan), ("latency_l1", math.inf), ("latency_l1", -math.inf),
+        ("mem_fixed_latency", math.nan), ("mem_fixed_latency", math.inf),
+    ])
+    def test_traffic_spec_rejects(self, field, value):
+        with pytest.raises(InvalidTrafficError, match="must be finite"):
+            TrafficSpec(**{field: value})
+
+
+class TestMalformedInput:
+    """Input that numpy cannot turn into a rate vector or an access matrix
+    raises the typed error, not numpy's ValueError."""
+
+    @pytest.mark.parametrize("spec,match", [
+        (TrafficSpec(p=((0.5, 0.5), (1.0,))), "p must be a numeric matrix"),
+        (TrafficSpec(p=((0.5, 0.5), (0.5, "x"))), "p must be a numeric matrix"),
+        (TrafficSpec(lambda_g=(0.1, "x")), "lambda_g entries must be numbers"),
+        (TrafficSpec(lambda_g=(0.1, None)), "lambda_g entries must be numbers"),
+    ])
+    def test_resolve_raises_invalid_traffic(self, spec, match):
+        with pytest.raises(InvalidTrafficError, match=match):
+            resolve(Placement.from_text("C$.\n.$.\n.C."), spec)
