@@ -18,7 +18,8 @@ class InvalidTrafficError(NocError):
 
 
 class InvalidConfigError(NocError):
-    """A simulation configuration violates its preconditions."""
+    """A simulation configuration or a model option, such as the
+    waiting-time mode, violates its preconditions."""
 
 
 class NoCachesError(NocError):

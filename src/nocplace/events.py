@@ -7,7 +7,10 @@ count, kind, payload)``; equal times pop in push order. The main loop is one
 flat loop that makes no call per event: the clock update of a channel, a
 message's arrival at its next channel, the spawn of a derived message and
 the length draw are written out where they happen. Each message records its
-arrival time at the channel it waits in, so a queue holds messages.
+arrival time at the channel it waits in, so a queue holds messages. Each
+latency is kept with its delivery time, in two typed arrays, and
+``_sim_stats`` orders them: the order in which simultaneous deliveries pop
+decides no statistic.
 
 The order of the uniforms is fixed: at a generation the gap to the core's
 next generation, the destination cache, then the length; at the delivery of
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
@@ -111,8 +115,8 @@ def run_events(config: SimConfig) -> SimStats:
     ends = np.cumsum(grid.hops[srcs, dsts] + 1).tolist()
     routes = {key: ids[begin:end]
               for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}
-    # Channels are built on first use, in path order: the order that
-    # ``SimStats.channels`` keeps.
+    # Channels are built on first use, so only channels on some drawn path
+    # appear in ``SimStats.channels``.
     channels = _Channels()
     paths: dict[int, list[_Channel]] = {}
 
@@ -125,7 +129,7 @@ def run_events(config: SimConfig) -> SimStats:
     completed = 0
     derived_generated = 0
     derived_completed = 0
-    latencies: list[float] = []
+    latencies, delivered = array("d"), array("d")
     flow_sums: dict[int, list] = {}
 
     # Seed one generation event per active core.
@@ -194,6 +198,7 @@ def run_events(config: SimConfig) -> SimStats:
             if msg.origin >= stats_start:
                 latency = t - msg.origin
                 latencies.append(latency)
+                delivered.append(t)
                 key = msg.src * n_tiles + msg.dst
                 agg = flow_sums.get(key)
                 if agg is None:
@@ -244,7 +249,7 @@ def run_events(config: SimConfig) -> SimStats:
         grid,
         ((cid, ch.arrivals, ch.completions, ch.busy, ch.area, ch.resp_sum, ch.svc_sum)
          for cid, ch in channels.items()),
-        np.asarray(latencies),
+        np.frombuffer(latencies), np.frombuffer(delivered),
         ((key, n, s) for key, (n, s) in flow_sums.items()),
         end_t, max(end_t - stats_start, 0.0),
         generated, completed, derived_generated, derived_completed,

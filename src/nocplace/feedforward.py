@@ -12,66 +12,48 @@ bit for bit:
   ``random()`` would use (``_uniforms``).
 - Every float is computed by the same operations in the same order: each
   departure by the recursion in FIFO order; each running sum (response,
-  service, queue-length area, busy time, flow latency) one term at a time in
-  the order the event engine adds it.
-- Equal times pop in the event engine's order. Message lengths repeat, so a
-  departure often coincides with another event. The event engine breaks
-  such ties by push order, that is by the pop order of the pushing events
-  and then by push rank within one of them; ``_rank_ties`` rebuilds that
-  order for every set of events that share a time. It decides the order of
-  deliveries (the latency list) and which of two simultaneous events
-  scheduled a departure. Ties it does not rebuild raise ``TieUnresolved``.
+  service, queue-length area, busy time) one term at a time in each
+  channel's event order, and each flow's latency sum in delivery order.
+- The order of simultaneous events is not rebuilt. Message lengths repeat,
+  so a departure often coincides with another event, but the statistics do
+  not depend on how such ties pop: ``simulator._sim_stats`` orders the
+  latencies by (delivery time, latency), and the deliveries of one flow
+  leave one channel, at distinct times. Ties that change the trajectory
+  raise ``TieUnresolved``.
 
 The working set is bounded: generations come in windows of ``_WINDOW``, and
-only the messages in flight and the current window's event records are kept.
-A record takes 26 bytes (int32 ids while every event id fits, int16 push
-ranks): a window of 4,096 generations on an 8x8 mesh holds up to about
-30,000 records, 0.8 MB. Fewer, larger windows make fewer numpy calls per
-message.
+only the messages in flight are kept, 30 bytes each, in a store of at most
+two windows. Beyond that a run keeps 16 bytes per message: its latency and
+delivery time. Fewer, larger windows make fewer numpy calls per message.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from heapq import heapify, heapreplace
-from typing import NamedTuple
 
 import numpy as np
 
-from .routing import N_PORTS, xy_hops
+from .routing import N_PORTS
 from .simulator import SimConfig, SimStats, _injection, _sim_stats
 from .traffic import resolve
 
 _N, _S, _E, _W, _L = range(N_PORTS)  # port indices in PORT_ORDER
 
 # Generations per window of the feed-forward engine. Its working set is
-# about one window of event records plus up to two windows of messages;
-# fewer, larger windows cost less numpy call overhead. 4,096 keeps the
-# traced peak of ``test_working_set_within_event_engine_bound`` at about
-# 1.6x the event engine's, within its 2x bound.
+# about two windows of messages plus one level's arrays; fewer, larger
+# windows cost less numpy call overhead. 4,096 keeps the traced peak of
+# ``test_working_set_within_event_engine_bound`` within its 2x bound.
 _WINDOW = 4096
 
 
-class _Events(NamedTuple):
-    """Records of the current window's events, kept until its ties are
-    ranked: time, when and by which event it was scheduled, its push rank
-    within that event, and the event id."""
-
-    t: np.ndarray
-    sched_t: np.ndarray
-    sched: np.ndarray
-    rank: np.ndarray
-    id: np.ndarray
-
-
 class TieUnresolved(Exception):
-    """An event coincides with another whose relative pop order the engine
-    does not rebuild: two arrivals at one channel from different channels
-    (their FIFO order), an arrival and the warmup-th generation (whether it
-    counts), or the generations of two cores. Each takes a coincidence of
-    float sums; such runs are left to the event engine."""
+    """An event coincides with another whose relative pop order changes the
+    trajectory: two arrivals at one channel from different channels (their
+    FIFO order), an arrival and the warmup-th generation (whether it counts),
+    or the generations of two cores. Each takes a coincidence of float sums;
+    such runs are left to the event engine."""
 
 
 def _uniforms(rng: random.Random, n: int) -> np.ndarray:
@@ -171,72 +153,6 @@ def _segments(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _rank_ties(events: list[_Events], ranks: dict[int, int], amb: dict,
-               ranked: deque) -> None:
-    """Rank, in the event engine's pop order, each set of the window's
-    ``events`` that share a time, earliest time first. Equal times pop in
-    push order: by the pop order of the scheduling events (their time, then
-    their own tie rank), then by push rank within one scheduling event. When
-    an event was scheduled at the instant its channel's previous departure
-    left (``amb``), whichever of the two popped later scheduled it."""
-    t = np.concatenate([part.t for part in events])
-    t.sort()
-    dup = t[1:][t[1:] == t[:-1]]
-    del t
-    if not dup.size:
-        return
-    # Only the records of tied events are gathered. A table indexed by the
-    # low 16 bits of a time flags those of the duplicated times, and each
-    # flagged event is checked against them (inf ends the search table).
-    flag = np.zeros(1 << 16, dtype=bool)
-    flag[dup.view(np.int64) & 0xFFFF] = True
-    dup = np.append(dup, math.inf)
-    hits = []
-    for part in events:
-        k = np.flatnonzero(flag[part.t.view(np.int64) & 0xFFFF])
-        hits.append(k[dup[np.searchsorted(dup, part.t[k])] == part.t[k]])
-    t, sched_t, sched, rank, ids = (np.concatenate([part[f][k] for part, k in zip(events, hits)])
-                                    for f in range(len(_Events._fields)))
-    # Most ties split on the scheduling time or share the scheduling event;
-    # the rest need the scheduling events' own tie ranks, taken in time order.
-    o = np.lexsort((rank, sched, sched_t, t))
-    t, sched_t, sched, rank, ids = t[o], sched_t[o], sched[o], rank[o], ids[o]
-    group = np.cumsum(_segments(t)) - 1
-    pair = np.flatnonzero((t[1:] == t[:-1]) & (sched_t[1:] == sched_t[:-1]))
-    hard = [k for k, other, a, b in zip(pair.tolist(), (sched[pair + 1] != sched[pair]).tolist(),
-                                        ids[pair].tolist(), ids[pair + 1].tolist())
-            if other or a in amb or b in amb]
-    heads = np.flatnonzero(_segments(group))
-    ranks.update(zip(ids.tolist(), (np.arange(t.size) - heads[group]).tolist()))
-    bounds = np.append(heads, t.size).tolist()
-    for g in sorted(set(group[hard].tolist())):
-        b, e = bounds[g], bounds[g + 1]
-        keyed = []
-        for at, by, push, eid in zip(*(a[b:e].tolist() for a in (sched_t, sched, rank, ids))):
-            pred = amb.get(eid)
-            if pred is None:
-                key = (at, ranks.get(by, 0), push)
-            else:
-                by_arrival, by_pred = ranks[by], ranks[pred[0]]
-                key = (at, max(by_arrival, by_pred), int(by_arrival > by_pred))
-            keyed.append((key, eid))
-        keyed.sort()
-        ranks.update((eid, k) for k, (_, eid) in enumerate(keyed))
-    ranked.append((float(t[-1]), ids))
-
-
-def _pop_order(t: np.ndarray, ids: np.ndarray, ranks: dict[int, int]) -> np.ndarray:
-    """Order of events by time, equal times by tie rank."""
-    o = np.argsort(t, kind="stable")
-    tied = np.flatnonzero(t[o[1:]] == t[o[:-1]])
-    if not tied.size:
-        return o
-    tied = o[np.union1d(tied, tied + 1)]
-    rank = np.zeros(t.size, dtype=np.int64)
-    rank[tied] = [ranks[eid] for eid in ids[tied].tolist()]
-    return np.lexsort((rank, t))
-
-
 class _FeedForward:
     """State of one feed-forward run (see the module docstring).
 
@@ -265,7 +181,6 @@ class _FeedForward:
         self.w = w
         self.n_levels = w + h - 1
         self.done = self.n_levels
-        self.stride = self.n_levels + 1  # event id: message * stride + level + 1
 
         # Per flow (core index * n_caches + cache index): its endpoints, the
         # channel at level L as base + step * L within each phase, and its
@@ -294,33 +209,24 @@ class _FeedForward:
         messages = config.messages
         self.warmup_count = int(config.warmup_frac * messages)
         self.stats_start = 0.0 if self.warmup_count == 0 else math.inf
-        self.svc_max = 0.0
 
         # Messages: index i holds message base + i; lo:size may be in flight.
-        # Each holds its generation time, service time and flow, and its
-        # latest event: time ``cur``, id ``eid`` and record (when and by
-        # which event it was scheduled, push rank within that event), and
-        # the level of its next channel.
-        # Push ranks stay below the number of cores.
-        ids = np.int32 if messages * self.stride < 2**31 else np.int64
-        fields = {"t0": np.float64, "svc": np.float64, "cur": np.float64, "sched_t": np.float64,
-                  "sched": ids, "eid": ids, "flow": np.int32, "rank": np.int16, "next": np.int16}
+        # Each holds its generation time, service time and flow, the time of
+        # its latest event and the level of its next channel.
+        fields = {"t0": np.float64, "svc": np.float64, "cur": np.float64, "flow": np.int32,
+                  "next": np.int16}
         cap = min(2 * _WINDOW, messages)
         self.msg = {name: np.empty(cap, dtype) for name, dtype in fields.items()}
         self.base = self.size = self.lo = 0
-        self.core_last = np.full(n_cores, -1, dtype=np.int64)  # latest generation per core
-        self.core_last_t = np.zeros(n_cores)
-        self.push_rank = np.zeros(n_cores, dtype=np.int64)
-        self.push_rank[self.active_cores] = np.arange(len(self.active_cores))
 
-        # Channels: each server's free time and the id of the departure that
-        # frees it; the event engine's running sums, side by side (response,
-        # service, queue-length area, busy time) so that one ``bincount``
-        # adds a level's terms; the queue length and time of the last event
-        # folded into the area, and per level the departures not yet folded
-        # as channel + 1j * time, in channel and time order.
+        # Channels: whether a message used it, each server's free time; the
+        # event engine's running sums, side by side (response, service,
+        # queue-length area, busy time) so that one ``bincount`` adds a
+        # level's terms; the queue length and time of the last event folded
+        # into the area, and per level the departures not yet folded as
+        # channel + 1j * time, in channel and time order.
+        self.used = np.zeros(n_ch, dtype=bool)
         self.free = np.full(n_ch, -math.inf)
-        self.last_id = np.full(n_ch, -1, dtype=np.int64)
         self.arrivals = np.zeros(n_ch, dtype=np.int64)
         self.sums = np.zeros(4 * n_ch)
         self.bins = np.arange(4 * n_ch)
@@ -328,24 +234,13 @@ class _FeedForward:
         self.last_t = np.zeros(n_ch)
         self.pending = [np.empty(0, dtype=complex)] * self.n_levels
 
-        # Ties: the pop rank of each event that shares its time, by group for
-        # pruning, and the events scheduled at the instant their channel's
-        # previous departure left (id -> (that departure's id, time)).
-        self.ranks: dict[int, int] = {}
-        self.ranked: deque = deque()
-        self.amb: dict[int, tuple[int, float]] = {}
-
-        # Flows in order of first generation (channel creation order) and of
-        # first delivery; per-flow latency sums; latencies in delivery order.
-        self.made = np.zeros(n_flows, dtype=bool)
-        self.made_order: list[np.ndarray] = []
-        self.seen = np.zeros(n_flows, dtype=bool)
-        self.seen_order: list[np.ndarray] = []
+        # Per-flow delivery counts and latency sums; the latencies and
+        # delivery times in delivery order.
         self.flow_n = np.zeros(n_flows, dtype=np.int64)
         self.flow_sum = np.zeros(n_flows)
         self.lat = np.empty(messages)
+        self.lat_t = np.empty(messages)
         self.n_lat = 0
-        self.end_t = 0.0
 
     def run(self) -> SimStats:
         config = self.config
@@ -354,10 +249,9 @@ class _FeedForward:
                 random.Random(config.seed), self.inj, self.active_cores, self.cum_p,
                 config.mean_message_size, config.messages):
             self._generate(times, cores, caches, lengths)
-            window: list[_Events] = []
             for level in range(self.n_levels):
-                self._level(level, stop, window)
-            self._deliver(start, stop, window)
+                self._level(level, stop)
+            self._deliver(start, stop)
             start = stop
         return self._stats()
 
@@ -377,35 +271,14 @@ class _FeedForward:
         self.size += c
         msg["t0"][new] = msg["cur"][new] = times
         msg["svc"][new] = lengths / self.config.mu
-        msg["flow"][new] = flow = cores * self.n_caches + caches
-        msg["eid"][new] = np.arange(g0 * self.stride, (g0 + c) * self.stride, self.stride)
+        msg["flow"][new] = cores * self.n_caches + caches
         msg["next"][new] = 0
-        # A new message's latest event is its generation. The same core's
-        # previous generation pushed it (rank 0: before the LOCAL push); the
-        # first generation of each core was pushed in active-core order.
-        o = np.argsort(cores, kind="stable")
-        heads = _segments(cores[o])
-        tails = np.append(heads[1:], True)
-        prev = np.empty(c, dtype=np.int64)
-        prev_t = np.empty(c)
-        prev[o[1:]], prev_t[o[1:]] = g0 + o[:-1], times[o[:-1]]
-        head_cores = cores[o[heads]]
-        prev[o[heads]], prev_t[o[heads]] = self.core_last[head_cores], self.core_last_t[head_cores]
-        tail_cores = cores[o[tails]]
-        self.core_last[tail_cores], self.core_last_t[tail_cores] = g0 + o[tails], times[o[tails]]
-        first = prev < 0
-        msg["sched_t"][new] = np.where(first, -math.inf, prev_t)
-        msg["sched"][new] = np.where(first, -1, prev * self.stride)
-        msg["rank"][new] = np.where(first, self.push_rank[cores], 0)
         if g0 < self.warmup_count <= g0 + c:
             self.stats_start = float(times[self.warmup_count - 1 - g0])
-        self.svc_max = max(self.svc_max, float(msg["svc"][new].max()))
-        self.made_order.append(_first_seen(flow, self.made))
 
-    def _level(self, level: int, stop: float, window: list) -> None:
-        """Serve the arrivals before ``stop`` at the channels of one level,
-        record their events and fold that level's events before ``stop``
-        into the running sums."""
+    def _level(self, level: int, stop: float) -> None:
+        """Serve the arrivals before ``stop`` at the channels of one level
+        and fold that level's events before ``stop`` into the running sums."""
         msg, lo, size = self.msg, self.lo, self.size
         cur = msg["cur"]
         sel = np.flatnonzero((msg["next"][lo:size] == level) & (cur[lo:size] < stop))
@@ -429,57 +302,34 @@ class _FeedForward:
         first = _segments(ch)
         if level and np.any((arrive[1:] == arrive[:-1]) & ~first[1:]):
             raise TieUnresolved
-        up = _Events(arrive, msg["sched_t"][sel], msg["sched"][sel], msg["rank"][sel],
-                     msg["eid"][sel])
-        window.append(up)
-        dep, svc = self._serve(level, sel, f, ch, first, arrive, up.id)
+        dep, svc = self._serve(level, sel, f, ch, first, arrive)
         self._fold(level, stop, ch, arrive, dep, svc)
 
-    def _serve(self, level, sel, f, ch, first, arrive, up) -> tuple[np.ndarray, np.ndarray]:
+    def _serve(self, level, sel, f, ch, first, arrive) -> tuple[np.ndarray, np.ndarray]:
         """Departures and service times of the messages ``sel`` of flows
         ``f`` arriving at ``ch`` (sorted by channel, then in FIFO order;
-        ``first`` marks each channel's first) from upstream events ``up``;
-        updates the messages and the channels."""
+        ``first`` marks each channel's first); updates the messages and the
+        channels."""
         msg = self.msg
-        n = sel.size
         heads = np.flatnonzero(first)
         hc = ch[heads]
-        free = self.free[hc]
         svc = msg["svc"][sel]
-        dep = np.fromiter(_lindley(arrive.tolist(), svc.tolist(), heads.tolist(), free.tolist()),
-                          float, n)
-        own = sel * self.stride + (self.base * self.stride + level + 1)
-        prev_dep = np.empty(n)
-        prev_dep[1:] = dep[:-1]
-        prev_dep[heads] = free
-        prev_id = np.empty(n, dtype=own.dtype)
-        prev_id[1:] = own[:-1]
-        prev_id[heads] = self.last_id[hc]
-        for k in np.flatnonzero(arrive == prev_dep).tolist():
-            self.amb[int(own[k])] = (int(prev_id[k]), float(dep[k]))
+        dep = np.fromiter(_lindley(arrive.tolist(), svc.tolist(), heads.tolist(),
+                                   self.free[hc].tolist()), float, sel.size)
         # Whether an arrival at the warmup instant counts depends on its pop
         # order against the warmup-th generation, which only that
         # generation's own LOCAL arrival is known to follow.
         if np.count_nonzero(arrive == self.stats_start) > (level == 0):
             raise TieUnresolved
-        # The departure was pushed by the arrival's event when the server was
-        # idle (rank 1: after the push of the next message on the upstream
-        # channel), else by the previous departure (rank 0).
-        by_arrival = arrive >= prev_dep
-        msg["sched_t"][sel] = np.maximum(arrive, prev_dep)
-        msg["sched"][sel] = np.where(by_arrival, up, prev_id)
-        msg["rank"][sel] = by_arrival
         msg["cur"][sel] = dep
-        msg["eid"][sel] = own
         if level == 0:
             msg["next"][sel] = self.after_local[f]
         elif level < self.w:
             msg["next"][sel] = np.where(level < self.x_last[f], level + 1, self.after_x[f])
         else:
             msg["next"][sel] = np.where(level < self.y_last[f], level + 1, self.done)
-        tails = np.append(heads[1:], n) - 1
-        self.free[hc] = dep[tails]
-        self.last_id[hc] = own[tails]
+        self.used[hc] = True
+        self.free[hc] = dep[np.append(heads[1:], sel.size) - 1]
         return dep, svc
 
     def _fold(self, level, stop, ch, arrive, dep, svc) -> None:
@@ -541,70 +391,43 @@ class _FeedForward:
                             np.where(counted, svc, 0.0), n * dt, np.where(n > 0, dt, 0.0))),
             minlength=4 * n_ch)
 
-    def _deliver(self, start: float, stop: float, window: list) -> None:
-        """Rank the window's ties and record its deliveries in pop order."""
+    def _deliver(self, start: float, stop: float) -> None:
+        """Record the deliveries in [start, stop) in message order, which is
+        each flow's delivery order: a flow's messages share every channel of
+        their path, and each channel is FIFO."""
         msg, lo, size, done = self.msg, self.lo, self.size, self.done
         cur = msg["cur"][lo:size]
         waiting = (msg["next"][lo:size] != done) | (cur >= stop)
-        fin = np.flatnonzero(~waiting & (cur >= start)) + lo
-        final = _Events(msg["cur"][fin], msg["sched_t"][fin], msg["sched"][fin], msg["rank"][fin],
-                        msg["eid"][fin])
-        window.append(final)
-        _rank_ties(window, self.ranks, self.amb, self.ranked)
-        window.clear()
-
-        if fin.size:
-            self.end_t = max(self.end_t, float(final.t.max()))
-        fin = fin[_pop_order(final.t, final.id, self.ranks)]
-        fin = fin[msg["t0"][fin] >= self.stats_start]
-        lat = self.lat[self.n_lat:self.n_lat + fin.size]
-        lat[:] = msg["cur"][fin] - msg["t0"][fin]
+        fin = np.flatnonzero(~waiting & (cur >= start) & (msg["t0"][lo:size] >= self.stats_start))
+        fin += lo
+        new = slice(self.n_lat, self.n_lat + fin.size)
         self.n_lat += fin.size
+        self.lat_t[new] = msg["cur"][fin]
+        self.lat[new] = lat = self.lat_t[new] - msg["t0"][fin]
         f = msg["flow"][fin]
         self.flow_n += np.bincount(f, minlength=self.flow_n.size)
         self.flow_sum = np.bincount(np.concatenate((np.arange(self.flow_sum.size), f)),
                                     np.concatenate((self.flow_sum, lat)),
                                     minlength=self.flow_sum.size)
-        self.seen_order.append(_first_seen(f, self.seen))
-
-        for eid in [k for k, (_, t) in self.amb.items() if t < stop]:
-            del self.amb[eid]
-        while self.ranked and self.ranked[0][0] + self.svc_max < stop:
-            for eid in self.ranked.popleft()[1].tolist():
-                del self.ranks[eid]
         first = np.flatnonzero(waiting)
         self.lo += int(first[0]) if first.size else size - lo
 
     def _stats(self) -> SimStats:
-        """The run's ``SimStats``, with the event engine's dict orders."""
-        made = np.concatenate(self.made_order)
-        channel_ids = dict.fromkeys(np.concatenate(
-            [hops for _, _, _, hops, _ in xy_hops(self.grid, self.src[made], self.dst[made])]
-        ).tolist())
-        resp_sum, svc_sum, area, busy = self.sums.reshape(4, self.n_ch).tolist()
-        arrivals = self.arrivals.tolist()
-        columns = (arrivals, arrivals, busy, area, resp_sum, svc_sum)
-        flows = np.concatenate(self.seen_order)
+        channel_ids = np.flatnonzero(self.used)
+        resp_sum, svc_sum, area, busy = self.sums.reshape(4, self.n_ch)[:, channel_ids].tolist()
+        arrivals = self.arrivals[channel_ids].tolist()
+        flows = np.flatnonzero(self.flow_n)
         keys = self.src[flows] * self.grid.n_tiles + self.dst[flows]
         messages = self.config.messages
+        end_t = float(self.last_t.max())  # the last departure
         return _sim_stats(
             self.grid,
-            ((cid, *(col[cid] for col in columns)) for cid in channel_ids),
-            self.lat[:self.n_lat],
+            zip(channel_ids.tolist(), arrivals, arrivals, busy, area, resp_sum, svc_sum),
+            self.lat[:self.n_lat], self.lat_t[:self.n_lat],
             zip(keys.tolist(), self.flow_n[flows].tolist(), self.flow_sum[flows].tolist()),
-            self.end_t, max(self.end_t - self.stats_start, 0.0),
+            end_t, max(end_t - self.stats_start, 0.0),
             messages, messages, 0, 0,
         )
-
-
-def _first_seen(flow: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The flows of ``flow`` not yet in ``seen``, in order of first
-    occurrence; marks them seen."""
-    fresh, at = np.unique(flow, return_index=True)
-    fresh = fresh[np.argsort(at)]
-    fresh = fresh[~seen[fresh]]
-    seen[fresh] = True
-    return fresh
 
 
 def run_feedforward(config: SimConfig) -> SimStats:

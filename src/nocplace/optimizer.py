@@ -244,7 +244,7 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     failures: Counter = Counter()
     scored: dict[str, float] = {}
     high_rows: list[np.ndarray] = []
-    floor = math.inf
+    floor = cutoff = math.inf
     blocks = (representative_blocks(base, free, counts, pool, perms, SEARCH_BLOCK)
               if len(perms) > 1 else raw_blocks(base, free, counts, pool, SEARCH_BLOCK))
     for rows in blocks:
@@ -253,10 +253,12 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             high_rows.append(rows)
             continue
         low = low_objective_batch(grid, rows, spec)
-        floor = min(floor, float(low.min()))
-        cutoff = _tie_cutoff(floor)
+        if low.min() < floor:
+            # Only a lower floor can drop kept entries.
+            floor = float(low.min())
+            cutoff = _tie_cutoff(floor)
+            scored = {s: v for s, v in scored.items() if v <= cutoff}
         near = low <= cutoff
-        scored = {s: v for s, v in scored.items() if v <= cutoff}
         scored.update(zip(_strings(rows[near]), low[near].tolist()))
     if not evaluated:
         raise InfeasibleError("search space is empty")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     NonConvergentError,
     UnstableError,
 )
@@ -82,7 +83,7 @@ def kingman_wait(rho_e, ca2: float, cs2: float, es: float, mode: str = PAPER):
     be a scalar or an array of utilizations.
     """
     if mode not in (PAPER, STANDARD):
-        raise ValueError(f"unknown waiting-time mode {mode!r}")
+        raise InvalidConfigError(f"unknown waiting-time mode {mode!r}")
     if np.any(rho_e < 0) or np.any(rho_e >= 1.0):
         raise UnstableError(f"effective utilization {rho_e} outside [0, 1)")
     if ca2 < 0 or cs2 < 0 or es <= 0:
@@ -218,9 +219,12 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     iterating, then on its effective utilization, or by not converging
     within ``FIXED_POINT_MAX_ITER`` iterations. Its network's later rows
     are then dropped, so the lowest failing row of a network is the one
-    that solving it alone fails at. Only argument errors of the waiting-time
+    that solving it alone fails at. Only an unknown ``mode``, checked
+    first whatever the rows, and argument errors of the waiting-time
     formula raise.
     """
+    if mode not in (PAPER, STANDARD):
+        raise InvalidConfigError(f"unknown waiting-time mode {mode!r}")
     es = svc.mean_service
     n_rows, n = lam.shape
     rho = lam * es

@@ -21,10 +21,13 @@ Two engines run the model and return the same ``SimStats``, bit for bit:
   runs. With no spawned traffic every random draw happens at a generation
   and XY routing orders the channels without cycles, so each channel's
   departures follow from Lindley's recursion in dependency order. It
-  replays the same draws, evaluates every float with the same operations in
-  the same order, and rebuilds the event engine's order of simultaneous
-  events (see that module). ``run_sim`` picks the engine; there is no
-  option.
+  replays the same draws and evaluates every float with the same operations
+  in the same order (see that module). ``run_sim`` picks the engine; there
+  is no option.
+
+The engines need not agree on the order of simultaneous deliveries:
+``_sim_stats`` orders the latencies by (delivery time, latency), the
+channels by id and the flows by (source, destination) tile id.
 
 Each engine lives in its own module, imported on first use, so ``import
 nocplace`` compiles neither.
@@ -182,8 +185,8 @@ def run_sim(config: SimConfig) -> SimStats:
     A run that can spawn no message takes the feed-forward engine, any other
     the event engine; both return the same statistics (see the module
     docstring). The feed-forward engine hands a run back to the event engine
-    when it meets a coincidence of float sums whose order it does not
-    rebuild (``feedforward.TieUnresolved``).
+    when it meets a coincidence of float sums whose order changes the
+    trajectory (``feedforward.TieUnresolved``).
     """
     spec = config.traffic
     if spec.model_replies or (spec.miss_l2 > 0.0 and NodeKind.MC in config.placement.kinds):
@@ -205,18 +208,21 @@ def _injection(config: SimConfig, resolved) -> tuple[list[float], list[int]]:
     return inj, active_cores
 
 
-def _sim_stats(grid, channels, lat: np.ndarray, flows, end_t: float, window: float,
-               generated: int, completed: int, derived_generated: int,
+def _sim_stats(grid, channels, lat: np.ndarray, lat_t: np.ndarray, flows, end_t: float,
+               window: float, generated: int, completed: int, derived_generated: int,
                derived_completed: int) -> SimStats:
     """Assemble ``SimStats``. ``channels`` holds (channel id, arrivals,
-    completions, busy time, queue-length area, response sum, service sum) in
-    channel creation order, ``lat`` the post-warmup latencies in delivery
-    order and ``flows`` (src * n_tiles + dst, count, latency sum) in order of
-    first delivery."""
+    completions, busy time, queue-length area, response sum, service sum),
+    ``lat`` and ``lat_t`` the post-warmup latencies and their delivery times,
+    and ``flows`` (src * n_tiles + dst, count, latency sum), each in any
+    order. This is the one place that orders them: channels by id, flows by
+    key and latencies by (delivery time, latency), so no statistic depends on
+    how an engine breaks time ties."""
     coords = grid.coords
     n_tiles = grid.n_tiles
+    lat = lat[np.lexsort((lat, lat_t))]
     channel_stats: dict[tuple[Coord, Port], ChannelStats] = {}
-    for cid, arrivals, completions, busy, area, resp_sum, svc_sum in channels:
+    for cid, arrivals, completions, busy, area, resp_sum, svc_sum in sorted(channels):
         st = ChannelStats(arrivals=arrivals, completions=completions)
         if window > 0:
             st.utilization = busy / window
@@ -238,7 +244,7 @@ def _sim_stats(grid, channels, lat: np.ndarray, flows, end_t: float, window: flo
     return SimStats(
         channels=channel_stats,
         flow_latency={(coords[key // n_tiles], coords[key % n_tiles]): s / n
-                      for key, n, s in flows},
+                      for key, n, s in sorted(flows)},
         mean_latency=mean_latency,
         ci95=ci95,
         latency_samples=int(lat.size),

@@ -115,10 +115,10 @@ def test_matches_event_engine(config, engines):
 
 @pytest.mark.parametrize("window", [2, 7, 97, feedforward._WINDOW])
 def test_window_size_does_not_change_results(window, monkeypatch):
-    # Small windows carry departures, queues and tie ranks across many
-    # window boundaries and make the in-flight store compact and grow. The
-    # second run has lengths of almost all 1, so ties abound, and many
-    # cross a window boundary.
+    # Small windows carry departures and queues across many window
+    # boundaries and make the in-flight store compact and grow. The second
+    # run has lengths of almost all 1, so ties abound, and many cross a
+    # window boundary.
     monkeypatch.setattr(feedforward, "_WINDOW", window)
     for config in (
         SimConfig(family("central"), TrafficSpec(lambda_g=0.25), messages=800, seed=3),
@@ -172,16 +172,32 @@ def test_simultaneous_generations_are_left_to_the_event_engine():
         next(draws)
 
 
-def test_delivery_ties_follow_pop_order(monkeypatch):
-    # On this run, deliveries at equal times taken in message order instead
-    # of the event engine's pop order change mean_latency.
+@pytest.mark.parametrize("engine", ["events", "feedforward"])
+def test_statistics_ignore_the_order_of_tied_deliveries(engine, monkeypatch):
+    # On this run deliveries share times, and the plain mean of the
+    # latencies in time order depends on the order of each set of tied
+    # deliveries. ``_sim_stats`` orders what it is given, so ``SimStats``
+    # and its dict orders stay the same when the ties, channels and flows
+    # come reversed.
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=5)
-    oracle = simulator._run_events(config)
-    assert as_json(run_sim(config)) == as_json(oracle)
+    run = simulator._run_events if engine == "events" else feedforward.run_feedforward
+    expected = run(config)
+    sim_stats = simulator._sim_stats
+    moved = []
 
-    monkeypatch.setattr(feedforward, "_pop_order",
-                        lambda t, ids, ranks: np.argsort(t, kind="stable"))
-    assert feedforward.run_feedforward(config).mean_latency != oracle.mean_latency
+    def reversed_ties(grid, channels, lat, lat_t, flows, *rest):
+        k = np.arange(lat_t.size)
+        kept, o = np.lexsort((k, lat_t)), np.lexsort((-k, lat_t))
+        moved.append(lat[kept].mean() != lat[o].mean())
+        return sim_stats(grid, list(channels)[::-1], lat[o], lat_t[o], list(flows)[::-1], *rest)
+
+    monkeypatch.setattr(f"nocplace.{engine}._sim_stats", reversed_ties)
+    stats = run(config)
+    assert moved == [True]
+    assert as_json(stats) == as_json(expected)
+    assert stats == expected
+    assert list(stats.channels) == list(expected.channels)
+    assert list(stats.flow_latency) == list(expected.flow_latency)
 
 
 def traced_peak(fn, config, warm=True) -> int:
@@ -197,18 +213,19 @@ def traced_peak(fn, config, warm=True) -> int:
 
 
 def test_working_set_within_event_engine_bound():
-    # Measured on this config (Python 3.11, numpy 2.4): feed-forward 1.83 MB
+    # Measured on this config (Python 3.11, numpy 2.4): feed-forward 1.64 MB
     # traced peak with windows of 4,096 generations, event engine 1.15 MB
-    # (1.59x). The same engine with one window over the whole run, which
-    # keeps per-event state for every hop as the first prototype did, peaks
-    # at 2.16 MB (1.88x): 5,000 messages are little more than one window, so
-    # this check alone no longer fails whole-run state;
+    # (1.43x). The same engine with one window over the whole run, which
+    # keeps per-message state for the whole run as the first prototype did,
+    # peaks at 1.92 MB (1.67x): 5,000 messages are little more than one
+    # window, so this check alone no longer fails whole-run state;
     # ``test_working_set_flat_in_run_length`` does. At 50,000 messages one
-    # window reaches 6.5x, where the windowed engine is at 0.84x. 2x leaves
+    # window reaches 7.5x, where the windowed engine is at 1.04x. 2x leaves
     # room for allocator and version differences.
     # The yardstick has a bound of its own, so that a heavier event engine
     # cannot loosen the check: 1.08 MB measured before the event loop was
-    # flattened and after, with about 30% left for allocator and version
+    # flattened and after, 1.15 MB with latencies and delivery times in
+    # typed arrays, with about 20% left for allocator and version
     # differences.
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=3)
     events = traced_peak(simulator._run_events, config)
@@ -218,10 +235,10 @@ def test_working_set_within_event_engine_bound():
 
 def test_working_set_flat_in_run_length():
     # Four times the messages, well under twice the traced peak (Python
-    # 3.11, numpy 2.4): 1.83 MB at 5,000 messages, 2.35 MB at 20,000
-    # (1.28x), where the latency list and the message store of two windows
-    # have grown. One window over the whole run: 2.16 MB, then 8.11 MB
-    # (3.8x).
+    # 3.11, numpy 2.4): 1.64 MB at 5,000 messages, 1.99 MB at 20,000
+    # (1.21x), where the latency arrays and the message store of two
+    # windows have grown. One window over the whole run: 1.92 MB, then
+    # 7.23 MB (3.8x).
     short, long = (SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=n, seed=3)
                    for n in (5000, 20_000))
     base = traced_peak(feedforward.run_feedforward, short)
@@ -230,8 +247,10 @@ def test_working_set_flat_in_run_length():
 
 def test_event_engine_working_set_on_a_spawning_run():
     # Measured before the event loop was flattened (Python 3.11, numpy 2.4):
-    # 1.99 MB traced peak; the flat loop 1.99 MB. As above, about 30% is
-    # left for allocator and version differences.
+    # 1.99 MB traced peak; the flat loop 1.99 MB. Measured again later:
+    # 2.10 MB with a latency list, 2.07 MB with latencies and delivery times
+    # in typed arrays. As above, about 25% is left for allocator and version
+    # differences.
     spec = TrafficSpec(lambda_g=0.1, miss_l2=0.3, model_replies=True)
     config = SimConfig(family("central", counts=(44, 16, 4)), spec, messages=5000, seed=3)
     assert traced_peak(simulator._run_events, config) <= 2.6e6

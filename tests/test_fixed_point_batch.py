@@ -10,6 +10,7 @@ from nocplace import (
     STANDARD,
     CanonicalFamily,
     Coord,
+    InvalidConfigError,
     MeshGrid,
     Mode,
     NonConvergentError,
@@ -182,7 +183,7 @@ def test_unchecked_loop_matches_the_checked_functions(placement, spec, mode):
 
 def test_waiting_time_arguments_are_checked_before_iterating():
     lam, turns, _ = own_ports(_loads(*CASES[0]), Coord(1, 1))
-    with pytest.raises(ValueError, match="unknown waiting-time mode"):
+    with pytest.raises(InvalidConfigError, match="unknown waiting-time mode"):
         solve_one(lam, turns, ServiceSpec(), mode="bogus")
     with pytest.raises(UnstableError, match="SCVs must be >= 0"):
         solve_one(lam, turns, ServiceSpec(), ca2=-1.0)

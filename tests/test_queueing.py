@@ -6,7 +6,9 @@ import pytest
 from nocplace import (
     CanonicalFamily,
     Coord,
+    InvalidConfigError,
     MeshGrid,
+    Mode,
     NodeKind,
     PAPER,
     STANDARD,
@@ -20,6 +22,7 @@ from nocplace import (
     kingman_wait,
     manhattan,
     mm1_response,
+    objective,
     packet_delay_inspector,
 )
 from nocplace.errors import DimensionMismatchError
@@ -69,7 +72,7 @@ class TestKingman:
             kingman_wait(1.0, 1.0, 1.0, 1.0)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             kingman_wait(0.5, 1.0, 1.0, 1.0, mode="bogus")
 
 
@@ -238,6 +241,17 @@ class TestPacketDelayInspector:
         with pytest.raises(UnstableError) as exc:
             packet_delay_inspector(p, TrafficSpec(lambda_g=1.2, p=matrix([[1.0]])))
         assert exc.value.router is not None
+
+    @pytest.mark.parametrize("lam", [0.3, 1.2], ids=["stable", "first-router-unstable"])
+    def test_unknown_queue_mode_is_a_config_error(self, lam):
+        # At 1.2 the first router is already plain-unstable, so the
+        # waiting-time formula, which also checks the mode, is never reached.
+        p = self._line_placement()
+        spec = TrafficSpec(lambda_g=lam, p=matrix([[1.0]]))
+        with pytest.raises(InvalidConfigError, match="unknown waiting-time mode"):
+            packet_delay_inspector(p, spec, mode="bogus")
+        with pytest.raises(InvalidConfigError, match="unknown waiting-time mode"):
+            objective(p, spec, Mode.HIGH, queue_mode="bogus")
 
     def test_stability_boundary_is_sharp(self):
         p = self._line_placement()

@@ -13,9 +13,6 @@ import pytest
 
 PARSER_STEP = 4096
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nocplace"
-# The feed-forward simulator is imported on first use only, so its compile
-# cost stays off the paths that do not simulate.
-OVER_THE_STEP = {"feedforward.py"}
 # Modules imported on first use only: the two simulator engines, and the
 # candidate enumerators and batch scorers of the search.
 ON_FIRST_USE = {"nocplace.candidates", "nocplace.events", "nocplace.feedforward",
@@ -32,10 +29,7 @@ def tokens(path: Path) -> int:
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_stays_below_the_parser_step(name):
     count = tokens(PACKAGE / name)
-    if name in OVER_THE_STEP:
-        assert count >= PARSER_STEP
-    else:
-        assert count < PARSER_STEP, f"{name} has {count} tokens"
+    assert count < PARSER_STEP, f"{name} has {count} tokens"
 
 
 def loaded_after(code: str) -> set[str]:
