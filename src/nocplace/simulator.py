@@ -117,7 +117,11 @@ class ChannelStats:
 
 @dataclass
 class SimStats:
-    """Run outcome: per-channel metrics plus global message latency."""
+    """Run outcome: per-channel metrics plus global message latency.
+
+    ``channels`` iterates in channel-id order: row-major router, then ports
+    N, S, E, W, LOCAL. ``to_json_dict`` and ``compare_to_analytical`` list
+    channels in that order."""
 
     channels: dict[tuple[Coord, Port], ChannelStats]
     flow_latency: dict[tuple[Coord, Coord], float]
@@ -154,7 +158,7 @@ class SimStats:
                     "mean_queue_len": st.mean_queue_len,
                     "mean_response": st.mean_response,
                 }
-                for (coord, port), st in sorted(self.channels.items(), key=_channel_order)
+                for (coord, port), st in self.channels.items()
             ],
             "flows": [
                 {"src_x": src.x, "src_y": src.y, "dst_x": dst.x, "dst_y": dst.y,
@@ -165,12 +169,6 @@ class SimStats:
                 )
             ],
         }
-
-
-def _channel_order(item: tuple[tuple[Coord, Port], ChannelStats]) -> tuple[int, int, str]:
-    """Sort key of ``SimStats.channels`` items: row-major router, then port."""
-    (coord, port), _ = item
-    return coord.y, coord.x, port.value
 
 
 def run_sim(config: SimConfig) -> SimStats:
@@ -386,7 +384,7 @@ def compare_to_analytical(config: SimConfig, queue_mode: str = PAPER,
         report, unstable = None, exc
 
     rows = []
-    for (coord, port), st in sorted(sim.channels.items(), key=_channel_order):
+    for (coord, port), st in sim.channels.items():
         if st.completions < min_completions:
             continue
         if report is None:
