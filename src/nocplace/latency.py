@@ -26,8 +26,8 @@ from typing import IO
 import numpy as np
 
 from .mesh import Coord, MeshGrid, Placement
-from .queueing import PAPER, solve_network
-from .routing import channel_loads, flow_set, path_sums
+from .queueing import PAPER, _solve
+from .routing import flow_set
 from .traffic import TrafficSpec, resolve
 
 
@@ -109,8 +109,10 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
     r = resolve(placement, spec)
     grid = placement.grid
     if mode is Mode.HIGH:
-        fp = solve_network(channel_loads(flow_set(placement, spec, r), grid),
-                           spec.svc, spec.arrival_scv, queue_mode)
+        from .segments import superpose  # imported on first use
+
+        fp = _solve(grid, *superpose(flow_set(placement, spec, r), grid, 1), spec.svc,
+                    spec.arrival_scv, queue_mode)
         transit = _link_transit(grid, fp.rt)
     else:
         transit = _hop_transit(grid, spec)
@@ -121,13 +123,15 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
 
 def _link_transit(grid: MeshGrid, rt: np.ndarray):
     """HIGH transit times for ``_compose``: per (src, dst) pair, the summed
-    response times of the routers its XY path enters via links. The
-    source's injection channel is excluded, as LOW counts the same hops."""
+    response times of the routers its XY path enters via links
+    (``segments.link_transit``). The source's injection channel is
+    excluded, as LOW counts the same hops."""
+    from .segments import link_transit  # imported on first use
+
+    link = link_transit(grid, rt)
+
     def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        k, n_src, n_dst = len(src), src.shape[1], dst.shape[1]
-        sums = path_sums(grid, np.repeat(src, n_dst, axis=1).ravel(),
-                         np.tile(dst, (1, n_src)).ravel(), rt, skip_injection=True)
-        return sums.reshape(k, n_src, n_dst)
+        return link(src[:, :, None], dst[:, None, :])
     return transit
 
 

@@ -27,13 +27,15 @@ Since a row's outcome depends on its own (lam, turns) alone, the HIGH batch
 scorer goes further: it solves each distinct row of many placements once,
 as networks of one router, and reads a placement's outcome off its rows.
 The waiting-time formula's arguments are checked once per batch, not on
-every iteration.
+every iteration. The loop runs on ports-major arrays in buffers allocated
+once, and packs its live rows only when half of them are spent.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,16 +46,15 @@ from .errors import (
     NonConvergentError,
     UnstableError,
 )
-from .mesh import Coord, Placement
+from .mesh import Coord, MeshGrid, Placement
 from .routing import (
+    _L,
     N_PORTS,
     PORT_ORDER,
     ChannelLoadMap,
     Flow,
     Port,
-    channel_loads,
     flow_set,
-    path_sums,
     valid_port_mask,
 )
 from .traffic import ResolvedTraffic, ServiceSpec, TrafficSpec, resolve
@@ -184,17 +185,18 @@ class FixedPoint(NamedTuple):
 def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: float) -> np.ndarray:
     # rhs[i][j] = rho_i * sum_k Pr(turn_ik at head) * x_jk/(1-x_jk)^2 with
     # x_jk = rho_j * (1 - exp(-turn_jk * E{S})), accumulated over the
-    # outputs both channels drive. Batched over the leading axis.
+    # outputs both channels drive. Ports-major: ``lam`` is ports x rows,
+    # ``turns`` and the result ports x ports x rows.
     rho = lam * es
     head = 1.0 - np.exp(-turns * es)
-    series = rho[..., :, None] * head  # x, then x/(1-x)^2 in place
+    series = rho[:, None] * head  # x, then x/(1-x)^2 in place
     series /= (1.0 - series) ** 2
     # _port_sum of head[i, k] * series[j, k] over k, one output at a time:
-    # no rows x ports^3 temporary.
-    acc = head[..., :, None, 0] * series[..., None, :, 0]
-    for k in range(1, head.shape[-1]):
-        acc += head[..., :, None, k] * series[..., None, :, k]
-    return rho[..., :, None] * acc
+    # no ports^3 x rows temporary.
+    acc = head[:, None, 0] * series[None, :, 0]
+    for k in range(1, head.shape[1]):
+        acc += head[:, None, k] * series[None, :, k]
+    return rho[:, None] * acc
 
 
 def _first_failures(rows: np.ndarray, bad: np.ndarray,
@@ -238,58 +240,117 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
         rho_out[fail] = rho[fail]
         rows = rows[~(fail | drop)]
 
-    lam_a, turns_a = lam[rows], turns[rows]
-    rhs = _contention_rhs(lam_a, turns_a, es)
     contention = np.zeros((n_rows, n, n))
     wq_out = np.zeros((n_rows, n))
     iterations = np.zeros(n_rows, dtype=np.int64)
     final_delta = np.zeros(n_rows)
-    nq = lam_a
+    out = (status, contention, rho_out, wq_out, iterations, final_delta)
     if rows.size:
         # Like a network alone, the batch reaches the waiting-time formula
         # (and its argument checks) only if some first router passed the
         # plain check. Checked once here: with rates >= 0 every contention
         # term is >= 0, so no later effective utilization is negative, and
         # the loop drops those >= 1 before the formula sees them.
-        nq = lam_a * kingman_wait(rho[rows], ca2, svc.scv, es, mode)
-        if (turns_a < 0.0).any():
+        lam_a, rho_a, turns_a = (a if len(rows) == n_rows else a[rows]
+                                 for a in (lam, rho, turns))
+        nq = lam_a * kingman_wait(rho_a, ca2, svc.scv, es, mode)
+        if np.minimum.reduce(turns_a, None) < 0.0:
             raise UnstableError("turn rates must be >= 0")
-    # kingman_wait's and effective_utilization's arithmetic, unchecked.
-    num, es_f = 0.5 * (ca2 + svc.scv) * es, float(es)
-    diagonal = np.eye(n, dtype=bool)
-    for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        if not rows.size:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(nq[:, None, :] > 0.0, rhs / nq[:, None, :], 0.0)
-        c[:, diagonal] = 1.0
-        rho_e = lam_a * _port_sum(c * es_f)
-        bad = rho_e.max(axis=1) >= 1.0
-        if bad.any():
-            fail, drop = _first_failures(rows, bad, group)
-            status[rows[fail]], status[rows[drop]] = EFFECTIVE_UNSTABLE, DROPPED
-            rho_out[rows[fail]] = rho_e[fail]
-            left = ~(fail | drop)
-            rows, lam_a, rhs, nq, c, rho_e = (a[left] for a in (rows, lam_a, rhs, nq, c, rho_e))
-        wq = num / (1.0 - rho_e)
-        if mode == STANDARD:
-            wq = rho_e * wq
-        nq_next = lam_a * wq
-        delta = np.abs(nq_next - nq).max(axis=1, initial=0.0)
-        nq = (1.0 - FIXED_POINT_DAMPING) * nq + FIXED_POINT_DAMPING * nq_next
-        done = delta < FIXED_POINT_TOL
-        if done.any():
-            ids = rows[done]
-            contention[ids] = c[done]
-            rho_out[ids] = rho_e[done]
-            wq_out[ids] = wq[done]
-            iterations[ids] = it
-            final_delta[ids] = delta[done]
-            left = ~done
-            rows, lam_a, rhs, nq = rows[left], lam_a[left], rhs[left], nq[left]
-    status[rows] = NON_CONVERGENT
+        _iterate(out, rows, lam_a.T, turns_a.transpose(1, 2, 0), nq.T, svc, ca2, mode, group)
     rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
     return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)
+
+
+def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, nq: np.ndarray,
+             svc: ServiceSpec, ca2: float, mode: str, group: int) -> None:
+    """``_fixed_point``'s loop over ``rows``, writing into ``out``.
+
+    Arrays are ports-major: column r of ``lam`` and ``nq`` (ports x rows)
+    and of ``turns`` (ports x ports x rows) is row ``rows[r]``, and every
+    temporary is written into buffers allocated once. A row that converges
+    or fails keeps its column until half the columns are spent, and only
+    then are the live ones packed. A spent column is set to ``lam`` 0 and
+    ``nq`` +inf: its utilization stays 0 and its queue-length change +inf,
+    so it neither fails nor converges again.
+    """
+    status, contention, rho_out, wq_out, iterations, final_delta = out
+    es = svc.mean_service
+    # kingman_wait's and effective_utilization's arithmetic, unchecked.
+    num, es_f = 0.5 * (ca2 + svc.scv) * es, float(es)
+    keep, damp = 1.0 - FIXED_POINT_DAMPING, FIXED_POINT_DAMPING
+    n, m = lam.shape
+    lam, turns, nq = (np.array(a, order="C") for a in (lam, turns, nq))
+    rhs = _contention_rhs(lam, turns, es)
+    mats, vecs, peaks = np.empty((2, n * n * m)), np.empty((6, n * m)), np.empty(m)
+
+    def views(m: int) -> tuple:
+        c, cs = (a[:n * n * m].reshape(n, n, m) for a in mats)
+        idle, *rest = (a[:n * m].reshape(n, m) for a in vecs)
+        np.equal(lam, 0.0, idle)
+        # c * 1.0 is c, bit for bit.
+        return (c, c if es_f == 1.0 else cs, c.reshape(n * n, m)[::n + 1], idle, *rest,
+                peaks[:m], np.ones(m, dtype=bool))
+
+    def spend(cols: np.ndarray) -> None:
+        lam[:, cols], nq[:, cols], rho_e[:, cols] = 0.0, np.inf, 0.0
+        live[cols] = False
+
+    c, cs, diagonal, idle, div, rho_e, wq, nq_next, diff, peak, live = views(m)
+    with np.errstate(all="ignore"):  # spent columns divide by 0 and +inf
+        for it in range(1, FIXED_POINT_MAX_ITER + 1):
+            if not m:
+                break
+            # c = rhs / nq where nq > 0, else 0. An idle channel (lam 0) has
+            # nq 0 and rhs 0 throughout, so it divides by 1 instead.
+            np.add(nq, idle, div)
+            np.divide(rhs, div, c)
+            if not np.minimum.reduce(div, None) > 0.0:
+                np.copyto(c, 0.0, where=~(nq > 0.0))
+            diagonal[...] = 1.0
+            if cs is not c:
+                np.multiply(c, es_f, cs)
+            np.add(cs[:, 0], cs[:, 1], rho_e) if n > 1 else np.copyto(rho_e, cs[:, 0])
+            for j in range(2, n):
+                rho_e += cs[:, j]
+            rho_e *= lam
+            spent = np.maximum.reduce(rho_e, None) >= 1.0
+            if spent:
+                cols = np.flatnonzero(live)
+                fail, drop = _first_failures(rows[cols], rho_e[:, cols].max(axis=0) >= 1.0,
+                                             group)
+                fail, drop = cols[fail], cols[drop]
+                status[rows[fail]], status[rows[drop]] = EFFECTIVE_UNSTABLE, DROPPED
+                rho_out[rows[fail]] = rho_e[:, fail].T
+                spend(np.concatenate([fail, drop]))
+            np.subtract(1.0, rho_e, wq)
+            np.divide(num, wq, wq)
+            if mode == STANDARD:
+                wq *= rho_e
+            np.multiply(lam, wq, nq_next)
+            np.subtract(nq_next, nq, diff)
+            np.abs(diff, diff)
+            np.maximum.reduce(diff, 0, None, peak)
+            nq *= keep
+            nq_next *= damp
+            nq += nq_next
+            if np.minimum.reduce(peak) < FIXED_POINT_TOL:
+                spent = True
+                cols = np.flatnonzero(peak < FIXED_POINT_TOL)
+                ids = rows[cols]
+                contention[ids] = c.take(cols, 2).transpose(2, 0, 1)
+                rho_out[ids], wq_out[ids] = rho_e.take(cols, 1).T, wq.take(cols, 1).T
+                iterations[ids], final_delta[ids] = it, peak[cols]
+                spend(cols)
+            if spent:
+                left = np.flatnonzero(live)
+                if not len(left):
+                    break
+                if 2 * len(left) <= m:
+                    rows, rhs = rows[left], rhs.take(left, 2)
+                    lam, nq = lam.take(left, 1), nq.take(left, 1)
+                    m = len(left)
+                    c, cs, diagonal, idle, div, rho_e, wq, nq_next, diff, peak, live = views(m)
+    status[rows[live]] = NON_CONVERGENT
 
 
 def _unstable(rho: np.ndarray, label: str, router: Coord,
@@ -328,29 +389,35 @@ def solve_network(loads: ChannelLoadMap, svc: ServiceSpec, ca2: float = 1.0,
     Raises what solving the routers one by one in row-major order would
     raise first.
     """
-    fp = _fixed_point(loads.lam, loads.turns, svc, ca2, mode, loads.grid.n_tiles)
-    _raise_first_failure(fp, loads.grid.coord, PORT_ORDER)
+    return _solve(loads.grid, loads.lam, loads.turns, svc, ca2, mode)
+
+
+def _solve(grid: MeshGrid, lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float,
+           mode: str) -> FixedPoint:
+    fp = _fixed_point(lam, turns, svc, ca2, mode, grid.n_tiles)
+    _raise_first_failure(fp, grid.coord, PORT_ORDER)
     return fp
 
 
-def _router_model(router: Coord, ports: tuple[Port, ...], svc: ServiceSpec, ca2: float,
-                  fp: FixedPoint, row: int, idx) -> RouterQueueModel:
-    lam = fp.lam[row, idx].astype(float)
-    wq = fp.wq[row, idx]
-    return RouterQueueModel(
-        router=router,
-        ports=ports,
-        lam=lam,
-        svc=svc,
-        contention=fp.contention[row][np.ix_(idx, idx)],
-        rho_e=fp.rho_e[row, idx],
-        residual=np.full(len(ports), 0.5 * (ca2 + svc.scv) * svc.mean_service),
-        wq=wq,
-        rt=fp.rt[row, idx],
-        queue_len=lam * wq,
-        iterations=int(fp.iterations[row]),
-        final_delta=float(fp.final_delta[row]),
-    )
+@lru_cache(maxsize=8)
+def _router_index(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, tuple[tuple, ...]]:
+    """``packet_delay_inspector``'s view of the routers of ``grid``, built
+    once per grid: the flat (tile, port) index of every valid port, the
+    flat (tile, port, port) index of their contention entries, and per tile
+    its coordinate, ports and the bounds of its entries in both."""
+    valid = valid_port_mask(grid)
+    chans, cells, routers = [], [], []
+    v = c = 0
+    for t, coord in enumerate(grid.tiles()):
+        idx = np.flatnonzero(valid[t])
+        k = len(idx)
+        chans.append(t * N_PORTS + idx)
+        cells.append((t * N_PORTS + idx[:, None]) * N_PORTS + idx)
+        routers.append((coord, tuple(PORT_ORDER[i] for i in idx), v, v + k, c, c + k * k, k))
+        v, c = v + k, c + k * k
+    chans, cells = np.concatenate(chans), np.concatenate(cells, axis=None)
+    chans.flags.writeable = cells.flags.writeable = False
+    return chans, cells, tuple(routers)
 
 
 @dataclass
@@ -407,15 +474,24 @@ def packet_delay_inspector(placement: Placement, spec: TrafficSpec,
     r = resolved if resolved is not None else resolve(placement, spec)
     grid = placement.grid
     flows = flow_set(placement, spec, resolved=r)
-    fp = solve_network(channel_loads(flows, grid), spec.svc, spec.arrival_scv, mode)
-    valid = valid_port_mask(grid)
-    routers: dict[Coord, RouterQueueModel] = {}
-    for t, coord in enumerate(grid.tiles()):
-        idx = np.flatnonzero(valid[t])
-        ports = tuple(PORT_ORDER[i] for i in idx)
-        routers[coord] = _router_model(coord, ports, spec.svc, spec.arrival_scv, fp, t, idx)
-    delays = path_sums(grid, flows.src, flows.dst, fp.rt)
-    rho_e = np.where(valid, fp.rho_e, -np.inf)
+    from .segments import link_transit, superpose  # imported on first use
+
+    fp = _solve(grid, *superpose(flows, grid, 1), spec.svc, spec.arrival_scv, mode)
+    chans, cells, index = _router_index(grid)
+    lam, rho_e, wq, rt = (a.take(chans) for a in (fp.lam, fp.rho_e, fp.wq, fp.rt))
+    contention, queue_len = fp.contention.take(cells), lam * wq
+    residual = np.full(len(chans),
+                       0.5 * (spec.arrival_scv + spec.svc.scv) * spec.svc.mean_service)
+    iterations, final_delta = fp.iterations.tolist(), fp.final_delta.tolist()
+    routers = {
+        coord: RouterQueueModel(coord, ports, lam[v0:v1], spec.svc,
+                                contention[c0:c1].reshape(k, k), rho_e[v0:v1], residual[v0:v1],
+                                wq[v0:v1], rt[v0:v1], queue_len[v0:v1], iterations[t],
+                                final_delta[t])
+        for t, (coord, ports, v0, v1, c0, c1, k) in enumerate(index)
+    }
+    delays = fp.rt[flows.src, _L] + link_transit(grid, fp.rt)(flows.src, flows.dst)
+    rho_e = np.where(valid_port_mask(grid), fp.rho_e, -np.inf)
     t, port = divmod(int(rho_e.argmax()), N_PORTS)
     return DelayReport(
         mode=mode,

@@ -5,9 +5,10 @@ paths, ignoring contention; the queueing module layers contention on top.
 
 The analytical models run on an integer-indexed view of the mesh: tile
 ``t = y * width + x`` (row-major), port ``PORT_ORDER.index(port)``, channel
-``t * N_PORTS + port``. Flow sets, channel loads and path sums are arrays
-over those indices; ``Flow``, ``Coord`` and ``Port`` keys are built only at
-the public boundary.
+``t * N_PORTS + port``. Flow sets and channel loads are arrays over those
+indices; ``Flow``, ``Coord`` and ``Port`` keys are built only at the public
+boundary. The loads are superposed from row and column segments
+(``segments``); the simulators expand paths into hops (``events.xy_hops``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import IO, Iterator, NamedTuple
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -76,10 +77,6 @@ class FlowKind(Enum):
 _KINDS = tuple(sorted(FlowKind, key=lambda k: k.value))
 _KIND_CODE = {k: i for i, k in enumerate(_KINDS)}
 
-# Flows gathered into hops per chunk: a chunk's hop arrays hold at most
-# _HOP_CHUNK * (width + height - 1) entries (31,744 on a 16x16 grid, stacked
-# copies included), however many flows there are.
-_HOP_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -90,15 +87,19 @@ class Flow:
     kind: FlowKind
 
 
+@lru_cache(maxsize=8)
 def valid_port_mask(grid: MeshGrid) -> np.ndarray:
     """(n_tiles, N_PORTS) mask of the input ports that exist: a port exists
-    when the neighbour it faces is on the grid (the local port always)."""
+    when the neighbour it faces is on the grid (the local port always).
+    Built once per grid, read-only."""
     t = np.arange(grid.n_tiles)
     x, y = t % grid.width, t // grid.width
-    return np.stack([
+    mask = np.stack([
         (x + dx >= 0) & (x + dx < grid.width) & (y + dy >= 0) & (y + dy < grid.height)
         for dx, dy in (port.delta for port in PORT_ORDER)
     ], axis=1)
+    mask.flags.writeable = False
+    return mask
 
 
 class FlowSet(NamedTuple):
@@ -166,89 +167,6 @@ def _stacked_flows(spec: TrafficSpec, lam: np.ndarray, p: np.ndarray, cores: np.
     return FlowSet(src, dst, kind, rate)
 
 
-@lru_cache(maxsize=8)
-def _xy_table(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every XY path of ``grid`` by displacement, for ``xy_hops`` to gather.
-
-    XY routing is translation-invariant (Dally & Seitz 1987): a path's hops
-    depend only on the displacement (dx - sx, dy - sy). Displacement key
-    ``(dy - sy + height - 1) * (2 * width - 1) + dx - sx + width - 1``
-    owns hops ``first[key]:first[key] + length[key]`` of ``rel``, each
-    hop's input channel less ``N_PORTS * src``, and of ``out``, its out
-    port. The (2w-1)(2h-1) paths hold 15,841 hops at 16x16. Built one
-    row of displacements at a time, so no temporary outgrows a row.
-    """
-    w, h = grid.width, grid.height
-    dx = np.arange(1 - w, w)
-    nx, east = np.abs(dx), dx > 0
-    rel, out = [], []
-    for dy in range(1 - h, h):
-        ny, south = abs(dy), dy > 0
-        length = nx + ny + 1
-        path = np.repeat(np.arange(len(dx)), length)
-        pos = np.arange(int(length.sum())) - np.repeat(np.cumsum(length) - length, length)
-        nxp, e = nx[path], east[path]
-        x = np.sign(dx)[path] * np.minimum(pos, nxp)
-        y = (1 if south else -1) * np.maximum(pos - nxp, 0)
-        in_port = np.where(pos == 0, _L, np.where(pos <= nxp, np.where(e, _W, _E),
-                                                  _N if south else _S))
-        rel.append(((y * w + x) * N_PORTS + in_port).astype(np.int32))
-        out.append(np.where(pos < nxp, np.where(e, _E, _W),
-                            np.where(pos < nxp + ny, _S if south else _N, _L)).astype(np.int32))
-    length = np.add.outer(np.abs(np.arange(1 - h, h)), nx + 1).ravel().astype(np.int32)
-    first = np.cumsum(length, dtype=np.int32) - length
-    table = (first, length, np.concatenate(rel), np.concatenate(out))
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
-def xy_hops(grid: MeshGrid, src: np.ndarray,
-            dst: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Expand XY paths into hops, a chunk of flows at a time, by gathering
-    them from the grid's displacement table.
-
-    Yields ``(start, flow, pos, channel, out_port)``: hop arrays for flows
-    ``start + flow``, in flow order and path order within each flow. ``pos``
-    is the hop's position on its path (0 is the injection hop at the
-    source), ``channel`` the input channel id ``tile * N_PORTS + in_port``
-    and ``out_port`` the port index the hop leaves by. Tile ids may name
-    stacked copies of ``grid`` (``copy * n_tiles + tile``).
-    """
-    first, length, rel, out = _xy_table(grid)
-    w, span = grid.width, 2 * grid.width - 1
-    for start in range(0, len(src), _HOP_CHUNK):
-        s = src[start:start + _HOP_CHUNK].astype(np.int32)
-        d = dst[start:start + _HOP_CHUNK].astype(np.int32)
-        key = (d // w - s // w + grid.height - 1) * span + d % w - s % w + w - 1
-        n = length[key]
-        flow = np.repeat(np.arange(len(s), dtype=np.int32), n)
-        pos = np.arange(len(flow), dtype=np.int32)
-        pos -= np.repeat(np.cumsum(n, dtype=np.int32) - n, n)
-        idx = pos + np.repeat(first[key], n)
-        yield start, flow, pos, rel[idx] + np.repeat(N_PORTS * s, n), out[idx]
-
-
-def path_sums(grid: MeshGrid, src: np.ndarray, dst: np.ndarray,
-              values: np.ndarray, skip_injection: bool = False) -> np.ndarray:
-    """Sum of ``values[tile, in_port]`` over the input channels of each XY
-    path, added in path order from 0.0: the source's local injection channel,
-    then every later router's input channel facing the previous hop.
-
-    ``skip_injection`` leaves out the source's local injection channel, so
-    only the routers entered through links count.
-    """
-    flat = np.ascontiguousarray(values, dtype=float).ravel()
-    out = np.empty(len(src))
-    for start, flow, pos, channel, _ in xy_hops(grid, src, dst):
-        v = flat[channel]
-        if skip_injection:
-            v[pos == 0] = 0.0
-        n = min(_HOP_CHUNK, len(src) - start)
-        out[start:start + n] = np.bincount(flow, weights=v, minlength=n)
-    return out
-
-
 @dataclass(eq=False)
 class ChannelLoadMap:
     """Steady-state arrival rates per input channel and per turn.
@@ -304,39 +222,12 @@ def channel_loads(flows: FlowSet, grid: MeshGrid) -> ChannelLoadMap:
     """Superpose flow rates along their XY paths into per-channel loads.
 
     Flows are added in the canonical (src, dst, kind, rate) order, each
-    channel's sum running sequentially from 0.0, so the floating-point sums
-    are identical no matter how the caller ordered the flows.
+    sum in an order fixed by the code (see ``segments.superpose``), so the
+    floating-point sums are identical no matter how the caller ordered the
+    flows. ``used_turns`` comes from the same superposition of flow counts.
     """
-    lam, turns, used = _superpose(flows, grid, 1)
+    from .segments import superpose  # it imports this module
+
+    lam, turns = superpose(flows, grid, 1)
+    used = superpose(flows._replace(rate=(flows.rate != 0.0) * 1.0), grid, 1)[1] > 0.0
     return ChannelLoadMap(grid, lam, turns, used)
-
-
-def _superpose(flows: FlowSet, grid: MeshGrid,
-               copies: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``channel_loads``' arrays for flows on ``copies`` copies of ``grid``
-    stacked one below the other: tile ``b * n_tiles + t`` is tile t of copy
-    b. The stack is one mesh ``copies`` times as tall whose XY paths never
-    leave their own copy, and the canonical order restricted to one copy is
-    that copy's own, so every copy's loads are bit-identical to its flows'
-    ``channel_loads``."""
-    nz = flows.rate != 0.0
-    src, dst, kind, rate = flows.src[nz], flows.dst[nz], flows.kind[nz], flows.rate[nz]
-    # The canonical order: (src x, src y, dst x, dst y, kind) packed into one
-    # integer key, then rate.
-    w, h = grid.width, copies * grid.height
-    src_xy, dst_xy = src % w * h + src // w, dst % w * h + dst // w
-    order = np.lexsort((rate, (src_xy * np.int64(w * h) + dst_xy) * len(_KINDS) + kind))
-    src, dst, rate = src[order], dst[order], rate[order]
-    n_ch = copies * grid.n_tiles * N_PORTS
-    lam = np.zeros(n_ch)
-    turns = np.zeros(n_ch * N_PORTS)
-    used = np.zeros(n_ch * N_PORTS, dtype=bool)
-    for start, flow, _, channel, out_port in xy_hops(grid, src, dst):
-        r = rate[start:start + _HOP_CHUNK][flow]
-        turn = channel * N_PORTS + out_port
-        np.add.at(lam, channel, r)
-        np.add.at(turns, turn, r)
-        used[turn] = True
-    shape = (copies * grid.n_tiles, N_PORTS)
-    return (lam.reshape(shape), turns.reshape(shape + (N_PORTS,)),
-            used.reshape(shape + (N_PORTS,)))

@@ -20,7 +20,8 @@ import numpy as np
 from .latency import _compose, _hop_transit, _link_transit, _sum_in_order
 from .mesh import _CHAR_OF_KIND, MeshGrid, NodeKind, placement_from_string
 from .queueing import OK, PAPER, _fixed_point
-from .routing import N_PORTS, _stacked_flows, _superpose
+from .routing import N_PORTS, _stacked_flows
+from .segments import superpose
 from .traffic import ResolvedTraffic, TrafficSpec, nearest_split, resolve
 
 # Hop counts that ``low_objective_batch`` gathers per chunk (about 26 bytes
@@ -185,7 +186,7 @@ def _superposed(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, r: Resolved
                 memo: _RouterRows) -> np.ndarray:
     """The slots of the router rows of ``rows``, one row of slots each."""
     cores, caches, mcs, q = _stacked_ids(grid, rows, r)
-    lam, turns, _ = _superpose(_stacked_flows(spec, r.lam, r.p, cores, caches, mcs, q), grid,
+    lam, turns = superpose(_stacked_flows(spec, r.lam, r.p, cores, caches, mcs, q), grid,
                                len(rows))
     return memo.refs(lam, turns).reshape(len(rows), grid.n_tiles)
 

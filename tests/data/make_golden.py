@@ -4,6 +4,12 @@ and the simulator against.
     PYTHONPATH=src python3 tests/data/make_golden.py models tests/data/golden_models.json
     PYTHONPATH=src python3 tests/data/make_golden.py sim tests/data/golden_sim.json
     PYTHONPATH=src python3 tests/data/make_golden.py search tests/data/golden_search.json
+    PYTHONPATH=src python3 tests/data/make_golden.py diff OLD.json NEW.json
+
+``diff`` prints the largest relative change of every numeric field between
+two files of one kind and how many other fields changed, and exits 1 when a
+LOW value, an unstable case (router, channel, message), a search's argmin
+set or error, or a simulator run's ``stats_sha256`` moved.
 
 The models file was first written by the dict-walking implementation of
 the HIGH model that the integer-indexed kernel replaced (commit 2fa444d), so
@@ -34,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import sys
 
 import nocplace as nc
@@ -340,5 +347,88 @@ def search(path: str) -> None:
         fh.write("\n")
 
 
+# Fields a regeneration must leave as they are: a LOW value, an unstable
+# case's error, a simulator run's statistics and a search's argmin set or
+# error. A ``result.best`` that only changes order is not counted.
+STRICT = ("low", "high.unstable", "stats_sha256", "result.best", "error")
+ROW_FIELDS = ("x", "y", "channel", "sim_rt", "analytical_rt", "rel_err")
+
+
+def _leaves(o, n, path=""):
+    """(field, old, new) of every leaf of two cases, list positions folded
+    into ``[]`` (compare rows by column); a missing side is None."""
+    if isinstance(o, dict) and isinstance(n, dict):
+        for k in sorted(set(o) | set(n)):
+            yield from _leaves(o.get(k), n.get(k), f"{path}.{k}" if path else k)
+    elif path == "result.best":
+        yield path, o, n
+    elif isinstance(o, list) and isinstance(n, list) and len(o) == len(n):
+        for i, (a, b) in enumerate(zip(o, n)):
+            sub = f"{path}.{ROW_FIELDS[i]}" if path.endswith("rows[]") else f"{path}[]"
+            yield from _leaves(a, b, sub)
+    else:
+        yield path, o, n
+
+
+def _number(v):
+    if isinstance(v, str):  # search floats are stored as their repr
+        try:
+            return float(v)
+        except ValueError:
+            return None
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else None
+
+
+def _change(a, b) -> float | None:
+    """The relative change from a to b when both are numbers, else None."""
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if math.isfinite(scale) and scale > 0 else math.inf
+
+
+def diff(old_path: str, new_path: str) -> int:
+    """Print the largest relative change of every numeric field between two
+    golden files of one kind, and how many other leaves changed. Returns 1
+    when a ``STRICT`` field moved or the case ids differ, else 0."""
+    old, new = (json.load(open(p))["cases"] for p in (old_path, new_path))
+    if [c["id"] for c in old] != [c["id"] for c in new]:
+        print("the case ids differ")
+        return 1
+    worst: dict[str, tuple[float, str]] = {}
+    changed: dict[str, dict[str, None]] = {}  # field -> the ids of the cases, in order
+    broken = []
+    for o, n in zip(old, new):
+        for field, a, b in _leaves(o, n):
+            if field == "result.best" and a is not None and b is not None:
+                a, b = sorted(a), sorted(b)
+            rel = None if isinstance(a, bool) or isinstance(b, bool) else _change(a, b)
+            if rel is not None:
+                if rel >= worst.get(field, (-1.0, ""))[0]:
+                    worst[field] = max(worst.get(field, (-1.0, "")), (rel, o["id"]))
+                if rel == 0.0:
+                    continue
+            elif a == b:
+                continue
+            else:
+                changed.setdefault(field, {})[o["id"]] = None
+            if field.startswith(STRICT):
+                broken.append(f"{o['id']}: {field}: {a!r} -> {b!r}")
+    for field, (rel, case) in sorted(worst.items()):
+        print(f"{field}: largest relative change {rel:.3g}" + (f" ({case})" if rel else ""))
+    for field, ids in sorted(changed.items()):
+        cases = list(ids)
+        print(f"{field}: changed in {len(cases)} of {len(old)} cases ({', '.join(cases[:3])}"
+              + (", ..." if len(cases) > 3 else "") + ")")
+    for line in broken:
+        print("MOVED", line)
+    return 1 if broken else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1] == "diff":
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
     {"models": models, "sim": sim, "search": search}[sys.argv[1]](sys.argv[2])

@@ -5,6 +5,9 @@ array kernels of the library are checked against.
   literal loops; ``routing.xy_hops`` and ``routing.path_sums`` must agree.
 - ``solve_one`` runs the contention fixed point of a single router, as a
   network of one router, and raises what that router alone raises.
+- ``fixed_point`` is the batched contention fixed point as it was before
+  its loop went ports-major; ``queueing._fixed_point`` must agree bit for
+  bit.
 - ``apply_symmetry`` and ``symmetry_orbit`` map placements by the grid's
   symmetry permutations.
 """
@@ -72,7 +75,11 @@ def solve_one(lam, turns, svc: ServiceSpec, ca2: float = 1.0, mode: str = PAPER,
     ports = tuple(ports) if ports is not None else PORT_ORDER[:len(lam)]
     fp = queueing._fixed_point(lam[None], turns[None], svc, ca2, mode, 1)
     queueing._raise_first_failure(fp, lambda _: router, ports)
-    return queueing._router_model(router, ports, svc, ca2, fp, 0, np.arange(len(ports)))
+    lam, wq = fp.lam[0].astype(float), fp.wq[0]
+    return RouterQueueModel(router, ports, lam, svc, fp.contention[0], fp.rho_e[0],
+                            np.full(len(ports), 0.5 * (ca2 + svc.scv) * svc.mean_service), wq,
+                            fp.rt[0], lam * wq, int(fp.iterations[0]),
+                            float(fp.final_delta[0]))
 
 
 def apply_symmetry(p: Placement, perm: tuple[int, ...]) -> Placement:
@@ -83,3 +90,128 @@ def apply_symmetry(p: Placement, perm: tuple[int, ...]) -> Placement:
 def symmetry_orbit(p: Placement) -> set[Placement]:
     """All distinct images of a placement under the grid's symmetry group."""
     return {apply_symmetry(p, perm) for perm in p.grid.symmetry_permutations()}
+
+
+# ``queueing._fixed_point`` as it was before its loop went ports-major
+# (commit 35c9f94), copied verbatim with the module's names qualified: the
+# kernel must return the same eight arrays bit for bit.
+
+
+def _port_sum(a: np.ndarray) -> np.ndarray:
+    # Sum over the last axis in port order, one add at a time: an idle port
+    # adds an exact zero, so padded and unpadded routers agree bit for bit.
+    acc = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        acc += a[..., j]
+    return acc
+
+
+def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: float) -> np.ndarray:
+    # rhs[i][j] = rho_i * sum_k Pr(turn_ik at head) * x_jk/(1-x_jk)^2 with
+    # x_jk = rho_j * (1 - exp(-turn_jk * E{S})), accumulated over the
+    # outputs both channels drive. Batched over the leading axis.
+    rho = lam * es
+    head = 1.0 - np.exp(-turns * es)
+    series = rho[..., :, None] * head  # x, then x/(1-x)^2 in place
+    series /= (1.0 - series) ** 2
+    # _port_sum of head[i, k] * series[j, k] over k, one output at a time:
+    # no rows x ports^3 temporary.
+    acc = head[..., :, None, 0] * series[..., None, :, 0]
+    for k in range(1, head.shape[-1]):
+        acc += head[..., :, None, k] * series[..., None, :, k]
+    return rho[..., :, None] * acc
+
+
+def _first_failures(rows: np.ndarray, bad: np.ndarray,
+                    group: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the ascending ``rows``: the first bad row of each group of
+    ``group`` rows, and the group's rows after it."""
+    g = rows // group
+    first = np.full(int(g[-1]) + 1, np.iinfo(rows.dtype).max)
+    np.minimum.at(first, g[bad], rows[bad])
+    return rows == first[g], rows > first[g]
+
+
+def fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float,
+                 mode: str, group: int) -> queueing.FixedPoint:
+    """Run the damped contention fixed point of every row (router) at once.
+
+    ``lam`` is rows x ports, ``turns`` rows x ports x outputs; every
+    ``group`` consecutive rows are one network. Every row iterates as if
+    alone and freezes at the iteration where its own queue-length change
+    drops below ``queueing.FIXED_POINT_TOL``. A row fails as solving its network's
+    rows one after another would: on its plain utilization before
+    iterating, then on its effective utilization, or by not converging
+    within ``queueing.FIXED_POINT_MAX_ITER`` iterations. Its network's later rows
+    are then dropped, so the lowest failing row of a network is the one
+    that solving it alone fails at. Only an unknown ``mode``, checked
+    first whatever the rows, and argument errors of the waiting-time
+    formula raise.
+    """
+    if mode not in (queueing.PAPER, queueing.STANDARD):
+        raise queueing.InvalidConfigError(f"unknown waiting-time mode {mode!r}")
+    es = svc.mean_service
+    n_rows, n = lam.shape
+    rho = lam * es
+    status = np.zeros(n_rows, dtype=np.int8)
+    rho_out = np.zeros((n_rows, n))
+    rows = np.arange(n_rows)
+    bad = rho.max(axis=1, initial=0.0) >= 1.0
+    if bad.any():
+        fail, drop = _first_failures(rows, bad, group)
+        status[fail], status[drop] = queueing.UNSTABLE, queueing.DROPPED
+        rho_out[fail] = rho[fail]
+        rows = rows[~(fail | drop)]
+
+    lam_a, turns_a = lam[rows], turns[rows]
+    rhs = _contention_rhs(lam_a, turns_a, es)
+    contention = np.zeros((n_rows, n, n))
+    wq_out = np.zeros((n_rows, n))
+    iterations = np.zeros(n_rows, dtype=np.int64)
+    final_delta = np.zeros(n_rows)
+    nq = lam_a
+    if rows.size:
+        # Like a network alone, the batch reaches the waiting-time formula
+        # (and its argument checks) only if some first router passed the
+        # plain check. Checked once here: with rates >= 0 every contention
+        # term is >= 0, so no later effective utilization is negative, and
+        # the loop drops those >= 1 before the formula sees them.
+        nq = lam_a * queueing.kingman_wait(rho[rows], ca2, svc.scv, es, mode)
+        if (turns_a < 0.0).any():
+            raise queueing.UnstableError("turn rates must be >= 0")
+    # queueing.kingman_wait's and effective_utilization's arithmetic, unchecked.
+    num, es_f = 0.5 * (ca2 + svc.scv) * es, float(es)
+    diagonal = np.eye(n, dtype=bool)
+    for it in range(1, queueing.FIXED_POINT_MAX_ITER + 1):
+        if not rows.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(nq[:, None, :] > 0.0, rhs / nq[:, None, :], 0.0)
+        c[:, diagonal] = 1.0
+        rho_e = lam_a * _port_sum(c * es_f)
+        bad = rho_e.max(axis=1) >= 1.0
+        if bad.any():
+            fail, drop = _first_failures(rows, bad, group)
+            status[rows[fail]], status[rows[drop]] = queueing.EFFECTIVE_UNSTABLE, queueing.DROPPED
+            rho_out[rows[fail]] = rho_e[fail]
+            left = ~(fail | drop)
+            rows, lam_a, rhs, nq, c, rho_e = (a[left] for a in (rows, lam_a, rhs, nq, c, rho_e))
+        wq = num / (1.0 - rho_e)
+        if mode == queueing.STANDARD:
+            wq = rho_e * wq
+        nq_next = lam_a * wq
+        delta = np.abs(nq_next - nq).max(axis=1, initial=0.0)
+        nq = (1.0 - queueing.FIXED_POINT_DAMPING) * nq + queueing.FIXED_POINT_DAMPING * nq_next
+        done = delta < queueing.FIXED_POINT_TOL
+        if done.any():
+            ids = rows[done]
+            contention[ids] = c[done]
+            rho_out[ids] = rho_e[done]
+            wq_out[ids] = wq[done]
+            iterations[ids] = it
+            final_delta[ids] = delta[done]
+            left = ~done
+            rows, lam_a, rhs, nq = rows[left], lam_a[left], rhs[left], nq[left]
+    status[rows] = queueing.NON_CONVERGENT
+    rt = np.maximum(wq_out, es) if mode == queueing.PAPER else es + wq_out
+    return queueing.FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)

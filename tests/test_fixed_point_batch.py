@@ -151,7 +151,7 @@ def checked_fixed_point(lam, turns, svc, ca2, mode):
     ``kingman_wait`` and ``effective_utilization`` on every iteration: the
     oracle of the batched loop, which checks their arguments once."""
     es = svc.mean_service
-    rhs = queueing._contention_rhs(lam[None], turns[None], es)[0]
+    rhs = queueing._contention_rhs(lam[:, None], turns[:, :, None], es)[:, :, 0]
     nq = lam * queueing.kingman_wait(lam * es, ca2, svc.scv, es, mode)
     for it in range(1, queueing.FIXED_POINT_MAX_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore"):

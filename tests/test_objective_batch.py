@@ -135,7 +135,10 @@ def test_random_corpus_at_any_chunk_size(per_chunk, monkeypatch):
 def test_every_failure_kind_in_one_batch(monkeypatch):
     # At 28 iterations some routers of this load have not settled yet: the
     # batch holds scored, plainly and effectively unstable and non-convergent
-    # candidates, each failure dropping only its own later routers.
+    # candidates, each failure dropping only its own later routers. At
+    # lambda_g 0.38 a flow carries 0.095, so no channel's exact load lands on
+    # 1.0: the effectively unstable candidates are so whatever the order of
+    # the load sums (at 0.4, ten flows of 0.1 sum to 1.0 or just below it).
     monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", 28)
     rng = random.Random(0)
     kinds = list("CCCCCCCC$$$$....")
@@ -143,7 +146,7 @@ def test_every_failure_kind_in_one_batch(monkeypatch):
     for _ in range(150):
         rng.shuffle(kinds)
         strings.append("".join(kinds))
-    spec = TrafficSpec(lambda_g=0.4, miss_l2=0.3, model_replies=True)
+    spec = TrafficSpec(lambda_g=0.38, miss_l2=0.3, model_replies=True)
     causes = assert_matches_alone(MeshGrid(4, 4), strings, spec, PAPER)
     assert set(causes.tolist()) == {OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT}
 
@@ -240,7 +243,7 @@ def test_distinct_rows_with_repeats_and_every_failure_kind(memo_rows, wait_rows,
         distinct.append("".join(kinds))
     strings = [rng.choice(distinct) for _ in range(120)]
     calls = spy_fixed_point(monkeypatch)
-    spec = TrafficSpec(lambda_g=0.4, miss_l2=0.3, model_replies=True)
+    spec = TrafficSpec(lambda_g=0.38, miss_l2=0.3, model_replies=True)
     causes = assert_matches_alone(MeshGrid(4, 4), strings, spec, PAPER)
     assert set(causes.tolist()) == {OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT}
     assert len(calls) > 2

@@ -173,7 +173,7 @@ class TestDeriveChannelRates:
         assert loads.in_rate(Coord(2, 0), Port.WEST) == pytest.approx(0.5)
         assert loads.turn_rate(Coord(2, 0), Port.WEST, Port.LOCAL) == pytest.approx(0.5)
 
-    def test_crossing_flows_superpose(self):
+    def test_crossing_flowssuperpose(self):
         g = MeshGrid(3, 3)
         f1 = Flow(Coord(0, 1), Coord(2, 1), 0.3, FlowKind.CORE_TO_CACHE)
         f2 = Flow(Coord(1, 0), Coord(1, 2), 0.2, FlowKind.CORE_TO_CACHE)
@@ -276,8 +276,10 @@ class TestLoadsCsv:
 class TestArrayPaths:
     """The array hop expansion against the per-flow path walkers."""
 
-    def test_path_sums_match_path_channels_for_all_pairs(self):
-        from nocplace.routing import PORT_INDEX, path_sums
+    def test_link_transit_matches_path_channels_for_all_pairs(self):
+        # Each leg is added from 0.0 in path order, then the two legs.
+        from nocplace.routing import PORT_INDEX
+        from nocplace.segments import link_transit
 
         g = MeshGrid(5, 3)
         values = np.random.default_rng(7).random((g.n_tiles, len(PORT_INDEX)))
@@ -285,11 +287,11 @@ class TestArrayPaths:
         pairs = [(a, b) for a in tiles for b in tiles]
         src = np.array([g.index(a) for a, _ in pairs])
         dst = np.array([g.index(b) for _, b in pairs])
-        for skip in (False, True):
-            sums = path_sums(g, src, dst, values, skip_injection=skip)
-            for (a, b), got in zip(pairs, sums.tolist()):
-                channels = path_channels(a, b)[1 if skip else 0:]
-                assert got == sum(values[g.index(r), PORT_INDEX[p]] for r, p in channels)
+        sums = link_transit(g, values)(src, dst)
+        for (a, b), got in zip(pairs, sums.tolist()):
+            legs = [[values[g.index(r), PORT_INDEX[p]] for r, p in path_channels(a, b)[1:]
+                     if (r.y == a.y) is x_leg] for x_leg in (True, False)]
+            assert got == sum(legs[0]) + sum(legs[1])
 
     def test_turns_follow_xy_route(self):
         g = MeshGrid(4, 3)
@@ -342,7 +344,7 @@ class TestHopGather:
 
     @staticmethod
     def assert_same(grid, src, dst):
-        from nocplace.routing import _HOP_CHUNK, xy_hops
+        from nocplace.events import _HOP_CHUNK, xy_hops
 
         got = list(xy_hops(grid, src, dst))
         want = list(expand_xy_hops(grid, src, dst, _HOP_CHUNK))
@@ -362,7 +364,7 @@ class TestHopGather:
     @pytest.mark.parametrize("w,h", GRIDS)
     @pytest.mark.parametrize("copies", [1, 6])
     def test_random_flows_on_stacked_copies(self, w, h, copies):
-        # Tile b * n_tiles + t is tile t of copy b, as _superpose and the
+        # Tile b * n_tiles + t is tile t of copy b, as segments.superpose and the
         # HIGH batch scorer stack their candidates; paths stay in a copy.
         g = MeshGrid(w, h)
         rng = np.random.default_rng(w * 31 + h + copies)
@@ -378,7 +380,7 @@ class TestHopGather:
         # table would hold 761,856.
         import tracemalloc
 
-        from nocplace.routing import _xy_table
+        from nocplace.events import _xy_table
 
         grid = MeshGrid(16, 16)
         _xy_table.cache_clear()

@@ -13,10 +13,11 @@ import pytest
 
 PARSER_STEP = 4096
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nocplace"
-# Modules imported on first use only: the two simulator engines, and the
-# candidate enumerators and batch scorers of the search.
+# Modules imported on first use only: the two simulator engines, the
+# candidate enumerators and batch scorers of the search, and the segment
+# tables of the HIGH model.
 ON_FIRST_USE = {"nocplace.candidates", "nocplace.events", "nocplace.feedforward",
-                "nocplace.scoring"}
+                "nocplace.scoring", "nocplace.segments"}
 
 
 def tokens(path: Path) -> int:
