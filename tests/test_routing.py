@@ -173,7 +173,7 @@ class TestDeriveChannelRates:
         assert loads.in_rate(Coord(2, 0), Port.WEST) == pytest.approx(0.5)
         assert loads.turn_rate(Coord(2, 0), Port.WEST, Port.LOCAL) == pytest.approx(0.5)
 
-    def test_crossing_flowssuperpose(self):
+    def test_crossing_flows_superpose(self):
         g = MeshGrid(3, 3)
         f1 = Flow(Coord(0, 1), Coord(2, 1), 0.3, FlowKind.CORE_TO_CACHE)
         f2 = Flow(Coord(1, 0), Coord(1, 2), 0.2, FlowKind.CORE_TO_CACHE)
