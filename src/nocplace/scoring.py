@@ -105,14 +105,14 @@ def high_objective_batch(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec,
     chunk_rows = step * grid.n_tiles
     waiting = []
     for i in range(0, len(rows), step):
-        waiting.append((i, _superposed(grid, rows[i:i + step], spec, r, memo)))
+        ids = _stacked_ids(grid, rows[i:i + step], r)
+        waiting.append((i, ids, _superposed(grid, ids, spec, r, memo)))
         full = len(memo.slot) + chunk_rows > _MEMO_ROWS
         if (full or memo.unsolved >= _BATCH_ROWS or len(waiting) * chunk_rows >= _WAIT_ROWS
                 or i + step >= len(rows)):
             memo.solve()
-            for j, refs in waiting:
-                values[j:j + step], causes[j:j + step] = _finish(grid, spec, r, memo,
-                                                                 rows[j:j + step], refs)
+            for j, ids, refs in waiting:
+                values[j:j + step], causes[j:j + step] = _finish(grid, spec, r, memo, ids, refs)
             waiting = []
             if full:
                 memo = _RouterRows(spec, queue_mode)
@@ -182,26 +182,26 @@ def _stacked_ids(grid: MeshGrid, rows: np.ndarray, r: ResolvedTraffic) -> tuple:
     return (*(ids + offset for ids in local), q)
 
 
-def _superposed(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, r: ResolvedTraffic,
+def _superposed(grid: MeshGrid, ids: tuple, spec: TrafficSpec, r: ResolvedTraffic,
                 memo: _RouterRows) -> np.ndarray:
-    """The slots of the router rows of ``rows``, one row of slots each."""
-    cores, caches, mcs, q = _stacked_ids(grid, rows, r)
-    lam, turns = superpose(_stacked_flows(spec, r.lam, r.p, cores, caches, mcs, q), grid,
-                               len(rows))
-    return memo.refs(lam, turns).reshape(len(rows), grid.n_tiles)
+    """The slots of the router rows of the placements of ``_stacked_ids``
+    ``ids``, one row of slots each."""
+    n = len(ids[0])
+    lam, turns = superpose(_stacked_flows(spec, r.lam, r.p, *ids), grid, n)
+    return memo.refs(lam, turns).reshape(n, grid.n_tiles)
 
 
 def _finish(grid: MeshGrid, spec: TrafficSpec, r: ResolvedTraffic, memo: _RouterRows,
-            rows: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            ids: tuple, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A placement's cause is its first failing row, as when its mesh is
     # solved alone: every row's outcome is its own, and the rows after the
     # first failure only go unused.
     status = memo.status[refs]
-    causes = status[np.arange(len(rows)), (status != OK).argmax(axis=1)]
-    values = np.full(len(rows), np.inf)
+    causes = status[np.arange(len(refs)), (status != OK).argmax(axis=1)]
+    values = np.full(len(refs), np.inf)
     ok = np.flatnonzero(causes == OK)
     if ok.size:
-        cores, caches, mcs, q = _stacked_ids(grid, rows, r)
+        cores, caches, mcs, q = ids
         transit = _link_transit(grid, memo.rt[refs.ravel()])
         total = _compose(spec, r.p, None if q is None else q[ok], transit,
                          cores[ok], caches[ok], mcs[ok])[2]
