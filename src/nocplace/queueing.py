@@ -281,6 +281,12 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
     n, m = lam.shape
     lam, turns, nq = (np.array(a, order="C") for a in (lam, turns, nq))
     rhs = _contention_rhs(lam, turns, es)
+    # A channel with lam > 0 keeps nq >= damp * lam * num * min(1, lam * E{S}):
+    # wq >= num, or rho_e * num >= lam * E{S} * num for STANDARD. Unless that
+    # bound is near underflow, such an nq never reaches 0, and only idle
+    # channels need the division masked.
+    low = lam.min(initial=np.inf, where=lam > 0.0)
+    unsure = not (0.0 < damp <= 1.0 and damp * low * num * min(1.0, low * es) > 1e-290)
     mats, vecs, peaks = np.empty((2, n * n * m)), np.empty((6, n * m)), np.empty(m)
 
     def views(m: int) -> tuple:
@@ -292,7 +298,7 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
                 peaks[:m], np.ones(m, dtype=bool))
 
     def spend(cols: np.ndarray) -> None:
-        lam[:, cols], nq[:, cols], rho_e[:, cols] = 0.0, np.inf, 0.0
+        lam[:, cols], nq[:, cols] = 0.0, np.inf
         live[cols] = False
 
     c, cs, diagonal, idle, div, rho_e, wq, nq_next, diff, peak, live = views(m)
@@ -304,7 +310,7 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
             # nq 0 and rhs 0 throughout, so it divides by 1 instead.
             np.add(nq, idle, div)
             np.divide(rhs, div, c)
-            if not np.minimum.reduce(div, None) > 0.0:
+            if unsure and not np.minimum.reduce(div, None) > 0.0:
                 np.copyto(c, 0.0, where=~(nq > 0.0))
             diagonal[...] = 1.0
             if cs is not c:
@@ -321,7 +327,9 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
                 fail, drop = cols[fail], cols[drop]
                 status[rows[fail]], status[rows[drop]] = EFFECTIVE_UNSTABLE, DROPPED
                 rho_out[rows[fail]] = rho_e[:, fail].T
-                spend(np.concatenate([fail, drop]))
+                cols = np.concatenate([fail, drop])
+                spend(cols)
+                rho_e[:, cols] = 0.0
             np.subtract(1.0, rho_e, wq)
             np.divide(num, wq, wq)
             if mode == STANDARD:

@@ -20,6 +20,7 @@ from nocplace import (
     MeshGrid,
     Mode,
     Placement,
+    ServiceSpec,
     TrafficSpec,
     canonical_placement,
     objective,
@@ -80,6 +81,20 @@ def test_fixed_point_matches_the_oracle_on_distinct_rows_alone():
     lam, turns = rows[:, :5], rows[:, 5:].reshape(-1, 5, 5)
     status = assert_same_fixed_point(lam, turns, TrafficSpec(), PAPER, 1)
     assert {queueing.OK, queueing.UNSTABLE, queueing.EFFECTIVE_UNSTABLE} <= set(status.tolist())
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 5e-324])
+def test_fixed_point_matches_the_oracle_near_underflow(tiny):
+    # A rate whose queue length can round to 0 takes the checked division;
+    # so does a spec whose waiting-time numerator is 0.
+    placement, spec = golden(CASES[12])
+    loads = channel_loads(flow_set(placement, spec), placement.grid)
+    lam, turns = loads.lam.copy(), loads.turns.copy()
+    lam[::3, 0] = turns[::3, 0, 4] = tiny
+    assert_same_fixed_point(lam, turns, spec, PAPER, 1)
+    assert_same_fixed_point(lam, turns, spec, STANDARD, placement.grid.n_tiles)
+    exact = TrafficSpec(svc=ServiceSpec(scv=0.0), arrival_scv=0.0)
+    assert_same_fixed_point(loads.lam, loads.turns, exact, PAPER, 1)
 
 
 @pytest.mark.parametrize("cap", [12, 28])
