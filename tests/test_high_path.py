@@ -28,7 +28,7 @@ from nocplace import (
 )
 from nocplace import queueing
 from nocplace.latency import _link_transit
-from nocplace.mesh import placement_string
+from nocplace.mesh import placement_from_string, placement_string
 from nocplace.routing import (
     PORT_INDEX,
     PORT_ORDER,
@@ -66,6 +66,16 @@ def test_fixed_point_matches_the_oracle_on_golden_cases(case, mode):
     placement, spec = golden(case)
     loads = channel_loads(flow_set(placement, spec), placement.grid)
     assert_same_fixed_point(loads.lam, loads.turns, spec, mode, placement.grid.n_tiles)
+
+
+@pytest.mark.parametrize("mode", [PAPER, STANDARD])
+def test_fixed_point_matches_the_oracle_off_unit_service(mode):
+    # E{S} != 1 takes the loop's c * E{S} product, which E{S} = 1 skips.
+    spec = TrafficSpec(svc=ServiceSpec(mean_service=0.9, scv=0.5), arrival_scv=0.7)
+    for case in CASES[12:18]:
+        placement, _ = golden(case)
+        loads = channel_loads(flow_set(placement, TrafficSpec(**case["spec"])), placement.grid)
+        assert_same_fixed_point(loads.lam, loads.turns, spec, mode, placement.grid.n_tiles)
 
 
 def test_fixed_point_matches_the_oracle_on_distinct_rows_alone():
@@ -111,10 +121,9 @@ def test_fixed_point_matches_the_oracle_with_every_status(cap, monkeypatch):
         strings.append("".join(kinds))
     grid, spec = MeshGrid(4, 4), TrafficSpec(lambda_g=0.38, model_replies=True)
     rows = as_rows(strings)
-    r = resolve(Placement.from_text("\n".join(strings[0][i:i + 4] for i in range(0, 16, 4))),
-                spec)
-    lam, turns = superpose(_stacked_flows(spec, r.lam, r.p, *_stacked_ids(grid, rows, r)),
-                            grid, len(rows))
+    r = resolve(placement_from_string(grid, strings[0]), spec)
+    lam, turns = superpose(_stacked_flows(spec, r.lam, r.p, *_stacked_ids(grid, rows, r)), grid,
+                           len(rows))
     for mode in (PAPER, STANDARD):
         status = assert_same_fixed_point(lam, turns, spec, mode, grid.n_tiles)
         assert set(status.tolist()) == {queueing.OK, queueing.UNSTABLE,
