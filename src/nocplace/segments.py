@@ -51,7 +51,7 @@ def superpose(flows: FlowSet, grid: MeshGrid, copies: int) -> tuple[np.ndarray, 
         if (key[order[1:]] == key[order[:-1]]).any():  # equal keys: by rate
             order = np.lexsort((rate, key))
         src, dst, rate = src[order], dst[order], rate[order]
-    del key
+    del key  # the flow temporaries set a 16x16 batch's peak memory
     src, dst = src.astype(np.int32), dst.astype(np.int32)
     sy, dy = src // w, dst // w
     sx, dx, copy = src - sy * w, dst - dy * w, sy // h
