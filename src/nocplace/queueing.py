@@ -302,7 +302,7 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
         live[cols] = False
 
     c, cs, diagonal, idle, div, rho_e, wq, nq_next, diff, peak, live = views(m)
-    with np.errstate(all="ignore"):  # spent columns divide by 0 and +inf
+    with np.errstate(all="ignore"):  # masked divisions by 0, spent columns at +inf
         for it in range(1, FIXED_POINT_MAX_ITER + 1):
             if not m:
                 break
