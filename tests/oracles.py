@@ -2,7 +2,7 @@
 array kernels of the library are checked against.
 
 - ``xy_route`` and ``path_channels`` walk one dimension-ordered path with
-  literal loops; ``routing.xy_hops`` and ``routing.path_sums`` must agree.
+  literal loops; ``events.xy_hops`` and ``segments.link_transit`` must agree.
 - ``solve_one`` runs the contention fixed point of a single router, as a
   network of one router, and raises what that router alone raises.
 - ``fixed_point`` is the batched contention fixed point as it was before
