@@ -31,7 +31,6 @@ from collections import deque
 from heapq import heappop, heappush
 from functools import lru_cache
 from itertools import count
-from typing import Iterator
 
 import numpy as np
 
@@ -81,28 +80,22 @@ class _Message:
         self.primary = primary
 
 
-# Flows gathered into hops per chunk: a chunk's hop arrays hold at most
-# _HOP_CHUNK * (width + height - 1) entries (31,744 on a 16x16 grid, stacked
-# copies included), however many flows there are.
-_HOP_CHUNK = 1024
-
-
 @lru_cache(maxsize=8)
-def _xy_table(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _xy_table(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every XY path of ``grid`` by displacement, for ``xy_hops`` to gather.
 
     XY routing is translation-invariant (Dally & Seitz 1987): a path's hops
     depend only on the displacement (dx - sx, dy - sy). Displacement key
     ``(dy - sy + height - 1) * (2 * width - 1) + dx - sx + width - 1``
     owns hops ``first[key]:first[key] + length[key]`` of ``rel``, each
-    hop's input channel less ``N_PORTS * src``, and of ``out``, its out
-    port. The (2w-1)(2h-1) paths hold 15,841 hops at 16x16. Built one
-    row of displacements at a time, so no temporary outgrows a row.
+    hop's input channel less ``N_PORTS * src``. The (2w-1)(2h-1) paths hold
+    15,841 hops at 16x16. Built one row of displacements at a time, so no
+    temporary outgrows a row.
     """
     w, h = grid.width, grid.height
     dx = np.arange(1 - w, w)
     nx, east = np.abs(dx), dx > 0
-    rel, out = [], []
+    rel = []
     for dy in range(1 - h, h):
         ny, south = abs(dy), dy > 0
         length = nx + ny + 1
@@ -114,40 +107,27 @@ def _xy_table(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         in_port = np.where(pos == 0, _L, np.where(pos <= nxp, np.where(e, _W, _E),
                                                   _N if south else _S))
         rel.append(((y * w + x) * N_PORTS + in_port).astype(np.int32))
-        out.append(np.where(pos < nxp, np.where(e, _E, _W),
-                            np.where(pos < nxp + ny, _S if south else _N, _L)).astype(np.int32))
     length = np.add.outer(np.abs(np.arange(1 - h, h)), nx + 1).ravel().astype(np.int32)
     first = np.cumsum(length, dtype=np.int32) - length
-    table = (first, length, np.concatenate(rel), np.concatenate(out))
+    table = (first, length, np.concatenate(rel))
     for a in table:
         a.flags.writeable = False
     return table
 
 
-def xy_hops(grid: MeshGrid, src: np.ndarray,
-            dst: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Expand XY paths into hops, a chunk of flows at a time, by gathering
-    them from the grid's displacement table.
-
-    Yields ``(start, flow, pos, channel, out_port)``: hop arrays for flows
-    ``start + flow``, in flow order and path order within each flow. ``pos``
-    is the hop's position on its path (0 is the injection hop at the
-    source), ``channel`` the input channel id ``tile * N_PORTS + in_port``
-    and ``out_port`` the port index the hop leaves by. Tile ids may name
-    stacked copies of ``grid`` (``copy * n_tiles + tile``).
-    """
-    first, length, rel, out = _xy_table(grid)
+def xy_hops(grid: MeshGrid, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The input channel ids ``tile * N_PORTS + in_port`` of every hop of
+    the XY paths from ``src`` to ``dst``, flow after flow and in path order
+    within a flow (the injection hop at the source first), gathered from
+    the grid's displacement table."""
+    first, length, rel = _xy_table(grid)
     w, span = grid.width, 2 * grid.width - 1
-    for start in range(0, len(src), _HOP_CHUNK):
-        s = src[start:start + _HOP_CHUNK].astype(np.int32)
-        d = dst[start:start + _HOP_CHUNK].astype(np.int32)
-        key = (d // w - s // w + grid.height - 1) * span + d % w - s % w + w - 1
-        n = length[key]
-        flow = np.repeat(np.arange(len(s), dtype=np.int32), n)
-        pos = np.arange(len(flow), dtype=np.int32)
-        pos -= np.repeat(np.cumsum(n, dtype=np.int32) - n, n)
-        idx = pos + np.repeat(first[key], n)
-        yield start, flow, pos, rel[idx] + np.repeat(N_PORTS * s, n), out[idx]
+    s, d = src.astype(np.int32), dst.astype(np.int32)
+    key = (d // w - s // w + grid.height - 1) * span + d % w - s % w + w - 1
+    n = length[key]
+    idx = np.arange(int(n.sum()), dtype=np.int32)
+    idx += np.repeat(first[key] - (np.cumsum(n, dtype=np.int32) - n), n)
+    return rel[idx] + np.repeat(N_PORTS * s, n)
 
 
 def run_events(config: SimConfig) -> SimStats:
@@ -183,7 +163,7 @@ def run_events(config: SimConfig) -> SimStats:
     if replies:
         srcs, dsts = srcs + [dsts[0]], dsts + [srcs[0]]
     srcs, dsts = np.concatenate(srcs), np.concatenate(dsts)
-    ids = np.concatenate([channel for _, _, _, channel, _ in xy_hops(grid, srcs, dsts)]).tolist()
+    ids = xy_hops(grid, srcs, dsts).tolist()
     ends = np.cumsum(grid.hops[srcs, dsts] + 1).tolist()
     routes = {key: ids[begin:end]
               for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}

@@ -281,21 +281,14 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
     n, m = lam.shape
     lam, turns, nq = (np.array(a, order="C") for a in (lam, turns, nq))
     rhs = _contention_rhs(lam, turns, es)
-    # A channel with lam > 0 keeps nq >= damp * lam * num * min(1, lam * E{S}):
-    # wq >= num, or rho_e * num >= lam * E{S} * num for STANDARD. Unless that
-    # bound is near underflow, such an nq never reaches 0, and only idle
-    # channels need the division masked.
-    low = lam.min(initial=np.inf, where=lam > 0.0)
-    unsure = not (0.0 < damp <= 1.0 and damp * low * num * min(1.0, low * es) > 1e-290)
     mats, vecs, peaks = np.empty((2, n * n * m)), np.empty((6, n * m)), np.empty(m)
 
     def views(m: int) -> tuple:
         c, cs = (a[:n * n * m].reshape(n, n, m) for a in mats)
         idle, *rest = (a[:n * m].reshape(n, m) for a in vecs)
         np.equal(lam, 0.0, idle)
-        # c * 1.0 is c, bit for bit.
-        return (c, c if es_f == 1.0 else cs, c.reshape(n * n, m)[::n + 1], idle, *rest,
-                peaks[:m], np.ones(m, dtype=bool))
+        return (c, cs, c.reshape(n * n, m)[::n + 1], idle, *rest, peaks[:m],
+                np.ones(m, dtype=bool))
 
     def spend(cols: np.ndarray) -> None:
         lam[:, cols], nq[:, cols] = 0.0, np.inf
@@ -310,11 +303,10 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
             # nq 0 and rhs 0 throughout, so it divides by 1 instead.
             np.add(nq, idle, div)
             np.divide(rhs, div, c)
-            if unsure and not np.minimum.reduce(div, None) > 0.0:
+            if not np.minimum.reduce(div, None) > 0.0:
                 np.copyto(c, 0.0, where=~(nq > 0.0))
             diagonal[...] = 1.0
-            if cs is not c:
-                np.multiply(c, es_f, cs)
+            np.multiply(c, es_f, cs)
             np.add(cs[:, 0], cs[:, 1], rho_e) if n > 1 else np.copyto(rho_e, cs[:, 0])
             for j in range(2, n):
                 rho_e += cs[:, j]

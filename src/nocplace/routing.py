@@ -224,10 +224,10 @@ def channel_loads(flows: FlowSet, grid: MeshGrid) -> ChannelLoadMap:
     Flows are added in the canonical (src, dst, kind, rate) order, each
     sum in an order fixed by the code (see ``segments.superpose``), so the
     floating-point sums are identical no matter how the caller ordered the
-    flows. ``used_turns`` comes from the same superposition of flow counts.
+    flows. ``flow_set`` keeps only rates > 0, and no sum takes a difference,
+    so a turn is used exactly when its rate is > 0.
     """
     from .segments import superpose  # it imports this module
 
     lam, turns = superpose(flows, grid, 1)
-    used = superpose(flows._replace(rate=(flows.rate != 0.0) * 1.0), grid, 1)[1] > 0.0
-    return ChannelLoadMap(grid, lam, turns, used)
+    return ChannelLoadMap(grid, lam, turns, turns > 0.0)

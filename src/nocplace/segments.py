@@ -43,15 +43,9 @@ def superpose(flows: FlowSet, grid: MeshGrid, copies: int) -> tuple[np.ndarray, 
     if not nz.all():
         src, dst, kind, rate = src[nz], dst[nz], kind[nz], rate[nz]
     n_tiles, w, h = copies * grid.n_tiles, grid.width, grid.height
-    # The canonical order. ``flow_set`` emits requests in it already, so the
-    # sort is skipped when the keys increase.
-    key = (src * np.int64(n_tiles) + dst) * len(_KINDS) + kind
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key)
-        if (key[order[1:]] == key[order[:-1]]).any():  # equal keys: by rate
-            order = np.lexsort((rate, key))
-        src, dst, rate = src[order], dst[order], rate[order]
-    del key  # the flow temporaries set a 16x16 batch's peak memory
+    order = np.lexsort((rate, (src * np.int64(n_tiles) + dst) * len(_KINDS) + kind))
+    src, dst, rate = src[order], dst[order], rate[order]
+    del order  # the flow temporaries set a 16x16 batch's peak memory
     src, dst = src.astype(np.int32), dst.astype(np.int32)
     sy, dy = src // w, dst // w
     sx, dx, copy = src - sy * w, dst - dy * w, sy // h
@@ -112,7 +106,10 @@ def _through(seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _prefix(a: np.ndarray, axis: int) -> np.ndarray:
     """``np.cumsum(a, axis)``, bit for bit. numpy accumulates one line at a
-    time, so many lines are added a position at a time instead."""
+    time, so many lines are added a position at a time instead. Measured on
+    ``superpose`` plus ``link_transit``, the loop is 3-10% faster on a HIGH
+    batch chunk (128 lines on 8x8, 64 on 16x16), and ``np.cumsum`` 7-25%
+    faster on one placement's 16 (8x8) or 32 (16x16) lines."""
     if a.shape[-1] < 64:
         return np.cumsum(a, axis)
     out = np.array(a)

@@ -70,7 +70,7 @@ def test_fixed_point_matches_the_oracle_on_golden_cases(case, mode):
 
 @pytest.mark.parametrize("mode", [PAPER, STANDARD])
 def test_fixed_point_matches_the_oracle_off_unit_service(mode):
-    # E{S} != 1 takes the loop's c * E{S} product, which E{S} = 1 skips.
+    # E{S} != 1: the contention terms are scaled into effective utilization.
     spec = TrafficSpec(svc=ServiceSpec(mean_service=0.9, scv=0.5), arrival_scv=0.7)
     for case in CASES[12:18]:
         placement, _ = golden(case)
@@ -95,7 +95,7 @@ def test_fixed_point_matches_the_oracle_on_distinct_rows_alone():
 
 @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
 def test_fixed_point_matches_the_oracle_near_underflow(tiny):
-    # A rate whose queue length can round to 0 takes the checked division;
+    # A rate whose queue length can round to 0 takes the masked division;
     # so does a spec whose waiting-time numerator is 0.
     placement, spec = golden(CASES[12])
     loads = channel_loads(flow_set(placement, spec), placement.grid)
