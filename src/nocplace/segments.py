@@ -43,9 +43,15 @@ def superpose(flows: FlowSet, grid: MeshGrid, copies: int) -> tuple[np.ndarray, 
     if not nz.all():
         src, dst, kind, rate = src[nz], dst[nz], kind[nz], rate[nz]
     n_tiles, w, h = copies * grid.n_tiles, grid.width, grid.height
-    order = np.lexsort((rate, (src * np.int64(n_tiles) + dst) * len(_KINDS) + kind))
-    src, dst, rate = src[order], dst[order], rate[order]
-    del order  # the flow temporaries set a 16x16 batch's peak memory
+    # The canonical order. ``flow_set`` emits requests in it already, so the
+    # sort is skipped when the keys increase: 5-6% of a 16x16 ``objective``
+    # and of an 8x8 HIGH swap pass.
+    key = (src * np.int64(n_tiles) + dst) * len(_KINDS) + kind
+    if not (key[1:] > key[:-1]).all():
+        order = np.lexsort((rate, key))
+        src, dst, rate = src[order], dst[order], rate[order]
+        del order
+    del key  # the flow temporaries set a 16x16 batch's peak memory
     src, dst = src.astype(np.int32), dst.astype(np.int32)
     sy, dy = src // w, dst // w
     sx, dx, copy = src - sy * w, dst - dy * w, sy // h
