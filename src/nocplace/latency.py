@@ -26,8 +26,8 @@ from typing import IO
 import numpy as np
 
 from .mesh import Coord, MeshGrid, Placement
-from .queueing import PAPER, _solve
-from .routing import flow_set
+from .queueing import PAPER, solve_network
+from .routing import channel_loads, flow_set
 from .traffic import TrafficSpec, resolve
 
 
@@ -109,10 +109,8 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
     r = resolve(placement, spec)
     grid = placement.grid
     if mode is Mode.HIGH:
-        from .segments import superpose  # imported on first use
-
-        fp = _solve(grid, *superpose(flow_set(placement, spec, r), grid, 1), spec.svc,
-                    spec.arrival_scv, queue_mode)
+        fp = solve_network(channel_loads(flow_set(placement, spec, r), grid), spec.svc,
+                           spec.arrival_scv, queue_mode)
         transit = _link_transit(grid, fp.rt)
     else:
         transit = _hop_transit(grid, spec)

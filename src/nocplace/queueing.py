@@ -16,16 +16,15 @@ by rho_e, used as a pure waiting time on top of E{S}. The two modes produce
 identical response times whenever (Ca^2+Cs^2)/2 = 1, which covers the default
 Poisson-arrival / exponential-service configuration.
 
-All routers of a mesh are solved in one batched pass over (router, port)
-arrays. Each router runs exactly the iteration it would run alone (ports
-are summed in a fixed sequential order, so padding a router with idle ports
-changes no bit) and stops at its own convergence. The kernel reports each
-row's outcome rather than raising, so one batch can also hold the meshes of
-many candidate placements: a saturated or non-convergent router ends only
-its own mesh.
-Since a row's outcome depends on its own (lam, turns) alone, the HIGH batch
-scorer goes further: it solves each distinct row of many placements once,
-as networks of one router, and reads a placement's outcome off its rows.
+Routers are solved in one batched pass over (router, port) arrays. Each
+router runs exactly the iteration it would run alone (ports are summed in a
+fixed sequential order, so padding a router with idle ports changes no bit)
+and stops at its own convergence, so a router's outcome depends on its own
+(lam, turns) row only. The kernel reports each row's outcome rather than
+raising. ``solve_network`` raises the failure of a mesh's lowest failing
+router, which is the router that solving them one by one would fail at; the
+HIGH batch scorer solves each distinct row of many placements once and
+reads a placement's outcome off its rows.
 The waiting-time formula's arguments are checked once per batch, not on
 every iteration. The loop runs on ports-major arrays in buffers allocated
 once, and packs its live rows only when half of them are spent.
@@ -54,6 +53,7 @@ from .routing import (
     ChannelLoadMap,
     Flow,
     Port,
+    channel_loads,
     flow_set,
     valid_port_mask,
 )
@@ -159,9 +159,8 @@ class RouterQueueModel:
         return float(self.lam @ self.rt) / total
 
 
-# Row outcomes of ``_fixed_point`` (``FixedPoint.status``). A failure ends
-# its group: the group's later rows are DROPPED, never solved.
-OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT, DROPPED = range(5)
+# Row outcomes of ``_fixed_point`` (``FixedPoint.status``).
+OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT = range(4)
 
 
 class FixedPoint(NamedTuple):
@@ -199,31 +198,17 @@ def _contention_rhs(lam: np.ndarray, turns: np.ndarray, es: float) -> np.ndarray
     return rho[:, None] * acc
 
 
-def _first_failures(rows: np.ndarray, bad: np.ndarray,
-                    group: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks over the ascending ``rows``: the first bad row of each group of
-    ``group`` rows, and the group's rows after it."""
-    g = rows // group
-    first = np.full(int(g[-1]) + 1, np.iinfo(rows.dtype).max)
-    np.minimum.at(first, g[bad], rows[bad])
-    return rows == first[g], rows > first[g]
-
-
 def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float,
-                 mode: str, group: int) -> FixedPoint:
+                 mode: str) -> FixedPoint:
     """Run the damped contention fixed point of every row (router) at once.
 
-    ``lam`` is rows x ports, ``turns`` rows x ports x outputs; every
-    ``group`` consecutive rows are one network. Every row iterates as if
-    alone and freezes at the iteration where its own queue-length change
-    drops below ``FIXED_POINT_TOL``. A row fails as solving its network's
-    rows one after another would: on its plain utilization before
-    iterating, then on its effective utilization, or by not converging
-    within ``FIXED_POINT_MAX_ITER`` iterations. Its network's later rows
-    are then dropped, so the lowest failing row of a network is the one
-    that solving it alone fails at. Only an unknown ``mode``, checked
-    first whatever the rows, and argument errors of the waiting-time
-    formula raise.
+    ``lam`` is rows x ports, ``turns`` rows x ports x outputs. Every row is
+    solved as if alone and freezes at the iteration where its own
+    queue-length change drops below ``FIXED_POINT_TOL``. Or it fails: on
+    its plain utilization before iterating, then on its effective
+    utilization, or by not converging within ``FIXED_POINT_MAX_ITER``
+    iterations. Only an unknown ``mode``, checked first whatever the rows,
+    and argument errors of the waiting-time formula raise.
     """
     if mode not in (PAPER, STANDARD):
         raise InvalidConfigError(f"unknown waiting-time mode {mode!r}")
@@ -232,13 +217,9 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     rho = lam * es
     status = np.zeros(n_rows, dtype=np.int8)
     rho_out = np.zeros((n_rows, n))
-    rows = np.arange(n_rows)
     bad = rho.max(axis=1, initial=0.0) >= 1.0
-    if bad.any():
-        fail, drop = _first_failures(rows, bad, group)
-        status[fail], status[drop] = UNSTABLE, DROPPED
-        rho_out[fail] = rho[fail]
-        rows = rows[~(fail | drop)]
+    status[bad], rho_out[bad] = UNSTABLE, rho[bad]
+    rows = np.flatnonzero(~bad)
 
     contention = np.zeros((n_rows, n, n))
     wq_out = np.zeros((n_rows, n))
@@ -246,23 +227,23 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     final_delta = np.zeros(n_rows)
     out = (status, contention, rho_out, wq_out, iterations, final_delta)
     if rows.size:
-        # Like a network alone, the batch reaches the waiting-time formula
-        # (and its argument checks) only if some first router passed the
-        # plain check. Checked once here: with rates >= 0 every contention
-        # term is >= 0, so no later effective utilization is negative, and
-        # the loop drops those >= 1 before the formula sees them.
+        # The batch reaches the waiting-time formula (and its argument
+        # checks) only if some row passed the plain check. Checked once
+        # here: with rates >= 0 every contention term is >= 0, so no later
+        # effective utilization is negative, and the loop spends those >= 1
+        # before the formula sees them.
         lam_a, rho_a, turns_a = (a if len(rows) == n_rows else a[rows]
                                  for a in (lam, rho, turns))
         nq = lam_a * kingman_wait(rho_a, ca2, svc.scv, es, mode)
         if np.minimum.reduce(turns_a, None) < 0.0:
             raise UnstableError("turn rates must be >= 0")
-        _iterate(out, rows, lam_a.T, turns_a.transpose(1, 2, 0), nq.T, svc, ca2, mode, group)
+        _iterate(out, rows, lam_a.T, turns_a.transpose(1, 2, 0), nq.T, svc, ca2, mode)
     rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
     return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)
 
 
 def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, nq: np.ndarray,
-             svc: ServiceSpec, ca2: float, mode: str, group: int) -> None:
+             svc: ServiceSpec, ca2: float, mode: str) -> None:
     """``_fixed_point``'s loop over ``rows``, writing into ``out``.
 
     Arrays are ports-major: column r of ``lam`` and ``nq`` (ports x rows)
@@ -313,13 +294,8 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
             rho_e *= lam
             spent = np.maximum.reduce(rho_e, None) >= 1.0
             if spent:
-                cols = np.flatnonzero(live)
-                fail, drop = _first_failures(rows[cols], rho_e[:, cols].max(axis=0) >= 1.0,
-                                             group)
-                fail, drop = cols[fail], cols[drop]
-                status[rows[fail]], status[rows[drop]] = EFFECTIVE_UNSTABLE, DROPPED
-                rho_out[rows[fail]] = rho_e[:, fail].T
-                cols = np.concatenate([fail, drop])
+                cols = np.flatnonzero(rho_e.max(axis=0) >= 1.0)
+                status[rows[cols]], rho_out[rows[cols]] = EFFECTIVE_UNSTABLE, rho_e[:, cols].T
                 spend(cols)
                 rho_e[:, cols] = 0.0
             np.subtract(1.0, rho_e, wq)
@@ -387,15 +363,16 @@ def solve_network(loads: ChannelLoadMap, svc: ServiceSpec, ca2: float = 1.0,
     order, ports are ``PORT_ORDER`` (absent ports carry no load).
 
     Raises what solving the routers one by one in row-major order would
-    raise first.
+    raise first: the failure of the lowest failing router. The routers
+    after the first plainly unstable one cannot change it, so they are not
+    solved.
     """
-    return _solve(loads.grid, loads.lam, loads.turns, svc, ca2, mode)
-
-
-def _solve(grid: MeshGrid, lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float,
-           mode: str) -> FixedPoint:
-    fp = _fixed_point(lam, turns, svc, ca2, mode, grid.n_tiles)
-    _raise_first_failure(fp, grid.coord, PORT_ORDER)
+    lam, turns = loads.lam, loads.turns
+    bad = np.flatnonzero((lam * svc.mean_service).max(axis=1, initial=0.0) >= 1.0)
+    if bad.size:
+        lam, turns = lam[:bad[0] + 1], turns[:bad[0] + 1]
+    fp = _fixed_point(lam, turns, svc, ca2, mode)
+    _raise_first_failure(fp, loads.grid.coord, PORT_ORDER)
     return fp
 
 
@@ -474,9 +451,9 @@ def packet_delay_inspector(placement: Placement, spec: TrafficSpec,
     r = resolved if resolved is not None else resolve(placement, spec)
     grid = placement.grid
     flows = flow_set(placement, spec, resolved=r)
-    from .segments import link_transit, superpose  # imported on first use
+    from .segments import link_transit  # imported on first use
 
-    fp = _solve(grid, *superpose(flows, grid, 1), spec.svc, spec.arrival_scv, mode)
+    fp = solve_network(channel_loads(flows, grid), spec.svc, spec.arrival_scv, mode)
     chans, cells, index = _router_index(grid)
     lam, rho_e, wq, rt = (a.take(chans) for a in (fp.lam, fp.rho_e, fp.wq, fp.rt))
     contention, queue_len = fp.contention.take(cells), lam * wq

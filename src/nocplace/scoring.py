@@ -155,7 +155,7 @@ class _RouterRows:
         for i in range(0, len(todo), _BATCH_ROWS):
             part = todo[i:i + _BATCH_ROWS]
             fp = _fixed_point(part[:, :N_PORTS], part[:, N_PORTS:].reshape(-1, N_PORTS, N_PORTS),
-                              self.spec.svc, self.spec.arrival_scv, self.queue_mode, 1)
+                              self.spec.svc, self.spec.arrival_scv, self.queue_mode)
             rt.append(fp.rt)
             status.append(fp.status)
         self.rt, self.status = np.concatenate(rt), np.concatenate(status)

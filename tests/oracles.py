@@ -2,12 +2,13 @@
 array kernels of the library are checked against.
 
 - ``xy_route`` and ``path_channels`` walk one dimension-ordered path with
-  literal loops; ``events.xy_hops`` and ``segments.link_transit`` must agree.
+  literal loops; ``events._route`` and ``segments.link_transit`` must agree.
 - ``solve_one`` runs the contention fixed point of a single router, as a
   network of one router, and raises what that router alone raises.
 - ``fixed_point`` is the batched contention fixed point as it was before
-  its loop went ports-major; ``queueing._fixed_point`` must agree bit for
-  bit.
+  its loop went ports-major, with its rule for networks of ``group`` rows:
+  ``queueing._fixed_point`` must agree bit for bit with ``group=1``, and a
+  network's lowest failing row must be the one the oracle fails at.
 - ``apply_symmetry`` and ``symmetry_orbit`` map placements by the grid's
   symmetry permutations.
 """
@@ -73,7 +74,7 @@ def solve_one(lam, turns, svc: ServiceSpec, ca2: float = 1.0, mode: str = PAPER,
     lam = np.asarray(lam, dtype=float)
     turns = np.asarray(turns, dtype=float)
     ports = tuple(ports) if ports is not None else PORT_ORDER[:len(lam)]
-    fp = queueing._fixed_point(lam[None], turns[None], svc, ca2, mode, 1)
+    fp = queueing._fixed_point(lam[None], turns[None], svc, ca2, mode)
     queueing._raise_first_failure(fp, lambda _: router, ports)
     lam, wq = fp.lam[0].astype(float), fp.wq[0]
     return RouterQueueModel(router, ports, lam, svc, fp.contention[0], fp.rho_e[0],
@@ -93,8 +94,12 @@ def symmetry_orbit(p: Placement) -> set[Placement]:
 
 
 # ``queueing._fixed_point`` as it was before its loop went ports-major
-# (commit 35c9f94), copied verbatim with the module's names qualified: the
-# kernel must return the same eight arrays bit for bit.
+# (commit 35c9f94), copied verbatim with the module's names qualified, and
+# with its own code for the rows a failure drops from their network (the
+# kernel solves every row alone and has none). With ``group=1`` the kernel
+# must return the same eight arrays bit for bit.
+
+DROPPED = 4
 
 
 def _port_sum(a: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float
     bad = rho.max(axis=1, initial=0.0) >= 1.0
     if bad.any():
         fail, drop = _first_failures(rows, bad, group)
-        status[fail], status[drop] = queueing.UNSTABLE, queueing.DROPPED
+        status[fail], status[drop] = queueing.UNSTABLE, DROPPED
         rho_out[fail] = rho[fail]
         rows = rows[~(fail | drop)]
 
@@ -192,7 +197,7 @@ def fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: float
         bad = rho_e.max(axis=1) >= 1.0
         if bad.any():
             fail, drop = _first_failures(rows, bad, group)
-            status[rows[fail]], status[rows[drop]] = queueing.EFFECTIVE_UNSTABLE, queueing.DROPPED
+            status[rows[fail]], status[rows[drop]] = queueing.EFFECTIVE_UNSTABLE, DROPPED
             rho_out[rows[fail]] = rho_e[fail]
             left = ~(fail | drop)
             rows, lam_a, rhs, nq, c, rho_e = (a[left] for a in (rows, lam_a, rhs, nq, c, rho_e))

@@ -1,6 +1,7 @@
 """The HIGH model path without hop gathers against its oracles: the
 ports-major fixed point against the loop it replaced (``oracles.fixed_point``)
-bit for bit, segment loads against the exact Coord walk, one transit for the
+bit for bit, each router solved alone against the oracle's rule for whole
+networks, segment loads against the exact Coord walk, one transit for the
 objective, the batch scorer and the delay inspector, the inspector's router
 models against a per-tile ``np.ix_`` build, and the batch's memory on 16x16."""
 
@@ -15,6 +16,7 @@ import pytest
 
 from nocplace import (
     PAPER,
+    NocError,
     STANDARD,
     CanonicalFamily,
     MeshGrid,
@@ -32,6 +34,7 @@ from nocplace.mesh import placement_from_string, placement_string
 from nocplace.routing import (
     PORT_INDEX,
     PORT_ORDER,
+    ChannelLoadMap,
     Port,
     _stacked_flows,
     channel_loads,
@@ -40,7 +43,7 @@ from nocplace.routing import (
 from nocplace.scoring import _stacked_ids, high_objective_batch
 from nocplace.segments import superpose
 from nocplace.traffic import resolve
-from oracles import fixed_point, xy_route
+from oracles import DROPPED, fixed_point, xy_route
 from test_objective_batch import as_rows, swaps
 
 CASES = json.loads((Path(__file__).parent / "data" / "golden_models.json").read_text())["cases"]
@@ -51,13 +54,14 @@ def golden(case):
     return Placement.from_text(case["placement"].replace("/", "\n")), TrafficSpec(**case["spec"])
 
 
-def assert_same_fixed_point(lam, turns, spec, mode, group):
-    got = queueing._fixed_point(lam, turns, spec.svc, spec.arrival_scv, mode, group)
-    want = fixed_point(lam, turns, spec.svc, spec.arrival_scv, mode, group)
+def assert_same_fixed_point(lam, turns, spec, mode):
+    # The oracle with every row a network of its own.
+    got = queueing._fixed_point(lam, turns, spec.svc, spec.arrival_scv, mode)
+    want = fixed_point(lam, turns, spec.svc, spec.arrival_scv, mode, 1)
     for field, a, b in zip(FIELDS, got, want):
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert np.array_equal(a, b), field
-    return got.status
+    return got
 
 
 @pytest.mark.parametrize("mode", [PAPER, STANDARD])
@@ -65,7 +69,7 @@ def assert_same_fixed_point(lam, turns, spec, mode, group):
 def test_fixed_point_matches_the_oracle_on_golden_cases(case, mode):
     placement, spec = golden(case)
     loads = channel_loads(flow_set(placement, spec), placement.grid)
-    assert_same_fixed_point(loads.lam, loads.turns, spec, mode, placement.grid.n_tiles)
+    assert_same_fixed_point(loads.lam, loads.turns, spec, mode)
 
 
 @pytest.mark.parametrize("mode", [PAPER, STANDARD])
@@ -75,12 +79,12 @@ def test_fixed_point_matches_the_oracle_off_unit_service(mode):
     for case in CASES[12:18]:
         placement, _ = golden(case)
         loads = channel_loads(flow_set(placement, TrafficSpec(**case["spec"])), placement.grid)
-        assert_same_fixed_point(loads.lam, loads.turns, spec, mode, placement.grid.n_tiles)
+        assert_same_fixed_point(loads.lam, loads.turns, spec, mode)
 
 
 def test_fixed_point_matches_the_oracle_on_distinct_rows_alone():
-    # group=1, as the batch scorer solves its distinct rows: every row is a
-    # network of its own, unstable ones included.
+    # The distinct rows of the 8x8 cases, as the batch scorer solves them,
+    # unstable ones included.
     rows = []
     for case in CASES:
         placement, spec = golden(case)
@@ -89,7 +93,7 @@ def test_fixed_point_matches_the_oracle_on_distinct_rows_alone():
             rows.append(np.concatenate([loads.lam, loads.turns.reshape(len(loads.lam), -1)], 1))
     rows = np.unique(np.concatenate(rows), axis=0)
     lam, turns = rows[:, :5], rows[:, 5:].reshape(-1, 5, 5)
-    status = assert_same_fixed_point(lam, turns, TrafficSpec(), PAPER, 1)
+    status = assert_same_fixed_point(lam, turns, TrafficSpec(), PAPER).status
     assert {queueing.OK, queueing.UNSTABLE, queueing.EFFECTIVE_UNSTABLE} <= set(status.tolist())
 
 
@@ -101,17 +105,28 @@ def test_fixed_point_matches_the_oracle_near_underflow(tiny):
     loads = channel_loads(flow_set(placement, spec), placement.grid)
     lam, turns = loads.lam.copy(), loads.turns.copy()
     lam[::3, 0] = turns[::3, 0, 4] = tiny
-    assert_same_fixed_point(lam, turns, spec, PAPER, 1)
-    assert_same_fixed_point(lam, turns, spec, STANDARD, placement.grid.n_tiles)
+    assert_same_fixed_point(lam, turns, spec, PAPER)
+    assert_same_fixed_point(lam, turns, spec, STANDARD)
     exact = TrafficSpec(svc=ServiceSpec(scv=0.0), arrival_scv=0.0)
-    assert_same_fixed_point(loads.lam, loads.turns, exact, PAPER, 1)
+    assert_same_fixed_point(loads.lam, loads.turns, exact, PAPER)
+
+
+def raised(call):
+    try:
+        call()
+    except NocError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("cap", [12, 28])
 def test_fixed_point_matches_the_oracle_with_every_status(cap, monkeypatch):
     # 150 placements of 4x4 stacked, 16 rows per network: capped iterations
-    # leave some non-convergent, and each failure drops its network's later
-    # routers.
+    # leave some routers non-convergent. Against the oracle's rule for
+    # whole networks (group=16, where a failure drops the network's later
+    # routers): the same lowest failing router with the same status and
+    # rho_e row, every router before it bit-identical, and solve_network
+    # raising the oracle's error.
     monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", cap)
     rng = random.Random(0)
     kinds = list("CCCCCCCC$$$$....")
@@ -124,11 +139,34 @@ def test_fixed_point_matches_the_oracle_with_every_status(cap, monkeypatch):
     r = resolve(placement_from_string(grid, strings[0]), spec)
     lam, turns = superpose(_stacked_flows(spec, r.lam, r.p, *_stacked_ids(grid, rows, r)), grid,
                            len(rows))
+    n, ends = grid.n_tiles, set()
     for mode in (PAPER, STANDARD):
-        status = assert_same_fixed_point(lam, turns, spec, mode, grid.n_tiles)
-        assert set(status.tolist()) == {queueing.OK, queueing.UNSTABLE,
-                                        queueing.EFFECTIVE_UNSTABLE, queueing.NON_CONVERGENT,
-                                        queueing.DROPPED}
+        got = assert_same_fixed_point(lam, turns, spec, mode)
+        assert set(got.status.tolist()) == {queueing.OK, queueing.UNSTABLE,
+                                            queueing.EFFECTIVE_UNSTABLE, queueing.NON_CONVERGENT}
+        want = fixed_point(lam, turns, spec.svc, spec.arrival_scv, mode, n)
+        assert DROPPED in want.status
+        for b in range(0, len(lam), n):
+            net = slice(b, b + n)
+            g, w = (queueing.FixedPoint(*(a[net] for a in fp)) for fp in (got, want))
+            failed = np.flatnonzero(g.status)
+            first = int(failed[0]) if failed.size else n
+            assert first == next(iter(np.flatnonzero(w.status)), n)
+            for field, a, c in zip(FIELDS, g, w):
+                assert np.array_equal(a[:first], c[:first]), field
+            if first < n:
+                assert g.status[first] == w.status[first]
+                assert np.array_equal(g.rho_e[first], w.rho_e[first])
+            ends.add(int(g.status[first]) if first < n else queueing.OK)
+            loads = ChannelLoadMap(grid, lam[net], turns[net], turns[net] > 0.0)
+            assert raised(lambda: queueing.solve_network(loads, spec.svc, spec.arrival_scv,
+                                                         mode)) == raised(
+                lambda: queueing._raise_first_failure(w, grid.coord, PORT_ORDER))
+    # At 12 iterations every network fails at a router that has not
+    # settled; at 28 the networks end in every outcome.
+    assert ends == ({queueing.NON_CONVERGENT} if cap == 12 else
+                    {queueing.OK, queueing.UNSTABLE, queueing.EFFECTIVE_UNSTABLE,
+                     queueing.NON_CONVERGENT})
 
 
 def exact_channel_loads(flows):
@@ -190,7 +228,7 @@ def test_objective_batch_and_inspector_share_one_transit(placement, spec):
 
     report = packet_delay_inspector(placement, spec)
     fs = flow_set(placement, spec)
-    fp = queueing._solve(grid, *superpose(fs, grid, 1), spec.svc, spec.arrival_scv, PAPER)
+    fp = queueing.solve_network(channel_loads(fs, grid), spec.svc, spec.arrival_scv, PAPER)
     valid = queueing.valid_port_mask(grid)
     for t, coord in enumerate(grid.tiles()):
         assert np.array_equal(report.routers[coord].rt, fp.rt[t, valid[t]])
@@ -209,8 +247,8 @@ def test_inspector_router_models_match_a_per_tile_build():
             continue
         grid = placement.grid
         report = packet_delay_inspector(placement, spec)
-        fp = queueing._solve(grid, *superpose(flow_set(placement, spec), grid, 1), spec.svc,
-                             spec.arrival_scv, PAPER)
+        fp = queueing.solve_network(channel_loads(flow_set(placement, spec), grid), spec.svc,
+                                    spec.arrival_scv, PAPER)
         valid = queueing.valid_port_mask(grid)
         for t, coord in enumerate(grid.tiles()):
             idx = np.flatnonzero(valid[t])

@@ -213,13 +213,13 @@ def test_low_memory_is_bounded_by_the_chunk():
 
 
 def spy_fixed_point(monkeypatch):
-    """Record the (rows, group) of every fixed point the batch scorer runs."""
+    """Record the rows of every fixed point the batch scorer runs."""
     calls = []
     real = scoring._fixed_point
 
-    def spy(lam, turns, svc, ca2, mode, group):
-        calls.append((np.concatenate([lam, turns.reshape(len(lam), -1)], axis=1), group))
-        return real(lam, turns, svc, ca2, mode, group)
+    def spy(lam, turns, svc, ca2, mode):
+        calls.append(np.concatenate([lam, turns.reshape(len(lam), -1)], axis=1))
+        return real(lam, turns, svc, ca2, mode)
 
     monkeypatch.setattr(scoring, "_fixed_point", spy)
     return calls
@@ -247,8 +247,8 @@ def test_distinct_rows_with_repeats_and_every_failure_kind(memo_rows, wait_rows,
     causes = assert_matches_alone(MeshGrid(4, 4), strings, spec, PAPER)
     assert set(causes.tolist()) == {OK, UNSTABLE, EFFECTIVE_UNSTABLE, NON_CONVERGENT}
     assert len(calls) > 2
-    assert all(group == 1 and 0 < len(rows) <= 48 for rows, group in calls)
-    solved = [row.tobytes() for rows, _ in calls for row in rows]
+    assert all(0 < len(rows) <= 48 for rows in calls)
+    solved = [row.tobytes() for rows in calls for row in rows]
     if memo_rows >= 16 * len(distinct):  # the memo never fills
         assert len(solved) == len(set(solved))
 
@@ -259,9 +259,9 @@ def test_distinct_rows_are_solved_once_per_pass(monkeypatch):
     grid, rows = neighbourhood(6, 24, 9)
     values, causes = high_objective_batch(grid, rows, TrafficSpec(lambda_g=0.1))
     assert (causes == OK).all()
-    solved = [row.tobytes() for part, _ in calls for row in part]
+    solved = [row.tobytes() for part in calls for row in part]
     assert len(solved) == len(set(solved)) < rows.size // 10
-    assert all(len(part) <= scoring._BATCH_ROWS for part, _ in calls)
+    assert all(len(part) <= scoring._BATCH_ROWS for part in calls)
     strings = [row.tobytes().decode("ascii") for row in rows[::40]]
     for s, value in zip(strings, values[::40].tolist()):
         assert value == alone(placement_from_string(grid, s), TrafficSpec(lambda_g=0.1), PAPER)[0]
