@@ -29,12 +29,10 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
-from functools import lru_cache
 from itertools import count
 
 import numpy as np
 
-from .mesh import MeshGrid
 from .routing import _E, _L, _N, _S, _W, N_PORTS
 from .simulator import SimConfig, SimStats, _injection, _sim_stats
 from .traffic import resolve
@@ -80,54 +78,18 @@ class _Message:
         self.primary = primary
 
 
-@lru_cache(maxsize=8)
-def _xy_table(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every XY path of ``grid`` by displacement, for ``xy_hops`` to gather.
-
-    XY routing is translation-invariant (Dally & Seitz 1987): a path's hops
-    depend only on the displacement (dx - sx, dy - sy). Displacement key
-    ``(dy - sy + height - 1) * (2 * width - 1) + dx - sx + width - 1``
-    owns hops ``first[key]:first[key] + length[key]`` of ``rel``, each
-    hop's input channel less ``N_PORTS * src``. The (2w-1)(2h-1) paths hold
-    15,841 hops at 16x16. Built one row of displacements at a time, so no
-    temporary outgrows a row.
-    """
-    w, h = grid.width, grid.height
-    dx = np.arange(1 - w, w)
-    nx, east = np.abs(dx), dx > 0
-    rel = []
-    for dy in range(1 - h, h):
-        ny, south = abs(dy), dy > 0
-        length = nx + ny + 1
-        path = np.repeat(np.arange(len(dx)), length)
-        pos = np.arange(int(length.sum())) - np.repeat(np.cumsum(length) - length, length)
-        nxp, e = nx[path], east[path]
-        x = np.sign(dx)[path] * np.minimum(pos, nxp)
-        y = (1 if south else -1) * np.maximum(pos - nxp, 0)
-        in_port = np.where(pos == 0, _L, np.where(pos <= nxp, np.where(e, _W, _E),
-                                                  _N if south else _S))
-        rel.append(((y * w + x) * N_PORTS + in_port).astype(np.int32))
-    length = np.add.outer(np.abs(np.arange(1 - h, h)), nx + 1).ravel().astype(np.int32)
-    first = np.cumsum(length, dtype=np.int32) - length
-    table = (first, length, np.concatenate(rel))
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
-def xy_hops(grid: MeshGrid, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The input channel ids ``tile * N_PORTS + in_port`` of every hop of
-    the XY paths from ``src`` to ``dst``, flow after flow and in path order
-    within a flow (the injection hop at the source first), gathered from
-    the grid's displacement table."""
-    first, length, rel = _xy_table(grid)
-    w, span = grid.width, 2 * grid.width - 1
-    s, d = src.astype(np.int32), dst.astype(np.int32)
-    key = (d // w - s // w + grid.height - 1) * span + d % w - s % w + w - 1
-    n = length[key]
-    idx = np.arange(int(n.sum()), dtype=np.int32)
-    idx += np.repeat(first[key] - (np.cumsum(n, dtype=np.int32) - n), n)
-    return rel[idx] + np.repeat(N_PORTS * s, n)
+def _route(width: int, src: int, dst: int) -> list[int]:
+    """The input channel ids ``tile * N_PORTS + in_port`` of the XY path
+    from tile ``src`` to tile ``dst``: the injection channel at the source,
+    then the row segment, then the column segment (Dally & Seitz 1987)."""
+    sy, sx = divmod(src, width)
+    dy, dx = divmod(dst, width)
+    route = [src * N_PORTS + _L]
+    step, port = (1, _W) if dx > sx else (-1, _E)
+    route += [(sy * width + x) * N_PORTS + port for x in range(sx + step, dx + step, step)]
+    step, port = (1, _N) if dy > sy else (-1, _S)
+    route += [(y * width + dx) * N_PORTS + port for y in range(sy + step, dy + step, step)]
+    return route
 
 
 def run_events(config: SimConfig) -> SimStats:
@@ -155,20 +117,10 @@ def run_events(config: SimConfig) -> SimStats:
     legs = cum_q is not None and miss_l2 > 0.0
     replies = spec.model_replies
 
-    # Channel ids along the XY path of every pair a run can draw, keyed by
-    # src * n_tiles + dst. Zero-probability pairs are included: the
-    # sampler's clamp to the last cache or controller can reach them.
-    srcs = [np.repeat(r.core_ids, len(caches)), np.repeat(r.cache_ids, len(mcs))]
-    dsts = [np.tile(r.cache_ids, len(cores)), np.tile(r.mc_ids, len(caches))]
-    if replies:
-        srcs, dsts = srcs + [dsts[0]], dsts + [srcs[0]]
-    srcs, dsts = np.concatenate(srcs), np.concatenate(dsts)
-    ids = xy_hops(grid, srcs, dsts).tolist()
-    ends = np.cumsum(grid.hops[srcs, dsts] + 1).tolist()
-    routes = {key: ids[begin:end]
-              for key, begin, end in zip((srcs * n_tiles + dsts).tolist(), [0] + ends, ends)}
-    # Channels are built on first use, so only channels on some drawn path
-    # appear in ``SimStats.channels``.
+    # Channels and the path of each pair, keyed by src * n_tiles + dst, are
+    # built on first use, so only channels on some drawn path appear in
+    # ``SimStats.channels``.
+    width = grid.width
     channels = _Channels()
     paths: dict[int, list[_Channel]] = {}
 
@@ -272,7 +224,7 @@ def run_events(config: SimConfig) -> SimStats:
             key = src * n_tiles + dst
             path = paths.get(key)
             if path is None:
-                path = paths[key] = [channels[c] for c in routes[key]]
+                path = paths[key] = [channels[c] for c in _route(width, src, dst)]
             length = round(-log(1.0 - uniform()) / size_rate)
             msg = _Message(path, (length if length > 1.0 else 1.0) / mu, t, src, dst, primary)
             ch = path[0]

@@ -8,7 +8,7 @@ The analytical models run on an integer-indexed view of the mesh: tile
 ``t * N_PORTS + port``. Flow sets and channel loads are arrays over those
 indices; ``Flow``, ``Coord`` and ``Port`` keys are built only at the public
 boundary. The loads are superposed from row and column segments
-(``segments``); the simulators expand paths into hops (``events.xy_hops``).
+(``segments``); the simulators walk each path's hops themselves.
 """
 
 from __future__ import annotations

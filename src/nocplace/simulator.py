@@ -33,8 +33,9 @@ Each engine lives in its own module, imported on first use, so ``import
 nocplace`` compiles neither.
 
 Both route on the analytical models' topology: endpoints are the tile ids of
-``resolve`` and paths the ``events.xy_hops`` channel ids ``tile * N_PORTS +
-in_port``, so both route the same XY paths over the same channels.
+``resolve`` and paths the channel ids ``tile * N_PORTS + in_port`` of the
+injection channel, the row segment and then the column segment, so both
+route the same XY paths over the same channels.
 ``Coord``/``Port`` keys are built only when ``SimStats`` is assembled, and
 every statistic is a plain Python float.
 

@@ -226,7 +226,8 @@ def test_working_set_within_event_engine_bound():
     # cannot loosen the check: 1.08 MB measured before the event loop was
     # flattened and after, 1.15 MB with latencies and delivery times in
     # typed arrays, with about 20% left for allocator and version
-    # differences.
+    # differences. Building each drawn pair's route on first use, not a
+    # table of all pairs, brought it to 0.92 MB (feed-forward 1.80x).
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=3)
     events = traced_peak(simulator._run_events, config)
     assert events <= 1.4e6
@@ -249,7 +250,8 @@ def test_event_engine_working_set_on_a_spawning_run():
     # Measured before the event loop was flattened (Python 3.11, numpy 2.4):
     # 1.99 MB traced peak; the flat loop 1.99 MB. Measured again later:
     # 2.10 MB with a latency list, 2.07 MB with latencies and delivery times
-    # in typed arrays. As above, about 25% is left for allocator and version
+    # in typed arrays, 1.63 MB with each drawn pair's route built on first
+    # use. As above, about 25% is left for allocator and version
     # differences.
     spec = TrafficSpec(lambda_g=0.1, miss_l2=0.3, model_replies=True)
     config = SimConfig(family("central", counts=(44, 16, 4)), spec, messages=5000, seed=3)

@@ -304,85 +304,17 @@ class TestArrayPaths:
                 assert loads.turn_rates == expected
 
 
-def expand_xy_hops(grid, src, dst):
-    """The arithmetic XY expansion that ``xy_hops`` replaced by a gather from
-    its displacement table: the oracle of ``TestHopGather``."""
-    from nocplace.routing import N_PORTS
-
-    n_, s_, e_, w_, l_ = range(N_PORTS)
-    w = grid.width
-    s, d = src.astype(np.int32), dst.astype(np.int32)
-    sx, sy, dx, dy = s % w, s // w, d % w, d // w
-    nx, ny = np.abs(dx - sx), np.abs(dy - sy)
-    length = nx + ny + 1
-    flow = np.repeat(np.arange(len(s), dtype=np.int32), length)
-    first = np.cumsum(length, dtype=np.int32) - length
-    pos = np.arange(int(length.sum()), dtype=np.int32) - np.repeat(first, length)
-    east, south = dx > sx, dy > sy
-    step_x = np.where(east, 1, -1).astype(np.int32)[flow]
-    step_y = np.where(south, 1, -1).astype(np.int32)[flow]
-    nxf = nx[flow]
-    x = sx[flow] + step_x * np.minimum(pos, nxf)
-    y = sy[flow] + step_y * np.maximum(pos - nxf, 0)
-    in_port = np.where(pos == 0, l_,
-                       np.where(pos <= nxf, np.where(east, w_, e_)[flow],
-                                np.where(south, n_, s_)[flow]))
-    return ((y * w + x) * N_PORTS + in_port).astype(np.int32)
-
-
 class TestHopGather:
-    """``xy_hops`` gathers from a per-grid displacement table: the same
-    channel ids and dtype as the arithmetic expansion, from a table whose
-    size grows with the displacements, not with the tile pairs."""
+    """The hops the event engine gathers for a drawn pair: ``events._route``
+    against the Coord walk of ``path_channels``, on all pairs."""
 
-    GRIDS = [(1, 1), (1, 7), (7, 1), (5, 3), (8, 8), (16, 16)]
-
-    @staticmethod
-    def assert_same(grid, src, dst):
-        from nocplace.events import xy_hops
-
-        got, want = xy_hops(grid, src, dst), expand_xy_hops(grid, src, dst)
-        assert got.dtype == want.dtype
-        assert got.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("w,h", GRIDS)
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 7), (7, 1), (5, 3), (8, 8), (16, 16)])
     def test_all_pairs(self, w, h):
+        from nocplace.events import _route
+        from nocplace.routing import N_PORTS, PORT_INDEX
+
         g = MeshGrid(w, h)
-        src, dst = np.divmod(np.arange(g.n_tiles ** 2), g.n_tiles)
-        self.assert_same(g, src, dst)
-
-    @pytest.mark.parametrize("w,h", GRIDS)
-    @pytest.mark.parametrize("copies", [1, 6])
-    def test_random_flows_on_stacked_copies(self, w, h, copies):
-        # Tile b * n_tiles + t is tile t of copy b of grids stacked one below
-        # the other; paths stay in a copy.
-        g = MeshGrid(w, h)
-        rng = np.random.default_rng(w * 31 + h + copies)
-        m = 2500
-        base = rng.integers(0, copies, m) * g.n_tiles
-        src, dst = base + rng.integers(0, g.n_tiles, m), base + rng.integers(0, g.n_tiles, m)
-        for dtype in (np.int64, np.int32):
-            self.assert_same(g, src.astype(dtype), dst.astype(dtype))
-        self.assert_same(g, src[:0], dst[:0])
-
-    def test_table_of_16x16_is_small(self):
-        # (2w - 1)(2h - 1) displacement paths, 15,841 hops: the all-pairs
-        # table would hold 761,856.
-        import tracemalloc
-
-        from nocplace.events import _xy_table
-
-        grid = MeshGrid(16, 16)
-        _xy_table.cache_clear()
-        tracemalloc.start()
-        try:
-            table = _xy_table(grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        first, length, rel = table
-        assert len(first) == len(length) == 31 * 31
-        assert len(rel) == int(length.sum()) == 15841
-        assert peak <= 512 << 10, peak
-        assert _xy_table(MeshGrid(16, 16)) is table
-        assert not rel.flags.writeable
+        for a in g.tiles():
+            for b in g.tiles():
+                want = [g.index(r) * N_PORTS + PORT_INDEX[p] for r, p in path_channels(a, b)]
+                assert _route(w, g.index(a), g.index(b)) == want
