@@ -6,10 +6,12 @@ and the simulator against.
     PYTHONPATH=src python3 tests/data/make_golden.py search tests/data/golden_search.json
     PYTHONPATH=src python3 tests/data/make_golden.py diff OLD.json NEW.json
 
-``diff`` prints the largest relative change of every numeric field between
-two files of one kind and how many other fields changed, and exits 1 when a
-LOW value, an unstable case (router, channel, message), a search's argmin
-set or error, or a simulator run's ``stats_sha256`` moved.
+``diff`` matches the cases of two files of one kind by id. It prints the
+ids removed and added, and for the ids in both the largest relative change
+of every numeric field and how many other fields changed. It exits 1 when
+ids were removed or added, or when a LOW value, an unstable case (router,
+channel, message), a search's argmin set or error, or a simulator run's
+``stats_sha256`` moved.
 
 The models file was first written by the dict-walking implementation of
 the HIGH model that the integer-indexed kernel replaced (commit 2fa444d), so
@@ -391,17 +393,23 @@ def _change(a, b) -> float | None:
 
 
 def diff(old_path: str, new_path: str) -> int:
-    """Print the largest relative change of every numeric field between two
-    golden files of one kind, and how many other leaves changed. Returns 1
-    when a ``STRICT`` field moved or the case ids differ, else 0."""
+    """Print the case ids removed from and added to a golden file of one
+    kind, and for the ids in both the largest relative change of every
+    numeric field and how many other leaves changed. Returns 1 when ids
+    were removed or added or a ``STRICT`` field moved, else 0."""
     old, new = (json.load(open(p))["cases"] for p in (old_path, new_path))
-    if [c["id"] for c in old] != [c["id"] for c in new]:
-        print("the case ids differ")
-        return 1
+    old_ids, new_by_id = {c["id"] for c in old}, {c["id"]: c for c in new}
+    removed = [c["id"] for c in old if c["id"] not in new_by_id]
+    added = [c["id"] for c in new if c["id"] not in old_ids]
+    for label, ids in (("removed", removed), ("added", added)):
+        if ids:
+            print(f"{label} {len(ids)} cases: {', '.join(ids)}")
+    common = [(o, new_by_id[o["id"]]) for o in old if o["id"] in new_by_id]
+    print(f"{len(common)} cases in both files")
     worst: dict[str, tuple[float, str]] = {}
     changed: dict[str, dict[str, None]] = {}  # field -> the ids of the cases, in order
     broken = []
-    for o, n in zip(old, new):
+    for o, n in common:
         for field, a, b in _leaves(o, n):
             if field == "result.best" and a is not None and b is not None:
                 a, b = sorted(a), sorted(b)
@@ -421,11 +429,11 @@ def diff(old_path: str, new_path: str) -> int:
         print(f"{field}: largest relative change {rel:.3g}" + (f" ({case})" if rel else ""))
     for field, ids in sorted(changed.items()):
         cases = list(ids)
-        print(f"{field}: changed in {len(cases)} of {len(old)} cases ({', '.join(cases[:3])}"
+        print(f"{field}: changed in {len(cases)} of {len(common)} cases ({', '.join(cases[:3])}"
               + (", ..." if len(cases) > 3 else "") + ")")
     for line in broken:
         print("MOVED", line)
-    return 1 if broken else 0
+    return 1 if broken or removed or added else 0
 
 
 if __name__ == "__main__":
