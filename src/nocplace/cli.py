@@ -15,6 +15,7 @@ import secrets
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import NocError
@@ -27,17 +28,14 @@ from .mesh import (
     canonical_placement,
     placement_count,
 )
-from .optimizer import SearchSpace, exhaustive_search, local_search, two_phase_optimize
 from .queueing import packet_delay_inspector
 from .routing import channel_loads, flow_set
-from .simulator import (
-    SimConfig,
-    compare_to_analytical,
-    run_sim,
-    sweep_latency,
-    write_sweep_csv,
-)
 from .traffic import ServiceSpec, TrafficSpec
+
+# The search and the simulator are imported by the commands that run them, so
+# ``count`` and ``analyze`` compile neither.
+if TYPE_CHECKING:
+    from .simulator import SimConfig
 
 
 def _parse_grid(text: str) -> MeshGrid:
@@ -66,6 +64,8 @@ def _traffic_from_args(args) -> TrafficSpec:
 
 
 def _sim_config(args, placement: Placement, seed: int) -> SimConfig:
+    from .simulator import SimConfig
+
     return SimConfig(
         placement=placement,
         traffic=_traffic_from_args(args),
@@ -163,6 +163,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .optimizer import SearchSpace, exhaustive_search, local_search, two_phase_optimize
+
     space = SearchSpace(
         grid=args.grid,
         n_cores=args.cores,
@@ -196,6 +198,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import run_sim
+
     placement = _load_placement(args.placement)
     seed = _require_seed(args)
     stats = run_sim(_sim_config(args, placement, seed))
@@ -213,6 +217,8 @@ _FAMILY_OF_NAME = {f.value: f for f in CanonicalFamily}
 
 
 def cmd_sweep(args) -> int:
+    from .simulator import sweep_latency, write_sweep_csv
+
     families = [name.strip() for name in args.families.split(",") if name.strip()]
     unknown = [f for f in families if f not in _FAMILY_OF_NAME]
     if unknown:
@@ -239,6 +245,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .simulator import compare_to_analytical
+
     placement = _load_placement(args.placement)
     seed = _require_seed(args)
     report = compare_to_analytical(_sim_config(args, placement, seed))

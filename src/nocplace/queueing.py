@@ -33,6 +33,7 @@ once, and packs its live rows only when half of them are spent.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Callable, NamedTuple, Sequence
@@ -69,7 +70,8 @@ FIXED_POINT_DAMPING = 0.5
 
 def mm1_response(lam: float, mu: float) -> float:
     """Mean response time of an M/M/1 queue: 1/(mu - lambda)."""
-    if lam < 0 or mu <= 0:
+    # Written so that NaN fails the range checks.
+    if not (lam >= 0 and 0 < mu < math.inf):
         raise UnstableError(f"rates out of range: lambda={lam}, mu={mu}")
     if lam >= mu:
         raise UnstableError(f"unstable queue: lambda={lam} >= mu={mu}")
@@ -85,9 +87,10 @@ def kingman_wait(rho_e, ca2: float, cs2: float, es: float, mode: str = PAPER):
     """
     if mode not in (PAPER, STANDARD):
         raise InvalidConfigError(f"unknown waiting-time mode {mode!r}")
-    if np.any(rho_e < 0) or np.any(rho_e >= 1.0):
+    # Written so that NaN fails the range checks.
+    if not np.all((0 <= rho_e) & (rho_e < 1.0)):
         raise UnstableError(f"effective utilization {rho_e} outside [0, 1)")
-    if ca2 < 0 or cs2 < 0 or es <= 0:
+    if not (0 <= ca2 < math.inf and 0 <= cs2 < math.inf and 0 < es < math.inf):
         raise UnstableError("SCVs must be >= 0 and E{S} > 0")
     base = 0.5 * (ca2 + cs2) * es / (1.0 - rho_e)
     return base if mode == PAPER else rho_e * base

@@ -3,6 +3,7 @@
 from types import ModuleType
 
 import nocplace
+from test_source_size import loaded_after
 
 PUBLIC = [
     "BudgetExceededError", "CanonicalFamily", "ChannelLoadMap", "CompareReport", "Coord",
@@ -28,3 +29,13 @@ def test_star_import_binds_no_submodule():
     namespace: dict = {}
     exec("from nocplace import *", namespace)
     assert not [n for n, v in namespace.items() if isinstance(v, ModuleType)]
+
+
+def test_public_names_are_listed_before_any_is_touched():
+    # In a fresh interpreter: ``dir`` lists every public name before any home
+    # module is loaded, and reading one binds nothing in the package, so a
+    # patch of the home module shows through the package.
+    loaded_after("import nocplace\n"
+                 "assert set(nocplace.__all__) <= set(dir(nocplace))\n"
+                 "nocplace.objective\n"
+                 "assert not set(nocplace.__all__) & set(vars(nocplace))")

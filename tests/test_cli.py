@@ -6,7 +6,7 @@ import pytest
 
 from nocplace import (CanonicalFamily, Coord, MeshGrid, Placement, canonical_placement,
                       local_search, manhattan)
-from nocplace import cli
+from nocplace import optimizer
 from nocplace.cli import main
 
 
@@ -85,7 +85,8 @@ class TestOptimize:
             budgets.append(kwargs.get("budget"))
             return local_search(space, spec, seed, budget=10)
 
-        monkeypatch.setattr(cli, "local_search", recording)
+        # The command imports the search when it runs: patch it at home.
+        monkeypatch.setattr(optimizer, "local_search", recording)
         args = ["optimize", "--grid", "3x3", "--cores", "8", "--caches", "1",
                 "--method", "local", "--seed", "1"]
         assert main(args) == 0

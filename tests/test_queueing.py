@@ -76,6 +76,20 @@ class TestKingman:
             kingman_wait(0.5, 1.0, 1.0, 1.0, mode="bogus")
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (kingman_wait, (math.nan, 1.0, 1.0, 1.0), "effective utilization"),
+    (kingman_wait, (0.5, math.nan, 1.0, 1.0), "SCVs must be >= 0"),
+    (kingman_wait, (0.5, 1.0, 1.0, math.inf), "SCVs must be >= 0"),
+    (mm1_response, (math.nan, 1.0), "rates out of range"),
+    (mm1_response, (0.5, math.inf), "rates out of range"),
+])
+def test_non_finite_inputs_fail_the_range_checks(fn, args, message):
+    # Each returned nan, inf or 0.0 when the checks compared false on NaN or
+    # let an infinite E{S} or mu through.
+    with pytest.raises(UnstableError, match=message):
+        fn(*args)
+
+
 class TestEffectiveUtilization:
     def test_identity_reduces_to_plain_utilization(self):
         rho = effective_utilization([0.2, 0.4], np.eye(2), [1.0, 1.0])

@@ -181,6 +181,17 @@ class TestSweep:
         assert set(cells) == {("a", 0.02), ("a", 0.05), ("b", 0.02), ("b", 0.05)}
         assert all(c.n_seeds == 2 for c in cells.values())
 
+    def test_jobs_do_not_change_the_rows(self):
+        # Each cell's SimConfig is pickled to a worker, and its row back.
+        g = MeshGrid(4, 4)
+        placements = [(f.value, canonical_placement(f, g, 8, 4, 0))
+                      for f in (CanonicalFamily.CENTRAL, CanonicalFamily.DISTRIBUTED)]
+        base = SimConfig(placements[0][1], TrafficSpec(lambda_g=0.05), messages=300, seed=0)
+        seq = sweep_latency(placements, [0.05, 0.1], base, seeds=[0, 1], jobs=1)
+        par = sweep_latency(placements, [0.05, 0.1], base, seeds=[0, 1], jobs=2)
+        assert len(seq) == 8
+        assert par == seq
+
     def test_csv_columns(self, tmp_path):
         p, base = self._base()
         rows = sweep_latency([("central", p)], [0.05], base, seeds=[0])

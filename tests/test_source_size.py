@@ -43,9 +43,43 @@ def loaded_after(code: str) -> set[str]:
 
 
 def test_package_import_leaves_the_first_use_modules_uncompiled():
+    # Public names load their home module on first access, so the package
+    # import itself compiles no submodule.
     loaded = loaded_after("import nocplace")
-    assert "nocplace.simulator" in loaded
     assert not ON_FIRST_USE & loaded
+    assert not {m for m in loaded if m.startswith("nocplace.")}
+
+
+def _cli(*argv: str) -> str:
+    return ("import contextlib, io\n"
+            "from nocplace.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0")
+
+
+# Each entry point compiles the layers it uses, and not the search or the
+# simulator (or the latency model) when it does not use them.
+ENTRY_POINTS = {
+    "objective": ("import nocplace as nc; nc.objective", {"optimizer", "simulator"}),
+    "SimConfig": ("import nocplace as nc; nc.SimConfig", {"optimizer", "latency"}),
+    "SearchSpace": ("import nocplace as nc; nc.SearchSpace", {"simulator"}),
+    "cli-count": (_cli("count", "--grid", "4x4", "--cores", "8", "--caches", "4"),
+                  {"optimizer", "simulator"}),
+    "cli-analyze": (_cli("analyze", "--placement", "{placement}"), {"optimizer", "simulator"}),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_leaves_unused_modules_uncompiled(entry, tmp_path):
+    import nocplace as nc
+
+    placement = tmp_path / "central.txt"
+    placement.write_text(nc.canonical_placement(
+        nc.CanonicalFamily.CENTRAL, nc.MeshGrid(4, 4), 8, 4, 0).to_text())
+    code, unused = ENTRY_POINTS[entry]
+    loaded = loaded_after(code.replace("{placement}", str(placement)))
+    assert not {f"nocplace.{m}" for m in unused} & loaded
+    assert "nocplace" in loaded
 
 
 def test_feedforward_run_leaves_numpy_random_unimported():
