@@ -2,8 +2,9 @@
 sweeps and model-vs-simulation comparison.
 
 Exit codes: 0 success, 1 model errors (instability, infeasibility, ...),
-2 usage errors. Stochastic commands echo the seed they ran with; omitted
-seeds are generated and printed, never silent.
+2 usage errors (a malformed option, an unreadable file). Either failure
+prints one line on stderr. Stochastic commands echo the seed they ran with;
+omitted seeds are generated and printed, never silent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import NocError
+from .errors import NocError, OutOfBoundsError
 from .latency import Mode, objective
 from .mesh import (
     CanonicalFamily,
@@ -38,16 +39,52 @@ if TYPE_CHECKING:
     from .simulator import SimConfig
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # One line, without the usage text.
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parse_grid(text: str) -> MeshGrid:
     try:
         w, h = text.lower().split("x")
-        return MeshGrid(int(w), int(h))
+        w, h = int(w), int(h)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 8x8, got {text!r}") from exc
+    try:
+        return MeshGrid(w, h)
+    except NocError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_list(text: str) -> list[str]:
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return items
+
+
+def _parse_rates(text: str) -> list[float]:
+    try:
+        return [float(v) for v in _parse_list(text)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"rates must be numbers, got {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _load_placement(path: str) -> Placement:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise OutOfBoundsError(f"placement file {path!r} is not text: {exc.reason}") from exc
     if path.endswith(".json"):
         return Placement.from_json(text)
     return Placement.from_text(text)
@@ -219,11 +256,10 @@ _FAMILY_OF_NAME = {f.value: f for f in CanonicalFamily}
 def cmd_sweep(args) -> int:
     from .simulator import sweep_latency, write_sweep_csv
 
-    families = [name.strip() for name in args.families.split(",") if name.strip()]
+    families, rates = args.families, args.rates
     unknown = [f for f in families if f not in _FAMILY_OF_NAME]
     if unknown:
         raise NocError(f"unknown families: {', '.join(unknown)}")
-    rates = [float(v) for v in args.rates.split(",") if v.strip()]
     params = FamilyParams(rings=args.rings, stripe_width=args.stripe_width,
                           cluster=args.cluster)
     placements = [
@@ -285,7 +321,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nocplace",
         description="Mesh NoC placement analysis, optimization and simulation.",
     )
@@ -346,9 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=int, required=True)
     p.add_argument("--caches", type=int, required=True)
     p.add_argument("--mcs", type=int, default=0)
-    p.add_argument("--families", default="central,concentric,striped,checkerboard,distributed")
-    p.add_argument("--rates", required=True, help="comma-separated lambda_g values")
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds per cell")
+    p.add_argument("--families", type=_parse_list,
+                   default="central,concentric,striped,checkerboard,distributed")
+    p.add_argument("--rates", type=_parse_rates, required=True,
+                   help="comma-separated lambda_g values")
+    p.add_argument("--seeds", type=_positive_int, default=3, help="number of seeds per cell")
     p.add_argument("--rings", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--stripe-width", type=int, default=1)
@@ -377,6 +415,9 @@ def main(argv=None) -> int:
     except NocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a file named on the command line
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,11 +35,9 @@ from heapq import heapify, heapreplace
 
 import numpy as np
 
-from .routing import N_PORTS
+from .routing import _E, _L, _N, _S, _W, N_PORTS
 from .simulator import SimConfig, SimStats, _injection, _sim_stats
 from .traffic import resolve
-
-_N, _S, _E, _W, _L = range(N_PORTS)  # port indices in PORT_ORDER
 
 # Generations per window of the feed-forward engine. Its working set is
 # about two windows of messages plus one level's arrays; fewer, larger

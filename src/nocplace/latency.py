@@ -126,11 +126,7 @@ def _link_transit(grid: MeshGrid, rt: np.ndarray):
     excluded, as LOW counts the same hops."""
     from .segments import link_transit  # imported on first use
 
-    link = link_transit(grid, rt)
-
-    def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        return link(src[:, :, None], dst[:, None, :])
-    return transit
+    return link_transit(grid, rt)
 
 
 def _hop_transit(grid: MeshGrid, spec: TrafficSpec):
@@ -139,12 +135,7 @@ def _hop_transit(grid: MeshGrid, spec: TrafficSpec):
     # float(): an integer E{S} times the int8 hop table would stay int8.
     table = (float(spec.svc.mean_service) * grid.hops).ravel()
     n = grid.n_tiles
-
-    def transit(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        k, n_src, n_dst = len(src), src.shape[1], dst.shape[1]
-        at = np.repeat(src * n, n_dst, axis=1) + np.tile(dst, (1, n_src))
-        return table.take(at).reshape(k, n_src, n_dst)
-    return transit
+    return lambda src, dst: table.take(src * n + dst)
 
 
 def _compose(spec: TrafficSpec, p: np.ndarray, q: np.ndarray | None, transit,
@@ -153,13 +144,14 @@ def _compose(spec: TrafficSpec, p: np.ndarray, q: np.ndarray | None, transit,
     """Per-core L2 terms, memory terms and totals of placements with the
     same node counts: one row of tile ids and one leading entry of ``q``
     (None without controllers) per placement. ``transit(src, dst)`` gives
-    the transit matrices, one leading entry per placement. Each placement's
-    terms are bit-identical to its own: every reduction runs per placement
-    (the matrix products one matrix-vector product each)."""
-    l2 = _row_sums(p * transit(cores, caches))
+    the transit times of tile ids that broadcast against each other, here
+    one matrix per placement. Each placement's terms are bit-identical to
+    its own: every reduction runs per placement (the matrix products one
+    matrix-vector product each)."""
+    l2 = _row_sums(p * transit(cores[:, :, None], caches[:, None, :]))
     mem = np.zeros(l2.shape)
     if q is not None:
-        per_cache_mem = _row_sums(q * transit(caches, mcs))
+        per_cache_mem = _row_sums(q * transit(caches[:, :, None], mcs[:, None, :]))
         mem = np.matmul(p, per_cache_mem[:, :, None])[:, :, 0] + spec.mem_fixed_latency
     miss1 = spec.miss_l1
     return l2, mem, spec.latency_l1 + l2 * miss1 + mem * miss1 * spec.miss_l2

@@ -230,11 +230,19 @@ class Placement:
 
     @staticmethod
     def from_json_dict(d: Mapping) -> "Placement":
-        grid = MeshGrid(int(d["width"]), int(d["height"]))
-        tiles = d["tiles"]
-        if len(tiles) != grid.height or any(len(row) != grid.width for row in tiles):
-            raise OutOfBoundsError("tiles array does not match width/height")
-        kinds = tuple(NodeKind(v) for row in tiles for v in row)
+        """The placement of ``to_json_dict``'s mapping. A missing key, a
+        value of the wrong type or an unknown tile kind raises
+        OutOfBoundsError, as ``from_text`` does for the same faults."""
+        try:
+            grid = MeshGrid(int(d["width"]), int(d["height"]))
+            tiles = d["tiles"]
+            if len(tiles) != grid.height or any(len(row) != grid.width for row in tiles):
+                raise OutOfBoundsError("tiles array does not match width/height")
+            kinds = tuple(NodeKind(v) for row in tiles for v in row)
+        except KeyError as exc:
+            raise OutOfBoundsError(f"placement JSON has no {exc.args[0]!r} key") from exc
+        except (TypeError, ValueError) as exc:
+            raise OutOfBoundsError(f"malformed placement JSON: {exc}") from exc
         return Placement(grid, kinds)
 
     def to_json(self) -> str:
@@ -242,7 +250,11 @@ class Placement:
 
     @staticmethod
     def from_json(text: str) -> "Placement":
-        return Placement.from_json_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except ValueError as exc:  # json.JSONDecodeError
+            raise OutOfBoundsError(f"placement is not valid JSON: {exc}") from exc
+        return Placement.from_json_dict(d)
 
 
 def placement_string(p: Placement) -> str:

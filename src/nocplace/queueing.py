@@ -27,7 +27,7 @@ HIGH batch scorer solves each distinct row of many placements once and
 reads a placement's outcome off its rows.
 The waiting-time formula's arguments are checked once per batch, not on
 every iteration. The loop runs on ports-major arrays in buffers allocated
-once, and packs its live rows only when half of them are spent.
+once at full width, and a finished row keeps its column until the loop ends.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .routing import (
     ChannelLoadMap,
     Flow,
     Port,
+    _port_sum,
     channel_loads,
     flow_set,
     valid_port_mask,
@@ -94,15 +95,6 @@ def kingman_wait(rho_e, ca2: float, cs2: float, es: float, mode: str = PAPER):
         raise UnstableError("SCVs must be >= 0 and E{S} > 0")
     base = 0.5 * (ca2 + cs2) * es / (1.0 - rho_e)
     return base if mode == PAPER else rho_e * base
-
-
-def _port_sum(a: np.ndarray) -> np.ndarray:
-    # Sum over the last axis in port order, one add at a time: an idle port
-    # adds an exact zero, so padded and unpadded routers agree bit for bit.
-    acc = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        acc += a[..., j]
-    return acc
 
 
 def effective_utilization(lam, contention, es) -> np.ndarray:
@@ -252,10 +244,10 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
     Arrays are ports-major: column r of ``lam`` and ``nq`` (ports x rows)
     and of ``turns`` (ports x ports x rows) is row ``rows[r]``, and every
     temporary is written into buffers allocated once. A row that converges
-    or fails keeps its column until half the columns are spent, and only
-    then are the live ones packed. A spent column is set to ``lam`` 0 and
+    or fails keeps its column until the loop ends, set to ``lam`` 0 and
     ``nq`` +inf: its utilization stays 0 and its queue-length change +inf,
-    so it neither fails nor converges again.
+    so it neither fails nor converges again. The loop stops when no column
+    is live.
     """
     status, contention, rho_out, wq_out, iterations, final_delta = out
     es = svc.mean_service
@@ -265,24 +257,17 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
     n, m = lam.shape
     lam, turns, nq = (np.array(a, order="C") for a in (lam, turns, nq))
     rhs = _contention_rhs(lam, turns, es)
-    mats, vecs, peaks = np.empty((2, n * n * m)), np.empty((6, n * m)), np.empty(m)
-
-    def views(m: int) -> tuple:
-        c, cs = (a[:n * n * m].reshape(n, n, m) for a in mats)
-        idle, *rest = (a[:n * m].reshape(n, m) for a in vecs)
-        np.equal(lam, 0.0, idle)
-        return (c, cs, c.reshape(n * n, m)[::n + 1], idle, *rest, peaks[:m],
-                np.ones(m, dtype=bool))
+    c, cs = np.empty((2, n, n, m))
+    diagonal = c.reshape(n * n, m)[::n + 1]
+    div, rho_e, wq, nq_next, diff = np.empty((5, n, m))
+    idle, peak, live = lam == 0.0, np.empty(m), np.ones(m, dtype=bool)
 
     def spend(cols: np.ndarray) -> None:
         lam[:, cols], nq[:, cols] = 0.0, np.inf
         live[cols] = False
 
-    c, cs, diagonal, idle, div, rho_e, wq, nq_next, diff, peak, live = views(m)
     with np.errstate(all="ignore"):  # masked divisions by 0, spent columns at +inf
         for it in range(1, FIXED_POINT_MAX_ITER + 1):
-            if not m:
-                break
             # c = rhs / nq where nq > 0, else 0. An idle channel (lam 0) has
             # nq 0 and rhs 0 throughout, so it divides by 1 instead.
             np.add(nq, idle, div)
@@ -320,15 +305,8 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
                 rho_out[ids], wq_out[ids] = rho_e.take(cols, 1).T, wq.take(cols, 1).T
                 iterations[ids], final_delta[ids] = it, peak[cols]
                 spend(cols)
-            if spent:
-                left = np.flatnonzero(live)
-                if not len(left):
-                    break
-                if 2 * len(left) <= m:
-                    rows, rhs = rows[left], rhs.take(left, 2)
-                    lam, nq = lam.take(left, 1), nq.take(left, 1)
-                    m = len(left)
-                    c, cs, diagonal, idle, div, rho_e, wq, nq_next, diff, peak, live = views(m)
+            if spent and not live.any():
+                break
     status[rows[live]] = NON_CONVERGENT
 
 

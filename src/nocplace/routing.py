@@ -66,6 +66,15 @@ PORT_INDEX = {p: i for i, p in enumerate(PORT_ORDER)}
 _N, _S, _E, _W, _L = range(N_PORTS)
 
 
+def _port_sum(a: np.ndarray) -> np.ndarray:
+    # Sum over the last axis in port order, one add at a time: an idle port
+    # adds an exact zero, so padded and unpadded routers agree bit for bit.
+    acc = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        acc += a[..., j]
+    return acc
+
+
 class FlowKind(Enum):
     CORE_TO_CACHE = "core-to-cache"
     CACHE_TO_MC = "cache-to-mc"
@@ -181,7 +190,11 @@ class ChannelLoadMap:
     grid: MeshGrid
     lam: np.ndarray
     turns: np.ndarray
-    used_turns: np.ndarray
+
+    @cached_property
+    def used_turns(self) -> np.ndarray:
+        """The turns some flow takes: no load sum takes a difference."""
+        return self.turns > 0.0
 
     @cached_property
     def in_rates(self) -> dict[tuple[Coord, Port], float]:
@@ -224,10 +237,8 @@ def channel_loads(flows: FlowSet, grid: MeshGrid) -> ChannelLoadMap:
     Flows are added in the canonical (src, dst, kind, rate) order, each
     sum in an order fixed by the code (see ``segments.superpose``), so the
     floating-point sums are identical no matter how the caller ordered the
-    flows. ``flow_set`` keeps only rates > 0, and no sum takes a difference,
-    so a turn is used exactly when its rate is > 0.
+    flows.
     """
     from .segments import superpose  # it imports this module
 
-    lam, turns = superpose(flows, grid, 1)
-    return ChannelLoadMap(grid, lam, turns, turns > 0.0)
+    return ChannelLoadMap(grid, *superpose(flows, grid, 1))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import MeshGrid
-from .routing import _E, _KINDS, _L, _N, _S, _W, N_PORTS, FlowSet
+from .routing import _E, _KINDS, _L, _N, _S, _W, N_PORTS, FlowSet, _port_sum
 
 
 def superpose(flows: FlowSet, grid: MeshGrid, copies: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,13 +35,10 @@ def superpose(flows: FlowSet, grid: MeshGrid, copies: int) -> tuple[np.ndarray, 
     ``np.bincount``. A straight-through turn at position p of a line adds
     the segments covering it, over their starts s in travel order, each the
     sum over its ends d past p from the far end: no difference of prefix
-    sums, so a turn no flow takes stays exactly 0.0. ``lam`` adds each
-    channel's turns in port order.
+    sums, so a turn no flow takes stays exactly 0.0, and a zero-rate flow
+    adds exact zeros. ``lam`` adds each channel's turns in port order.
     """
     src, dst, kind, rate = flows
-    nz = rate != 0.0
-    if not nz.all():
-        src, dst, kind, rate = src[nz], dst[nz], kind[nz], rate[nz]
     n_tiles, w, h = copies * grid.n_tiles, grid.width, grid.height
     # The canonical order. ``flow_set`` emits requests in it already, so the
     # sort is skipped when the keys increase: 5-6% of a 16x16 ``objective``
@@ -79,10 +76,7 @@ def superpose(flows: FlowSet, grid: MeshGrid, copies: int) -> tuple[np.ndarray, 
     columns[..., _N, _S], columns[..., _S, _N] = (
         a.reshape(h, copies, w).transpose(1, 0, 2) for a in (fwd, bwd))
     turns = turns.reshape(n_tiles, N_PORTS, N_PORTS)
-    lam = turns[:, :, 0].copy()
-    for k in range(1, N_PORTS):
-        lam += turns[:, :, k]
-    return lam, turns
+    return _port_sum(turns), turns
 
 
 # By a flow's way 3 * sign(dx - sx) + sign(dy - sy) + 4: the turns

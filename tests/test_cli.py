@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from nocplace import (CanonicalFamily, Coord, MeshGrid, Placement, canonical_placement,
-                      local_search, manhattan)
+from nocplace import (CanonicalFamily, Coord, MeshGrid, OutOfBoundsError, Placement,
+                      canonical_placement, local_search, manhattan)
 from nocplace import optimizer
 from nocplace.cli import main
 
@@ -271,3 +271,52 @@ class TestManifest:
         data = json.loads(manifest.read_text())
         assert data["seeds"] == [9]
         assert pfile in data["input_hashes"]
+
+
+SWEEP = ["sweep", "--grid", "4x4", "--cores", "12", "--caches", "4", "--seed", "1",
+         "--out", "{tmp}/s.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--grid", "0x8", "--cores", "1", "--caches", "1"],
+    ["count", "--grid", "20x20", "--cores", "1", "--caches", "1"],
+    SWEEP + ["--rates", "abc"],
+    SWEEP + ["--rates", "0.1", "--seeds", "0"],
+    SWEEP + ["--rates", "0.1", "--families", ","],
+    ["analyze", "--placement", "{tmp}/missing.txt"],
+    ["simulate", "--placement", "{tmp}/missing.txt", "--seed", "1"],
+    ["compare", "--placement", "{tmp}/missing.txt", "--seed", "1"],
+], ids=["grid-0x8", "grid-20x20", "rates", "seeds", "families", "analyze-missing",
+        "simulate-missing", "compare-missing"])
+def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
+    try:
+        code = main([a.format(tmp=tmp_path) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"width": 2, "height": 1, "tiles": [["core"',
+    '{"width": 2, "tiles": [["core", "cache"]]}',
+    '{"width": 2, "height": 1, "tiles": [["core", "pizza"]]}',
+], ids=["truncated", "missing-key", "unknown-kind"])
+def test_malformed_placement_json_exit_1(text, tmp_path, capsys):
+    with pytest.raises(OutOfBoundsError):
+        Placement.from_json(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", "--placement", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_non_text_placement_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "placement.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", "--placement", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

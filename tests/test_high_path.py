@@ -158,7 +158,7 @@ def test_fixed_point_matches_the_oracle_with_every_status(cap, monkeypatch):
                 assert g.status[first] == w.status[first]
                 assert np.array_equal(g.rho_e[first], w.rho_e[first])
             ends.add(int(g.status[first]) if first < n else queueing.OK)
-            loads = ChannelLoadMap(grid, lam[net], turns[net], turns[net] > 0.0)
+            loads = ChannelLoadMap(grid, lam[net], turns[net])
             assert raised(lambda: queueing.solve_network(loads, spec.svc, spec.arrival_scv,
                                                          mode)) == raised(
                 lambda: queueing._raise_first_failure(w, grid.coord, PORT_ORDER))
@@ -232,9 +232,8 @@ def test_objective_batch_and_inspector_share_one_transit(placement, spec):
     valid = queueing.valid_port_mask(grid)
     for t, coord in enumerate(grid.tiles()):
         assert np.array_equal(report.routers[coord].rt, fp.rt[t, valid[t]])
-    transit = _link_transit(grid, fp.rt)(fs.src[None], fs.dst[None])
-    pair = np.arange(len(fs.src))
-    expected = fp.rt[fs.src, PORT_INDEX[Port.LOCAL]] + transit[0, pair, pair]
+    transit = _link_transit(grid, fp.rt)(fs.src, fs.dst)
+    expected = fp.rt[fs.src, PORT_INDEX[Port.LOCAL]] + transit
     assert [d for _, d in report.flow_delays] == expected.tolist()
 
 

@@ -258,6 +258,26 @@ class TestDeriveChannelRates:
         assert a.in_rates == b.in_rates
         assert a.turn_rates == b.turn_rates
 
+    @pytest.mark.parametrize("family,counts,spec", [
+        (CanonicalFamily.CENTRAL, (48, 16, 0), TrafficSpec(lambda_g=0.1)),
+        (CanonicalFamily.DISTRIBUTED, (44, 16, 4),
+         TrafficSpec(lambda_g=0.1, miss_l2=0.3, model_replies=True)),
+    ], ids=["central", "distributed-mc-replies"])
+    def test_zero_rate_flows_change_no_bit(self, family, counts, spec):
+        # A zero-rate flow adds exact zeros to every sum, wherever the
+        # canonical order puts it.
+        g = MeshGrid(8, 8)
+        fs = flow_set(canonical_placement(family, g, *counts), spec)
+        rng = np.random.default_rng(7)
+        n = 300
+        idle = FlowSet(rng.integers(0, g.n_tiles, n), rng.integers(0, g.n_tiles, n),
+                       rng.integers(0, len(FlowKind), n).astype(np.int8), np.zeros(n))
+        order = rng.permutation(len(fs.rate) + n)
+        mixed = FlowSet(*(np.concatenate([a, b])[order] for a, b in zip(fs, idle)))
+        want, got = channel_loads(fs, g), channel_loads(mixed, g)
+        for field in ("lam", "turns", "used_turns"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
 
 class TestLoadsCsv:
     def test_header_and_rows(self, tmp_path):
