@@ -6,7 +6,8 @@ class NocError(Exception):
 
 
 class OutOfBoundsError(NocError):
-    """A coordinate lies outside the grid, or an assignment is incomplete."""
+    """A coordinate lies outside the grid, a router has no such port, or an
+    assignment is incomplete."""
 
 
 class InfeasibleError(NocError):

@@ -109,24 +109,16 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
     r = resolve(placement, spec)
     grid = placement.grid
     if mode is Mode.HIGH:
+        from .segments import link_transit  # imported on first use, so LOW never compiles it
+
         fp = solve_network(channel_loads(flow_set(placement, spec, r), grid), spec.svc,
                            spec.arrival_scv, queue_mode)
-        transit = _link_transit(grid, fp.rt)
+        transit = link_transit(grid, fp.rt)
     else:
         transit = _hop_transit(grid, spec)
     l2, mem, total = _compose(spec, r.p, None if r.q is None else r.q[None], transit,
                               r.core_ids[None], r.cache_ids[None], r.mc_ids[None])
     return r.cores, l2[0], mem[0], total[0]
-
-
-def _link_transit(grid: MeshGrid, rt: np.ndarray):
-    """HIGH transit times for ``_compose``: per (src, dst) pair, the summed
-    response times of the routers its XY path enters via links
-    (``segments.link_transit``). The source's injection channel is
-    excluded, as LOW counts the same hops."""
-    from .segments import link_transit  # imported on first use
-
-    return link_transit(grid, rt)
 
 
 def _hop_transit(grid: MeshGrid, spec: TrafficSpec):

@@ -160,10 +160,6 @@ class Placement:
             raise OutOfBoundsError(f"{c} outside {self.grid.width}x{self.grid.height} grid")
         return self.kinds[self.grid.index(c)]
 
-    @property
-    def assignment(self) -> dict[Coord, NodeKind]:
-        return {c: self.kinds[i] for i, c in enumerate(self.grid.tiles())}
-
     def tile_ids(self, kind: NodeKind) -> np.ndarray:
         """Row-major indices of the tiles of the given kind, ascending."""
         return np.array([i for i, k in enumerate(self.kinds) if k is kind], dtype=np.int32)

@@ -27,7 +27,8 @@ HIGH batch scorer solves each distinct row of many placements once and
 reads a placement's outcome off its rows.
 The waiting-time formula's arguments are checked once per batch, not on
 every iteration. The loop runs on ports-major arrays in buffers allocated
-once at full width, and a finished row keeps its column until the loop ends.
+once at full width, and a finished row keeps its column until the loop ends;
+a plainly unstable row finishes before the first iteration.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
     NonConvergentError,
+    OutOfBoundsError,
     UnstableError,
 )
 from .mesh import Coord, MeshGrid, Placement
@@ -59,7 +61,7 @@ from .routing import (
     flow_set,
     valid_port_mask,
 )
-from .traffic import ResolvedTraffic, ServiceSpec, TrafficSpec, resolve
+from .traffic import ServiceSpec, TrafficSpec
 
 PAPER = "paper"
 STANDARD = "standard"
@@ -143,6 +145,8 @@ class RouterQueueModel:
     final_delta: float
 
     def rt_of(self, port: Port) -> float:
+        if port not in self.ports:
+            raise OutOfBoundsError(f"router {self.router} has no channel {port}")
         return float(self.rt[self.ports.index(port)])
 
     def weighted_rt(self) -> float:
@@ -202,72 +206,57 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     queue-length change drops below ``FIXED_POINT_TOL``. Or it fails: on
     its plain utilization before iterating, then on its effective
     utilization, or by not converging within ``FIXED_POINT_MAX_ITER``
-    iterations. Only an unknown ``mode``, checked first whatever the rows,
-    and argument errors of the waiting-time formula raise.
+    iterations. Only the argument checks of the waiting-time formula, an
+    unknown ``mode`` among them, and negative turn rates raise, whatever
+    the rows.
+
+    The loop runs on ports-major copies: column r of ``lam_p`` and ``nq``
+    (ports x rows) and of the contention terms (ports x ports x rows) is
+    row r, and every temporary is written into buffers allocated once. A
+    row that finishes keeps its column until the loop ends, set to ``lam``
+    0 and ``nq`` +inf: its utilization stays 0 and its queue-length change
+    +inf, so it neither fails nor converges again. A plainly unstable row
+    is spent so before the first iteration. The loop stops when no column
+    is live.
     """
-    if mode not in (PAPER, STANDARD):
-        raise InvalidConfigError(f"unknown waiting-time mode {mode!r}")
     es = svc.mean_service
     n_rows, n = lam.shape
     rho = lam * es
     status = np.zeros(n_rows, dtype=np.int8)
-    rho_out = np.zeros((n_rows, n))
-    bad = rho.max(axis=1, initial=0.0) >= 1.0
-    status[bad], rho_out[bad] = UNSTABLE, rho[bad]
-    rows = np.flatnonzero(~bad)
-
     contention = np.zeros((n_rows, n, n))
-    wq_out = np.zeros((n_rows, n))
+    rho_out, wq_out = np.zeros((n_rows, n)), np.zeros((n_rows, n))
     iterations = np.zeros(n_rows, dtype=np.int64)
     final_delta = np.zeros(n_rows)
-    out = (status, contention, rho_out, wq_out, iterations, final_delta)
-    if rows.size:
-        # The batch reaches the waiting-time formula (and its argument
-        # checks) only if some row passed the plain check. Checked once
-        # here: with rates >= 0 every contention term is >= 0, so no later
-        # effective utilization is negative, and the loop spends those >= 1
-        # before the formula sees them.
-        lam_a, rho_a, turns_a = (a if len(rows) == n_rows else a[rows]
-                                 for a in (lam, rho, turns))
-        nq = lam_a * kingman_wait(rho_a, ca2, svc.scv, es, mode)
-        if np.minimum.reduce(turns_a, None) < 0.0:
-            raise UnstableError("turn rates must be >= 0")
-        _iterate(out, rows, lam_a.T, turns_a.transpose(1, 2, 0), nq.T, svc, ca2, mode)
-    rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
-    return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)
-
-
-def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, nq: np.ndarray,
-             svc: ServiceSpec, ca2: float, mode: str) -> None:
-    """``_fixed_point``'s loop over ``rows``, writing into ``out``.
-
-    Arrays are ports-major: column r of ``lam`` and ``nq`` (ports x rows)
-    and of ``turns`` (ports x ports x rows) is row ``rows[r]``, and every
-    temporary is written into buffers allocated once. A row that converges
-    or fails keeps its column until the loop ends, set to ``lam`` 0 and
-    ``nq`` +inf: its utilization stays 0 and its queue-length change +inf,
-    so it neither fails nor converges again. The loop stops when no column
-    is live.
-    """
-    status, contention, rho_out, wq_out, iterations, final_delta = out
-    es = svc.mean_service
+    bad = rho.max(axis=1, initial=0.0) >= 1.0
+    status[bad], rho_out[bad] = UNSTABLE, rho[bad]
+    # The waiting-time formula's checks, once per batch, with the plainly
+    # unstable rows at utilization 0: with rates >= 0 every contention term
+    # is >= 0, so no later effective utilization is negative, and the loop
+    # spends those >= 1 before the formula sees them.
+    rho[bad] = 0.0
+    nq = (lam * kingman_wait(rho, ca2, svc.scv, es, mode)).T.copy()
+    if np.minimum.reduce(turns, None, initial=0.0) < 0.0:
+        raise UnstableError("turn rates must be >= 0")
     # kingman_wait's and effective_utilization's arithmetic, unchecked.
     num, es_f = 0.5 * (ca2 + svc.scv) * es, float(es)
     keep, damp = 1.0 - FIXED_POINT_DAMPING, FIXED_POINT_DAMPING
-    n, m = lam.shape
-    lam, turns, nq = (np.array(a, order="C") for a in (lam, turns, nq))
-    rhs = _contention_rhs(lam, turns, es)
-    c, cs = np.empty((2, n, n, m))
-    diagonal = c.reshape(n * n, m)[::n + 1]
-    div, rho_e, wq, nq_next, diff = np.empty((5, n, m))
-    idle, peak, live = lam == 0.0, np.empty(m), np.ones(m, dtype=bool)
+    lam_p, live = lam.T.copy(), np.ones(n_rows, dtype=bool)
 
     def spend(cols: np.ndarray) -> None:
-        lam[:, cols], nq[:, cols] = 0.0, np.inf
+        lam_p[:, cols], nq[:, cols] = 0.0, np.inf
         live[cols] = False
+
+    spend(bad)
+    rhs = _contention_rhs(lam_p, turns.transpose(1, 2, 0).copy(), es)
+    c, cs = np.empty((2, n, n, n_rows))
+    diagonal = c.reshape(n * n, n_rows)[::n + 1]
+    div, rho_e, wq, nq_next, diff = np.empty((5, n, n_rows))
+    idle, peak, spent = lam_p == 0.0, np.empty(n_rows), True
 
     with np.errstate(all="ignore"):  # masked divisions by 0, spent columns at +inf
         for it in range(1, FIXED_POINT_MAX_ITER + 1):
+            if spent and not live.any():  # live changes only when columns are spent
+                break
             # c = rhs / nq where nq > 0, else 0. An idle channel (lam 0) has
             # nq 0 and rhs 0 throughout, so it divides by 1 instead.
             np.add(nq, idle, div)
@@ -279,18 +268,18 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
             np.add(cs[:, 0], cs[:, 1], rho_e) if n > 1 else np.copyto(rho_e, cs[:, 0])
             for j in range(2, n):
                 rho_e += cs[:, j]
-            rho_e *= lam
+            rho_e *= lam_p
             spent = np.maximum.reduce(rho_e, None) >= 1.0
             if spent:
                 cols = np.flatnonzero(rho_e.max(axis=0) >= 1.0)
-                status[rows[cols]], rho_out[rows[cols]] = EFFECTIVE_UNSTABLE, rho_e[:, cols].T
+                status[cols], rho_out[cols] = EFFECTIVE_UNSTABLE, rho_e[:, cols].T
                 spend(cols)
                 rho_e[:, cols] = 0.0
             np.subtract(1.0, rho_e, wq)
             np.divide(num, wq, wq)
             if mode == STANDARD:
                 wq *= rho_e
-            np.multiply(lam, wq, nq_next)
+            np.multiply(lam_p, wq, nq_next)
             np.subtract(nq_next, nq, diff)
             np.abs(diff, diff)
             np.maximum.reduce(diff, 0, None, peak)
@@ -300,24 +289,13 @@ def _iterate(out: tuple, rows: np.ndarray, lam: np.ndarray, turns: np.ndarray, n
             if np.minimum.reduce(peak) < FIXED_POINT_TOL:
                 spent = True
                 cols = np.flatnonzero(peak < FIXED_POINT_TOL)
-                ids = rows[cols]
-                contention[ids] = c.take(cols, 2).transpose(2, 0, 1)
-                rho_out[ids], wq_out[ids] = rho_e.take(cols, 1).T, wq.take(cols, 1).T
-                iterations[ids], final_delta[ids] = it, peak[cols]
+                contention[cols] = c.take(cols, 2).transpose(2, 0, 1)
+                rho_out[cols], wq_out[cols] = rho_e.take(cols, 1).T, wq.take(cols, 1).T
+                iterations[cols], final_delta[cols] = it, peak[cols]
                 spend(cols)
-            if spent and not live.any():
-                break
-    status[rows[live]] = NON_CONVERGENT
-
-
-def _unstable(rho: np.ndarray, label: str, router: Coord,
-              ports: Sequence[Port]) -> UnstableError:
-    i = int(rho.argmax())
-    return UnstableError(
-        f"{label} {rho[i]:.4f} >= 1 at router {router} channel {ports[i].value}",
-        router=router,
-        channel=ports[i],
-    )
+    status[live] = NON_CONVERGENT
+    rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
+    return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)
 
 
 def _raise_first_failure(fp: FixedPoint, router_of: Callable[[int], Coord],
@@ -329,13 +307,17 @@ def _raise_first_failure(fp: FixedPoint, router_of: Callable[[int], Coord],
     if not failed.size:
         return
     row = int(failed[0])
+    router = router_of(row)
     if fp.status[row] == NON_CONVERGENT:
         raise NonConvergentError(
-            f"contention fixed point at router {router_of(row)} did not converge "
+            f"contention fixed point at router {router} did not converge "
             f"within {FIXED_POINT_MAX_ITER} iterations"
         )
     label = "utilization" if fp.status[row] == UNSTABLE else "effective utilization"
-    raise _unstable(fp.rho_e[row], label, router_of(row), ports)
+    rho = fp.rho_e[row]
+    i = int(rho.argmax())
+    raise UnstableError(f"{label} {rho[i]:.4f} >= 1 at router {router} channel {ports[i].value}",
+                        router=router, channel=ports[i])
 
 
 def solve_network(loads: ChannelLoadMap, svc: ServiceSpec, ca2: float = 1.0,
@@ -380,7 +362,8 @@ def _router_index(grid: MeshGrid) -> tuple[np.ndarray, np.ndarray, tuple[tuple, 
 
 @dataclass
 class DelayReport:
-    """Inspector output: solved per-router models plus per-flow path delays.
+    """Inspector output: solved per-router models, in row-major router
+    order, plus per-flow path delays.
 
     A flow's delay sums the response time of the input channel it traverses
     at every router on its XY path, source injection channel included, so the
@@ -397,13 +380,14 @@ class DelayReport:
     peak_channel: tuple[Coord, Port]
 
     def rt_of(self, router: Coord, port: Port) -> float:
+        if router not in self.routers:
+            raise OutOfBoundsError(f"no router {router} in the report for channel {port}")
         return self.routers[router].rt_of(port)
 
     def write_router_csv(self, out: IO[str]) -> None:
         w = csv.writer(out)
         w.writerow(["x", "y", "channel", "lambda", "rho_e", "wq", "rt", "queue_len"])
-        for coord in sorted(self.routers, key=lambda c: (c.y, c.x)):
-            m = self.routers[coord]
+        for coord, m in self.routers.items():
             for i, port in enumerate(m.ports):
                 w.writerow([
                     coord.x, coord.y, port.value,
@@ -421,17 +405,15 @@ class DelayReport:
 
 
 def packet_delay_inspector(placement: Placement, spec: TrafficSpec,
-                           mode: str = PAPER,
-                           resolved: ResolvedTraffic | None = None) -> DelayReport:
+                           mode: str = PAPER) -> DelayReport:
     """End-to-end delay model: flows -> channel rates -> per-router contention
     fixed points -> per-flow path delays.
 
     Raises UnstableError naming the first saturated router when the offered
     load cannot be served.
     """
-    r = resolved if resolved is not None else resolve(placement, spec)
     grid = placement.grid
-    flows = flow_set(placement, spec, resolved=r)
+    flows = flow_set(placement, spec)
     from .segments import link_transit  # imported on first use
 
     fp = solve_network(channel_loads(flows, grid), spec.svc, spec.arrival_scv, mode)

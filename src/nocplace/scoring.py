@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .latency import _compose, _hop_transit, _link_transit, _sum_in_order
+from .latency import _compose, _hop_transit, _sum_in_order
 from .mesh import _CHAR_OF_KIND, MeshGrid, NodeKind, placement_from_string
 from .queueing import OK, PAPER, _fixed_point
 from .routing import N_PORTS, _stacked_flows
-from .segments import superpose
+from .segments import link_transit, superpose
 from .traffic import ResolvedTraffic, TrafficSpec, nearest_split, resolve
 
 # Hop counts that ``low_objective_batch`` gathers per chunk (about 26 bytes
@@ -202,7 +202,7 @@ def _finish(grid: MeshGrid, spec: TrafficSpec, r: ResolvedTraffic, memo: _Router
     ok = np.flatnonzero(causes == OK)
     if ok.size:
         cores, caches, mcs, q = ids
-        transit = _link_transit(grid, memo.rt[refs.ravel()])
+        transit = link_transit(grid, memo.rt[refs.ravel()])
         total = _compose(spec, r.p, None if q is None else q[ok], transit,
                          cores[ok], caches[ok], mcs[ok])[2]
         values[ok] = _sum_in_order(total)

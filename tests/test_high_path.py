@@ -29,7 +29,6 @@ from nocplace import (
     packet_delay_inspector,
 )
 from nocplace import queueing
-from nocplace.latency import _link_transit
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.routing import (
     PORT_INDEX,
@@ -41,7 +40,7 @@ from nocplace.routing import (
     flow_set,
 )
 from nocplace.scoring import _stacked_ids, high_objective_batch
-from nocplace.segments import superpose
+from nocplace.segments import link_transit, superpose
 from nocplace.traffic import resolve
 from oracles import DROPPED, fixed_point, xy_route
 from test_objective_batch import as_rows, swaps
@@ -95,6 +94,32 @@ def test_fixed_point_matches_the_oracle_on_distinct_rows_alone():
     lam, turns = rows[:, :5], rows[:, 5:].reshape(-1, 5, 5)
     status = assert_same_fixed_point(lam, turns, TrafficSpec(), PAPER).status
     assert {queueing.OK, queueing.UNSTABLE, queueing.EFFECTIVE_UNSTABLE} <= set(status.tolist())
+
+
+@pytest.mark.parametrize("mode", [PAPER, STANDARD])
+def test_fixed_point_matches_the_oracle_when_no_row_is_live(mode):
+    # Every row plainly unstable: each finishes before the first iteration,
+    # so the loop never runs.
+    placement, spec = golden(CASES[12])
+    loads = channel_loads(flow_set(placement, spec), placement.grid)
+    lam = loads.lam.copy()
+    lam[:, PORT_INDEX[Port.LOCAL]] = np.linspace(1.0, 2.0, len(lam))
+    fp = assert_same_fixed_point(lam, loads.turns, spec, mode)
+    assert np.all(fp.status == queueing.UNSTABLE) and not fp.iterations.any()
+    assert np.array_equal(fp.rho_e, lam * spec.svc.mean_service)
+
+
+@pytest.mark.parametrize("mode", [PAPER, STANDARD])
+def test_fixed_point_matches_the_oracle_on_single_rows(mode):
+    # Every router of a case with both failure kinds, each as a batch of one.
+    status = set()
+    for case in (CASES[11], CASES[20]):
+        placement, spec = golden(case)
+        loads = channel_loads(flow_set(placement, spec), placement.grid)
+        for t in range(len(loads.lam)):
+            fp = assert_same_fixed_point(loads.lam[t:t + 1], loads.turns[t:t + 1], spec, mode)
+            status.add(int(fp.status[0]))
+    assert {queueing.OK, queueing.UNSTABLE, queueing.EFFECTIVE_UNSTABLE} <= status
 
 
 @pytest.mark.parametrize("tiny", [1e-200, 5e-324])
@@ -232,7 +257,7 @@ def test_objective_batch_and_inspector_share_one_transit(placement, spec):
     valid = queueing.valid_port_mask(grid)
     for t, coord in enumerate(grid.tiles()):
         assert np.array_equal(report.routers[coord].rt, fp.rt[t, valid[t]])
-    transit = _link_transit(grid, fp.rt)(fs.src, fs.dst)
+    transit = link_transit(grid, fp.rt)(fs.src, fs.dst)
     expected = fp.rt[fs.src, PORT_INDEX[Port.LOCAL]] + transit
     assert [d for _, d in report.flow_delays] == expected.tolist()
 

@@ -10,6 +10,7 @@ from nocplace import (
     MeshGrid,
     Mode,
     NodeKind,
+    OutOfBoundsError,
     PAPER,
     STANDARD,
     Port,
@@ -250,6 +251,19 @@ class TestPacketDelayInspector:
                      for c in (Coord(0, 0), Coord(7, 0), Coord(0, 7), Coord(7, 7)))
         assert center > corner
 
+    def test_rt_of_a_missing_router_or_port_is_out_of_bounds(self):
+        p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 8, 4, 0)
+        report = packet_delay_inspector(p, TrafficSpec(lambda_g=0.1))
+        for router, port, named in [(Coord(9, 9), Port.LOCAL, "no router"),
+                                    (Coord(0, 0), Port.NORTH, "has no channel")]:
+            with pytest.raises(OutOfBoundsError, match=named) as exc:
+                report.rt_of(router, port)
+            assert str(router) in str(exc.value) and str(port) in str(exc.value)
+        with pytest.raises(OutOfBoundsError, match="has no channel"):
+            report.routers[Coord(3, 3)].rt_of(Port.SOUTH)
+        assert report.rt_of(Coord(0, 0), Port.SOUTH) == report.routers[Coord(0, 0)].rt_of(
+            Port.SOUTH)
+
     def test_unstable_names_saturated_router(self):
         p = self._line_placement()
         with pytest.raises(UnstableError) as exc:
@@ -258,8 +272,9 @@ class TestPacketDelayInspector:
 
     @pytest.mark.parametrize("lam", [0.3, 1.2], ids=["stable", "first-router-unstable"])
     def test_unknown_queue_mode_is_a_config_error(self, lam):
-        # At 1.2 the first router is already plain-unstable, so the
-        # waiting-time formula, which also checks the mode, is never reached.
+        # At 1.2 the first router is already plain-unstable; the
+        # waiting-time formula, which checks the mode, still runs once per
+        # batch.
         p = self._line_placement()
         spec = TrafficSpec(lambda_g=lam, p=matrix([[1.0]]))
         with pytest.raises(InvalidConfigError, match="unknown waiting-time mode"):

@@ -11,6 +11,7 @@ from nocplace import (
     NodeKind,
     Port,
     SimConfig,
+    SweepRow,
     TrafficSpec,
     aggregate_sweep,
     build_placement,
@@ -201,6 +202,17 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "family,lambda_g,seed,mean_latency,ci95,saturated"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("df,t", [(10, 2.228139), (15, 2.131450), (20, 2.085963),
+                                      (30, 2.042272), (60, 2.000298), (120, 1.979930)])
+    def test_aggregate_interval_uses_the_t_quantile_of_many_seeds(self, df, t):
+        # df + 1 seeds with means 0..df: the half-width over std/sqrt(n) is
+        # the t quantile, not the normal 1.96.
+        means = np.arange(df + 1.0)
+        rows = [SweepRow("a", 0.1, seed, float(m), 0.0, False) for seed, m in enumerate(means)]
+        cell = aggregate_sweep(rows)[("a", 0.1)]
+        got = cell.ci95 * math.sqrt(df + 1) / means.std(ddof=1)
+        assert got == pytest.approx(t, rel=5e-4)
 
     def test_grid_mismatch_rejected(self):
         p, base = self._base()
