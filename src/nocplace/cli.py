@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most candidates to score (default: the method's own, "
                         "10,000,000 for exhaustive and two-phase, 10,000 for local)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--all-ties", action="store_true",
                    help="print every tied optimum, not just the first")
     _add_traffic_args(p)
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lambda_g values")
     p.add_argument("--seeds", type=_positive_int, default=3, help="number of seeds per cell")
     p.add_argument("--rings", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--stripe-width", type=int, default=1)
     p.add_argument("--cluster", type=int, default=2)
     _add_traffic_args(p)

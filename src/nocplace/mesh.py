@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
@@ -50,6 +51,17 @@ def manhattan(a: Coord, b: Coord) -> int:
     return abs(a.x - b.x) + abs(a.y - b.y)
 
 
+def _side(value) -> int:
+    """A grid side as an int. A bool, a float or a string raises TypeError:
+    sides size arrays and key caches, where they would fail far from here."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"grid side {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class MeshGrid:
     """Rectangular mesh of width x height tiles.
@@ -62,6 +74,11 @@ class MeshGrid:
     height: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "width", _side(self.width))
+            object.__setattr__(self, "height", _side(self.height))
+        except TypeError as exc:
+            raise InfeasibleError(str(exc)) from None
         if self.width < 1 or self.height < 1:
             raise InfeasibleError(f"grid {self.width}x{self.height} has empty sides")
         if self.width > MAX_SIDE or self.height > MAX_SIDE:
@@ -227,10 +244,11 @@ class Placement:
     @staticmethod
     def from_json_dict(d: Mapping) -> "Placement":
         """The placement of ``to_json_dict``'s mapping. A missing key, a
-        value of the wrong type or an unknown tile kind raises
-        OutOfBoundsError, as ``from_text`` does for the same faults."""
+        value of the wrong type (a size that is not an integer too) or an
+        unknown tile kind raises OutOfBoundsError, as ``from_text`` does for
+        the same faults."""
         try:
-            grid = MeshGrid(int(d["width"]), int(d["height"]))
+            grid = MeshGrid(_side(d["width"]), _side(d["height"]))
             tiles = d["tiles"]
             if len(tiles) != grid.height or any(len(row) != grid.width for row in tiles):
                 raise OutOfBoundsError("tiles array does not match width/height")

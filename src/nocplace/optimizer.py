@@ -143,17 +143,15 @@ def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, .
     return [p for p in perms if {p[i] for i in pool} == set(pool)]
 
 
-def _count_failures(failures: Counter, causes: np.ndarray) -> None:
-    """Count the candidates ``high_objective_batch`` scored +inf, by cause."""
-    failures["unstable"] += int(np.isin(causes, (UNSTABLE, EFFECTIVE_UNSTABLE)).sum())
-    failures["non_convergent"] += int((causes == NON_CONVERGENT).sum())
-
-
-def _evaluate_all(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mode: str,
-                  jobs: int, failures: Counter) -> np.ndarray:
-    """HIGH values of ``rows``, failures counted; ``jobs`` > 1 worker
-    processes each score a share of the rows in batches."""
-    from .scoring import high_objective_batch
+def _values(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode, queue_mode: str,
+            failures: Counter, jobs: int = 1) -> np.ndarray:
+    """The objective values of ``rows`` under ``mode``. HIGH rows are
+    scored in ``jobs`` worker processes when there are 64 or more, each
+    process scoring a share of them, and the rows scored +inf are counted
+    into ``failures`` by cause."""
+    from .scoring import high_objective_batch, low_objective_batch
+    if mode is Mode.LOW:
+        return low_objective_batch(grid, rows, spec)
     if jobs <= 1 or len(rows) < 64:
         values, causes = high_objective_batch(grid, rows, spec, queue_mode)
     else:
@@ -164,7 +162,8 @@ def _evaluate_all(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, queue_mod
             parts = list(pool.map(high_objective_batch, [grid] * n, shares, [spec] * n,
                                   [queue_mode] * n))
         values, causes = (np.concatenate(a) for a in zip(*parts))
-    _count_failures(failures, causes)
+    failures["unstable"] += int(np.isin(causes, (UNSTABLE, EFFECTIVE_UNSTABLE)).sum())
+    failures["non_convergent"] += int((causes == NON_CONVERGENT).sum())
     return values
 
 
@@ -189,6 +188,10 @@ def _strings(rows: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in rows]
 
 
+def _best(grid: MeshGrid, strings: set[str]) -> list[Placement]:
+    return [placement_from_string(grid, s) for s in sorted(strings)]
+
+
 def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarray:
     """The rows among the first max(100, 5%) by (LOW objective, string)."""
     from .scoring import low_objective_batch
@@ -202,20 +205,6 @@ def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarra
     return np.concatenate([rows[below], rows[at_cut[:keep - int(below.sum())]]])
 
 
-def _first_min(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode,
-               queue_mode: str, failures: Counter) -> tuple[int, float]:
-    """The first row of least objective value, and that value (HIGH
-    failures counted)."""
-    from .scoring import high_objective_batch, low_objective_batch
-    if mode is Mode.HIGH:
-        values, causes = high_objective_batch(grid, rows, spec, queue_mode)
-        _count_failures(failures, causes)
-    else:
-        values = low_objective_batch(grid, rows, spec)
-    i = int(values.argmin())
-    return i, float(values[i])
-
-
 def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, int],
             pool: list[int] | None, perms: list[tuple[int, ...]], spec: TrafficSpec,
             mode: Mode, budget: int, prefilter: bool, queue_mode: str,
@@ -225,12 +214,11 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
     when ``perms`` holds no map but the identity) and return the argmin ties
     expanded to their orbits.
 
-    LOW candidates are scored a block at a time by ``low_objective_batch``,
-    and only those within the tie tolerance of the lowest value so far are
-    kept. HIGH candidates are scored in batches by ``high_objective_batch``
-    (over ``jobs`` processes)."""
+    Candidates are scored a block at a time, and only those within the tie
+    tolerance of the lowest value so far are kept. LOW blocks come from the
+    enumerator; HIGH candidates form one block, after the LOW prefilter when
+    ``prefilter`` is set, scored over ``jobs`` processes."""
     from .candidates import raw_blocks, representative_blocks
-    from .scoring import low_objective_batch
     raw = _raw_count(free, counts, pool)
     estimate = -(-raw // max(1, len(perms)))
     if estimate > budget:
@@ -239,54 +227,44 @@ def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, 
             f"budget {budget}; consider two_phase_optimize or local_search",
             count=int(raw),
         )
+    if not raw:
+        raise InfeasibleError("search space is empty")
 
+    blocks = (representative_blocks(base, free, counts, pool, perms, SEARCH_BLOCK)
+              if len(perms) > 1 else raw_blocks(base, free, counts, pool, SEARCH_BLOCK))
+    extras: dict = {}
+    if mode is Mode.HIGH:
+        rows = np.concatenate(list(blocks))
+        if prefilter:
+            extras["prefilter_evaluated"] = len(rows)
+            rows = _prefilter(grid, rows, spec)
+        blocks = [rows]
     evaluated = 0
     failures: Counter = Counter()
     scored: dict[str, float] = {}
-    high_rows: list[np.ndarray] = []
     floor = cutoff = math.inf
-    blocks = (representative_blocks(base, free, counts, pool, perms, SEARCH_BLOCK)
-              if len(perms) > 1 else raw_blocks(base, free, counts, pool, SEARCH_BLOCK))
     for rows in blocks:
         evaluated += len(rows)
-        if mode is Mode.HIGH:
-            high_rows.append(rows)
-            continue
-        low = low_objective_batch(grid, rows, spec)
-        if low.min() < floor:
+        values = _values(grid, rows, spec, mode, queue_mode, failures, jobs)
+        if values.min() < floor:
             # Only a lower floor can drop kept entries.
-            floor = float(low.min())
+            floor = float(values.min())
             cutoff = _tie_cutoff(floor)
             scored = {s: v for s, v in scored.items() if v <= cutoff}
-        near = low <= cutoff
-        scored.update(zip(_strings(rows[near]), low[near].tolist()))
-    if not evaluated:
-        raise InfeasibleError("search space is empty")
-
-    pruned = raw - evaluated
-    extras: dict = {}
-    if mode is Mode.HIGH:
-        rows = np.concatenate(high_rows)
-        if prefilter:
-            rows = _prefilter(grid, rows, spec)
-            extras["prefilter_evaluated"] = evaluated
-            evaluated = len(rows)
-        values = _evaluate_all(grid, rows, spec, queue_mode, jobs, failures)
-        scored = dict(zip(_strings(rows), values.tolist()))
-    extras.update(_failure_counts(failures))
-    best_value = min(scored.values())
-    if math.isinf(best_value):
+        near = values <= cutoff
+        scored.update(zip(_strings(rows[near]), values[near].tolist()))
+    if math.isinf(floor):
         raise UnstableError(
             "every candidate placement saturates at this load "
             f"({failures['unstable']} unstable, {failures['non_convergent']} non-convergent)"
         )
-    cutoff = _tie_cutoff(best_value)
-    winners = {s for s, v in scored.items() if v <= cutoff}
+    # Every kept entry lies within the tie tolerance of the final floor.
+    winners = set(scored)
     if perms:
         winners = {"".join(s[i] for i in perm) for s in winners for perm in perms}
-    return SearchResult(best=[placement_from_string(grid, s) for s in sorted(winners)],
-                        objective_value=best_value, evaluated=evaluated, pruned=pruned,
-                        method="exhaustive", extras=extras)
+    return SearchResult(best=_best(grid, winners), objective_value=floor, evaluated=evaluated,
+                        pruned=raw - extras.get("prefilter_evaluated", evaluated),
+                        method="exhaustive", extras={**extras, **_failure_counts(failures)})
 
 
 def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
@@ -355,9 +333,8 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
         raise InfeasibleError(f"no phase-1 winner leaves room for {counts[2]} memory "
                               "controllers" + ("" if pool is None else " on mc_tiles"))
 
-    return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
-                        objective_value=best_value, evaluated=evaluated,
-                        pruned=phase1.pruned, method="two-phase",
+    return SearchResult(best=_best(grid, best_strings), objective_value=best_value,
+                        evaluated=evaluated, pruned=phase1.pruned, method="two-phase",
                         extras={"phase1_objective": phase1.objective_value,
                                 "phase2_objective": best_value, **_failure_counts(failures)})
 
@@ -397,10 +374,10 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
     evaluated = 0
     failures: Counter = Counter()
 
-    def first_min(rows: np.ndarray) -> tuple[int, float]:
-        return _first_min(grid, rows, spec, space.mode, queue_mode, failures)
+    def score(rows: np.ndarray) -> np.ndarray:
+        return _values(grid, rows, spec, space.mode, queue_mode, failures)
 
-    best_value = first_min(current[None])[1]
+    best_value = float(score(current[None])[0])
     best_strings = {current.tobytes().decode("ascii")}
     current_value = best_value
     remaining = budget
@@ -412,7 +389,9 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
             rows = np.repeat(current[None], len(a), axis=0)
             at = np.arange(len(a))
             rows[at, a], rows[at, b] = current[b], current[a]
-            i, value = first_min(rows)
+            values = score(rows)
+            i = int(values.argmin())
+            value = float(values[i])
             evaluated += len(a)
             remaining -= len(a)
             if value < current_value:
@@ -427,12 +406,12 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         kinds = current[free].tolist()
         rng.shuffle(kinds)
         current[free] = kinds
-        current_value = first_min(current[None])[1]
+        current_value = float(score(current[None])[0])
         evaluated += 1
         remaining -= 1
         best_value, best_strings = _meet(best_value, best_strings, current_value,
                                          {current.tobytes().decode("ascii")})
 
-    return SearchResult(best=[placement_from_string(grid, s) for s in sorted(best_strings)],
-                        objective_value=best_value, evaluated=evaluated, pruned=0,
+    return SearchResult(best=_best(grid, best_strings), objective_value=best_value,
+                        evaluated=evaluated, pruned=0,
                         method="local", extras={"seed": seed, **_failure_counts(failures)})

@@ -11,12 +11,12 @@ from overflow.
 
 Two engines run the model and return the same ``SimStats``, bit for bit:
 
-- The event engine (``events.run_events``, reached through ``_run_events``)
-  pops generation and channel-completion events from one heap and breaks
-  time ties by insertion order, in one flat loop that makes no call per
-  event. It runs every configuration, and it is the only engine for runs
-  that spawn messages: controller legs (controllers present and ``miss_l2 >
-  0``) and replies (``model_replies``).
+- The event engine (``events.run_events``) pops generation and
+  channel-completion events from one heap and breaks time ties by insertion
+  order, in one flat loop that makes no call per event. It runs every
+  configuration, and it is the only engine for runs that spawn messages:
+  controller legs (controllers present and ``miss_l2 > 0``) and replies
+  (``model_replies``).
 - The feed-forward engine (``feedforward.run_feedforward``) takes all other
   runs. With no spawned traffic every random draw happens at a generation
   and XY routing orders the channels without cycles, so each channel's
@@ -186,14 +186,16 @@ def run_sim(config: SimConfig) -> SimStats:
     trajectory (``feedforward.TieUnresolved``).
     """
     spec = config.traffic
-    if spec.model_replies or (spec.miss_l2 > 0.0 and NodeKind.MC in config.placement.kinds):
-        return _run_events(config)
-    from .feedforward import TieUnresolved, run_feedforward  # it imports this module
+    if not (spec.model_replies or (spec.miss_l2 > 0.0 and NodeKind.MC in config.placement.kinds)):
+        from .feedforward import TieUnresolved, run_feedforward  # it imports this module
 
-    try:
-        return run_feedforward(config)
-    except TieUnresolved:
-        return _run_events(config)
+        try:
+            return run_feedforward(config)
+        except TieUnresolved:
+            pass
+    from .events import run_events  # it imports this module
+
+    return run_events(config)
 
 
 def _injection(config: SimConfig, resolved) -> tuple[list[float], list[int]]:
@@ -253,13 +255,6 @@ def _sim_stats(grid, channels, lat: np.ndarray, lat_t: np.ndarray, flows, end_t:
         duration=end_t,
         window=window,
     )
-
-
-def _run_events(config: SimConfig) -> SimStats:
-    """The event engine (``events.run_events``), imported on first use."""
-    from .events import run_events  # it imports this module
-
-    return run_events(config)
 
 
 @dataclass(frozen=True)

@@ -286,8 +286,10 @@ SWEEP = ["sweep", "--grid", "4x4", "--cores", "12", "--caches", "4", "--seed", "
     ["analyze", "--placement", "{tmp}/missing.txt"],
     ["simulate", "--placement", "{tmp}/missing.txt", "--seed", "1"],
     ["compare", "--placement", "{tmp}/missing.txt", "--seed", "1"],
+    ["optimize", "--grid", "3x3", "--cores", "4", "--caches", "1", "--jobs", "0"],
+    SWEEP + ["--rates", "0.1", "--jobs", "0"],
 ], ids=["grid-0x8", "grid-20x20", "rates", "seeds", "families", "analyze-missing",
-        "simulate-missing", "compare-missing"])
+        "simulate-missing", "compare-missing", "optimize-jobs", "sweep-jobs"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     try:
         code = main([a.format(tmp=tmp_path) for a in argv])
@@ -303,7 +305,10 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     '{"width": 2, "height": 1, "tiles": [["core"',
     '{"width": 2, "tiles": [["core", "cache"]]}',
     '{"width": 2, "height": 1, "tiles": [["core", "pizza"]]}',
-], ids=["truncated", "missing-key", "unknown-kind"])
+    '{"width": 2.7, "height": 1, "tiles": [["core", "cache"]]}',
+    '{"width": true, "height": 1, "tiles": [["core"]]}',
+    '{"width": "2", "height": 1, "tiles": [["core", "cache"]]}',
+], ids=["truncated", "missing-key", "unknown-kind", "float-size", "bool-size", "string-size"])
 def test_malformed_placement_json_exit_1(text, tmp_path, capsys):
     with pytest.raises(OutOfBoundsError):
         Placement.from_json(text)

@@ -23,7 +23,7 @@ from nocplace import (
     canonical_placement,
     run_sim,
 )
-from nocplace import feedforward, simulator
+from nocplace import events, feedforward, simulator
 
 GRID8 = MeshGrid(8, 8)
 
@@ -96,7 +96,7 @@ def engines(monkeypatch):
             return fn(config)
         return wrapper
 
-    monkeypatch.setattr(simulator, "_run_events", counted("events", simulator._run_events))
+    monkeypatch.setattr(events, "run_events", counted("events", events.run_events))
     monkeypatch.setattr(feedforward, "run_feedforward",
                         counted("feedforward", feedforward.run_feedforward))
     return calls
@@ -106,7 +106,7 @@ def engines(monkeypatch):
 def test_matches_event_engine(config, engines):
     stats = run_sim(config)
     assert engines == {"events": 0, "feedforward": 1}
-    oracle = simulator._run_events(config)
+    oracle = events.run_events(config)
     assert as_json(stats) == as_json(oracle)
     assert stats == oracle
     assert list(stats.channels) == list(oracle.channels)
@@ -126,7 +126,7 @@ def test_window_size_does_not_change_results(window, monkeypatch):
                   messages=800, seed=8),
     ):
         assert as_json(feedforward.run_feedforward(config)) == as_json(
-            simulator._run_events(config))
+            events.run_events(config))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 23, 2**40 + 7])
@@ -156,7 +156,7 @@ def test_unresolved_tie_falls_back_to_event_engine(monkeypatch):
 
     monkeypatch.setattr(feedforward, "run_feedforward", unresolved)
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.1), messages=500, seed=1)
-    assert as_json(run_sim(config)) == as_json(simulator._run_events(config))
+    assert as_json(run_sim(config)) == as_json(events.run_events(config))
 
 
 def test_simultaneous_generations_are_left_to_the_event_engine():
@@ -180,7 +180,7 @@ def test_statistics_ignore_the_order_of_tied_deliveries(engine, monkeypatch):
     # and its dict orders stay the same when the ties, channels and flows
     # come reversed.
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=5)
-    run = simulator._run_events if engine == "events" else feedforward.run_feedforward
+    run = events.run_events if engine == "events" else feedforward.run_feedforward
     expected = run(config)
     sim_stats = simulator._sim_stats
     moved = []
@@ -229,9 +229,9 @@ def test_working_set_within_event_engine_bound():
     # differences. Building each drawn pair's route on first use, not a
     # table of all pairs, brought it to 0.92 MB (feed-forward 1.80x).
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=3)
-    events = traced_peak(simulator._run_events, config)
-    assert events <= 1.4e6
-    assert traced_peak(feedforward.run_feedforward, config) <= 2.0 * events
+    event_peak = traced_peak(events.run_events, config)
+    assert event_peak <= 1.4e6
+    assert traced_peak(feedforward.run_feedforward, config) <= 2.0 * event_peak
 
 
 def test_working_set_flat_in_run_length():
@@ -255,4 +255,4 @@ def test_event_engine_working_set_on_a_spawning_run():
     # differences.
     spec = TrafficSpec(lambda_g=0.1, miss_l2=0.3, model_replies=True)
     config = SimConfig(family("central", counts=(44, 16, 4)), spec, messages=5000, seed=3)
-    assert traced_peak(simulator._run_events, config) <= 2.6e6
+    assert traced_peak(events.run_events, config) <= 2.6e6

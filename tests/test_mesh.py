@@ -339,6 +339,17 @@ class TestGridLimits:
     def test_degenerate_row_allowed(self):
         assert MeshGrid(3, 1).n_tiles == 3
 
+    @pytest.mark.parametrize("side", [2.5, True, "2", None])
+    def test_non_integer_side_rejected(self, side):
+        with pytest.raises(InfeasibleError):
+            MeshGrid(side, 2)
+        with pytest.raises(InfeasibleError):
+            MeshGrid(2, side)
+
+    def test_integer_like_side_becomes_int(self):
+        g = MeshGrid(np.int64(3), 2)
+        assert type(g.width) is int and g == MeshGrid(3, 2)
+
     def test_apply_symmetry_round_trips(self):
         g = MeshGrid(4, 4)
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 12, 4, 0)

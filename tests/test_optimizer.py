@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -751,6 +752,25 @@ class TestParallelEvaluation:
         spec = TrafficSpec(lambda_g=0.35)
         seq = exhaustive_search(space, spec, prefilter=False, jobs=1)
         par = exhaustive_search(space, spec, prefilter=False, jobs=2)
+        assert par.to_json_dict() == seq.to_json_dict()
+        assert seq.extras["unstable"] > 0
+
+    def test_two_phase_high_jobs_do_not_change_the_result(self, monkeypatch):
+        # Phase 1 scores the prefilter's 100 HIGH candidates, enough for the
+        # workers to start; phase 2 scores 4 per winner in this process.
+        pools = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        space = SearchSpace(MeshGrid(3, 3), 4, 1, 1, mode=Mode.HIGH)
+        spec = TrafficSpec(lambda_g=0.3, miss_l2=0.3)
+        seq = two_phase_optimize(space, spec, jobs=1)
+        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", Counted)
+        par = two_phase_optimize(space, spec, jobs=2)
+        assert pools == [{"max_workers": 2}]
         assert par.to_json_dict() == seq.to_json_dict()
         assert seq.extras["unstable"] > 0
 
