@@ -16,7 +16,7 @@ import secrets
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import NocError, OutOfBoundsError
@@ -91,11 +91,14 @@ def _load_placement(path: str) -> Placement:
 
 
 def _traffic_from_args(args) -> TrafficSpec:
+    # Only the analytical commands take --mean-service: the simulator's E{S}
+    # is --mean-message-size / --mu.
+    svc = ServiceSpec(args.mean_service) if "mean_service" in args else ServiceSpec()
     return TrafficSpec(
         lambda_g=args.lambda_g,
         hit_l1=1.0 - args.miss_l1,
         miss_l2=args.miss_l2,
-        svc=ServiceSpec(mean_service=args.mean_service),
+        svc=svc,
         mem_fixed_latency=getattr(args, "mem_fixed_latency", 0.0),
     )
 
@@ -114,14 +117,18 @@ def _sim_config(args, placement: Placement, seed: int) -> SimConfig:
     )
 
 
+def _write(outputs: list[str], path: str | None, write: Callable[[IO[str]], object]) -> None:
+    """Write an ``--out*`` file, when one is named, through ``write(fh)``, and
+    record its path for the manifest."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+        outputs.append(path)
+
+
 def _write_manifest(args, seeds: list[int], outputs: list[str]) -> None:
-    path = getattr(args, "manifest", None)
-    if not path:
+    if not args.manifest:
         return
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in ("func", "manifest") and not callable(v)
-    }
     hashes = {}
     placement = getattr(args, "placement", None)
     if placement and Path(placement).exists():
@@ -129,13 +136,14 @@ def _write_manifest(args, seeds: list[int], outputs: list[str]) -> None:
     manifest = {
         "command": args.command,
         "version": __version__,
-        "parameters": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k != "manifest" and not callable(v)},
         "seeds": seeds,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "input_hashes": hashes,
         "outputs": outputs,
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    Path(args.manifest).write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _require_seed(args) -> int:
@@ -146,35 +154,25 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[list[int], list[str]]:
     count = placement_count(args.grid.n_tiles, args.cores, args.caches, args.mcs)
     print(count)
     group = len(args.grid.symmetry_permutations())
     print(f"symmetry-reduced estimate: >= {-(-count // group)}")
-    _write_manifest(args, [], [])
-    return 0
+    return [], []
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[list[int], list[str]]:
     placement = _load_placement(args.placement)
     spec = _traffic_from_args(args)
-    outputs = []
-    if args.out_loads:
-        loads = channel_loads(flow_set(placement, spec), placement.grid)
-        with open(args.out_loads, "w", newline="") as fh:
-            loads.write_csv(fh)
-        outputs.append(args.out_loads)
+    outputs: list[str] = []
+    _write(outputs, args.out_loads,
+           lambda fh: channel_loads(flow_set(placement, spec), placement.grid).write_csv(fh))
     report = None
     if args.mode is Mode.HIGH:
         report = packet_delay_inspector(placement, spec)
-        if args.out_routers:
-            with open(args.out_routers, "w", newline="") as fh:
-                report.write_router_csv(fh)
-            outputs.append(args.out_routers)
-        if args.out_flows:
-            with open(args.out_flows, "w", newline="") as fh:
-                report.write_flow_csv(fh)
-            outputs.append(args.out_flows)
+        _write(outputs, args.out_routers, report.write_router_csv)
+        _write(outputs, args.out_flows, report.write_flow_csv)
     elif args.out_routers or args.out_flows:
         print("note: --out-routers/--out-flows apply to --mode high only",
               file=sys.stderr)
@@ -191,15 +189,11 @@ def cmd_analyze(args) -> int:
         print(f"{lat.objective_value!r},{args.mode.value}")
     else:
         print(f"objective {lat.objective_value:.6g} ({args.mode.value} traffic)")
-    if args.out_report:
-        with open(args.out_report, "w") as fh:
-            lat.write_json(fh)
-        outputs.append(args.out_report)
-    _write_manifest(args, [], outputs)
-    return 0
+    _write(outputs, args.out_report, lat.write_json)
+    return [], outputs
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[list[int], list[str]]:
     from .optimizer import SearchSpace, exhaustive_search, local_search, two_phase_optimize
 
     space = SearchSpace(
@@ -226,15 +220,13 @@ def cmd_optimize(args) -> int:
     show = result.best if args.all_ties else result.best[:1]
     for p in show:
         print(p.to_text())
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
-        outputs.append(args.out)
-    _write_manifest(args, seeds, outputs)
-    return 0
+    outputs: list[str] = []
+    _write(outputs, args.out,
+           lambda fh: print(json.dumps(result.to_json_dict(), indent=2), file=fh))
+    return seeds, outputs
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list[int], list[str]]:
     from .simulator import run_sim
 
     placement = _load_placement(args.placement)
@@ -242,18 +234,16 @@ def cmd_simulate(args) -> int:
     stats = run_sim(_sim_config(args, placement, seed))
     print(f"mean latency {stats.mean_latency:.6g} +- {stats.ci95:.3g} "
           f"({stats.latency_samples} samples{', saturated' if stats.saturated else ''})")
-    outputs = []
-    if args.out:
-        Path(args.out).write_text(json.dumps(stats.to_json_dict(), indent=2) + "\n")
-        outputs.append(args.out)
-    _write_manifest(args, [seed], outputs)
-    return 0
+    outputs: list[str] = []
+    _write(outputs, args.out,
+           lambda fh: print(json.dumps(stats.to_json_dict(), indent=2), file=fh))
+    return [seed], outputs
 
 
 _FAMILY_OF_NAME = {f.value: f for f in CanonicalFamily}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[list[int], list[str]]:
     from .simulator import sweep_latency, write_sweep_csv
 
     families, rates = args.families, args.rates
@@ -271,53 +261,28 @@ def cmd_sweep(args) -> int:
     seeds = [seed0 + i for i in range(args.seeds)]
     base = _sim_config(args, placements[0][1], seed0)
     rows = sweep_latency(placements, rates, base, seeds, jobs=args.jobs)
-    with open(args.out, "w", newline="") as fh:
-        write_sweep_csv(rows, fh)
+    outputs: list[str] = []
+    _write(outputs, args.out, lambda fh: write_sweep_csv(rows, fh))
     best = min(rows, key=lambda r: r.mean_latency)
     print(f"wrote {args.out}: best cell {best.family} at rate {best.lambda_g} "
           f"(mean inter-arrival {1.0 / best.lambda_g:.4g}), latency {best.mean_latency:.6g}")
-    _write_manifest(args, seeds, [args.out])
-    return 0
+    return seeds, outputs
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[list[int], list[str]]:
     from .simulator import compare_to_analytical
 
     placement = _load_placement(args.placement)
     seed = _require_seed(args)
     report = compare_to_analytical(_sim_config(args, placement, seed))
-    outputs = []
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            report.write_csv(fh)
-        outputs.append(args.out)
+    outputs: list[str] = []
+    _write(outputs, args.out, report.write_csv)
     if report.analytical_available:
         print(f"max rel err {report.max_rel_err:.4g}, mean rel err {report.mean_rel_err:.4g} "
               f"over {len(report.rows)} channels")
     else:
         print(report.detail)
-    _write_manifest(args, [seed], outputs)
-    return 0
-
-
-def _add_traffic_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda-g", type=float, default=0.1, dest="lambda_g",
-                   help="per-core packet generation rate")
-    p.add_argument("--miss-l1", type=float, default=1.0, dest="miss_l1",
-                   help="fraction of requests entering the network (default 1.0)")
-    p.add_argument("--miss-l2", type=float, default=0.1, dest="miss_l2",
-                   help="fraction of cache traffic forwarded to memory controllers")
-    p.add_argument("--mean-service", type=float, default=1.0,
-                   help="mean per-hop service time for the analytical models")
-
-
-def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=10.0, help="router service rate, packets/time")
-    p.add_argument("--mean-message-size", type=float, default=10.0,
-                   help="mean message length in packets")
-    p.add_argument("--messages", type=int, default=100_000)
-    p.add_argument("--warmup", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
+    return [seed], outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,33 +293,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nocplace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="count placements for given node counts")
-    p.add_argument("--grid", type=_parse_grid, required=True)
-    p.add_argument("--cores", type=int, required=True)
-    p.add_argument("--caches", type=int, required=True)
-    p.add_argument("--mcs", type=int, default=0)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_count)
+    # Option groups, each declared once and shared by the commands that take it.
+    counts = _Parser(add_help=False)
+    counts.add_argument("--grid", type=_parse_grid, required=True)
+    counts.add_argument("--cores", type=int, required=True)
+    counts.add_argument("--caches", type=int, required=True)
+    counts.add_argument("--mcs", type=int, default=0)
+    placement = _Parser(add_help=False)
+    placement.add_argument("--placement", required=True)
+    model = _Parser(add_help=False)
+    model.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.LOW)
+    model.add_argument("--mean-service", type=float, default=1.0,
+                       help="mean per-hop service time for the analytical models")
+    traffic = _Parser(add_help=False)
+    traffic.add_argument("--lambda-g", type=float, default=0.1, dest="lambda_g",
+                         help="per-core packet generation rate")
+    traffic.add_argument("--miss-l1", type=float, default=1.0, dest="miss_l1",
+                         help="fraction of requests entering the network (default 1.0)")
+    traffic.add_argument("--miss-l2", type=float, default=0.1, dest="miss_l2",
+                         help="fraction of cache traffic forwarded to memory controllers")
+    sim = _Parser(add_help=False)
+    sim.add_argument("--mu", type=float, default=10.0, help="router service rate, packets/time")
+    sim.add_argument("--mean-message-size", type=float, default=10.0,
+                     help="mean message length in packets")
+    sim.add_argument("--messages", type=int, default=100_000)
+    sim.add_argument("--warmup", type=float, default=0.1)
+    sim.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("analyze", help="channel loads and latency model for a placement file")
-    p.add_argument("--placement", required=True)
-    p.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.LOW)
-    _add_traffic_args(p)
+    def command(name, func, help, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=groups)
+        p.add_argument("--manifest", help="write a JSON run manifest here")
+        p.set_defaults(func=func)
+        return p
+
+    command("count", cmd_count, "count placements for given node counts", counts)
+
+    p = command("analyze", cmd_analyze, "channel loads and latency model for a placement file",
+                placement, model, traffic)
     p.add_argument("--mem-fixed-latency", type=float, default=0.0)
     p.add_argument("--out-loads", help="write channel load CSV here")
     p.add_argument("--out-routers", help="write per-router queue CSV here (high mode)")
     p.add_argument("--out-flows", help="write per-flow delay CSV here (high mode)")
     p.add_argument("--out-report", help="write the latency report JSON here")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("optimize", help="search placements for the minimum objective")
-    p.add_argument("--grid", type=_parse_grid, required=True)
-    p.add_argument("--cores", type=int, required=True)
-    p.add_argument("--caches", type=int, required=True)
-    p.add_argument("--mcs", type=int, default=0)
-    p.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.LOW)
+    p = command("optimize", cmd_optimize, "search placements for the minimum objective",
+                counts, model, traffic)
     p.add_argument("--method", choices=["exhaustive", "two-phase", "local"],
                    default="exhaustive")
     p.add_argument("--budget", type=int, default=None,
@@ -364,24 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--all-ties", action="store_true",
                    help="print every tied optimum, not just the first")
-    _add_traffic_args(p)
     p.add_argument("--out", help="write the SearchResult JSON here")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("simulate", help="discrete-event simulation of one placement")
-    p.add_argument("--placement", required=True)
-    _add_traffic_args(p)
-    _add_sim_args(p)
+    p = command("simulate", cmd_simulate, "discrete-event simulation of one placement",
+                placement, traffic, sim)
     p.add_argument("--out", help="write SimStats JSON here")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="latency sweep over canonical families and rates")
-    p.add_argument("--grid", type=_parse_grid, required=True)
-    p.add_argument("--cores", type=int, required=True)
-    p.add_argument("--caches", type=int, required=True)
-    p.add_argument("--mcs", type=int, default=0)
+    p = command("sweep", cmd_sweep, "latency sweep over canonical families and rates",
+                counts, traffic, sim)
     p.add_argument("--families", type=_parse_list,
                    default="central,concentric,striped,checkerboard,distributed")
     p.add_argument("--rates", type=_parse_rates, required=True,
@@ -391,19 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--stripe-width", type=int, default=1)
     p.add_argument("--cluster", type=int, default=2)
-    _add_traffic_args(p)
-    _add_sim_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", help="simulated vs analytical per-router response times")
-    p.add_argument("--placement", required=True)
-    _add_traffic_args(p)
-    _add_sim_args(p)
+    p = command("compare", cmd_compare, "simulated vs analytical per-router response times",
+                placement, traffic, sim)
     p.add_argument("--out", help="write the delta CSV here")
-    p.add_argument("--manifest")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -411,13 +377,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The manifest is written only after the command succeeds.
+        _write_manifest(args, *args.func(args))
     except NocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # a file named on the command line
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,9 +22,10 @@ bit for bit:
   raise ``TieUnresolved``.
 
 The working set is bounded: generations come in windows of ``_WINDOW``, and
-only the messages in flight are kept, 30 bytes each, in a store of at most
-two windows. Beyond that a run keeps 16 bytes per message: its latency and
-delivery time. Fewer, larger windows make fewer numpy calls per message.
+only the messages in flight are kept, 30 bytes each: each window's store is
+the undelivered tail of the last one followed by the new window. Beyond that
+a run keeps 16 bytes per message: its latency and delivery time. Fewer,
+larger windows make fewer numpy calls per message.
 """
 
 from __future__ import annotations
@@ -208,14 +209,14 @@ class _FeedForward:
         self.warmup_count = int(config.warmup_frac * messages)
         self.stats_start = 0.0 if self.warmup_count == 0 else math.inf
 
-        # Messages: index i holds message base + i; lo:size may be in flight.
-        # Each holds its generation time, service time and flow, the time of
-        # its latest event and the level of its next channel.
+        # Messages that may be in flight, in generation order, and the count
+        # of generations so far. Each holds its generation time, service
+        # time and flow, the time of its latest event and the level of its
+        # next channel.
         fields = {"t0": np.float64, "svc": np.float64, "cur": np.float64, "flow": np.int32,
                   "next": np.int16}
-        cap = min(2 * _WINDOW, messages)
-        self.msg = {name: np.empty(cap, dtype) for name, dtype in fields.items()}
-        self.base = self.size = self.lo = 0
+        self.msg = {name: np.empty(0, dtype) for name, dtype in fields.items()}
+        self.generated = 0
 
         # Channels: whether a message used it, each server's free time; the
         # event engine's running sums, side by side (response, service,
@@ -254,33 +255,22 @@ class _FeedForward:
         return self._stats()
 
     def _generate(self, times, cores, caches, lengths) -> None:
-        """Append one window of generations, dropping delivered messages."""
-        c = times.size
-        msg = self.msg
-        if self.size + c > msg["t0"].size:
-            keep = self.size - self.lo
-            for name, a in msg.items():
-                if keep + c > a.size:
-                    msg[name] = np.empty(2 * (keep + c), a.dtype)
-                msg[name][:keep] = a[self.lo:self.size]
-            self.base, self.size, self.lo = self.base + self.lo, keep, 0
-        g0 = self.base + self.size
-        new = slice(self.size, self.size + c)
-        self.size += c
-        msg["t0"][new] = msg["cur"][new] = times
-        msg["svc"][new] = lengths / self.config.mu
-        msg["flow"][new] = cores * self.n_caches + caches
-        msg["next"][new] = 0
+        """Append one window of generations to the messages in flight."""
+        c, g0 = times.size, self.generated
+        self.generated += c
+        new = {"t0": times, "svc": lengths / self.config.mu, "cur": times,
+               "flow": cores * self.n_caches + caches, "next": np.zeros(c, np.int16)}
+        self.msg = {name: np.concatenate((a, new[name]), dtype=a.dtype)
+                    for name, a in self.msg.items()}
         if g0 < self.warmup_count <= g0 + c:
             self.stats_start = float(times[self.warmup_count - 1 - g0])
 
     def _level(self, level: int, stop: float) -> None:
         """Serve the arrivals before ``stop`` at the channels of one level
         and fold that level's events before ``stop`` into the running sums."""
-        msg, lo, size = self.msg, self.lo, self.size
+        msg = self.msg
         cur = msg["cur"]
-        sel = np.flatnonzero((msg["next"][lo:size] == level) & (cur[lo:size] < stop))
-        sel += lo
+        sel = np.flatnonzero((msg["next"] == level) & (cur < stop))
         if not sel.size:
             if self.pending[level].size:
                 empty = np.empty(0)
@@ -392,15 +382,15 @@ class _FeedForward:
     def _deliver(self, start: float, stop: float) -> None:
         """Record the deliveries in [start, stop) in message order, which is
         each flow's delivery order: a flow's messages share every channel of
-        their path, and each channel is FIFO."""
-        msg, lo, size, done = self.msg, self.lo, self.size, self.done
-        cur = msg["cur"][lo:size]
-        waiting = (msg["next"][lo:size] != done) | (cur >= stop)
-        fin = np.flatnonzero(~waiting & (cur >= start) & (msg["t0"][lo:size] >= self.stats_start))
-        fin += lo
+        their path, and each channel is FIFO. Drops the messages before the
+        first one still waiting."""
+        msg = self.msg
+        cur = msg["cur"]
+        waiting = (msg["next"] != self.done) | (cur >= stop)
+        fin = np.flatnonzero(~waiting & (cur >= start) & (msg["t0"] >= self.stats_start))
         new = slice(self.n_lat, self.n_lat + fin.size)
         self.n_lat += fin.size
-        self.lat_t[new] = msg["cur"][fin]
+        self.lat_t[new] = cur[fin]
         self.lat[new] = lat = self.lat_t[new] - msg["t0"][fin]
         f = msg["flow"][fin]
         self.flow_n += np.bincount(f, minlength=self.flow_n.size)
@@ -408,7 +398,8 @@ class _FeedForward:
                                     np.concatenate((self.flow_sum, lat)),
                                     minlength=self.flow_sum.size)
         first = np.flatnonzero(waiting)
-        self.lo += int(first[0]) if first.size else size - lo
+        keep = int(first[0]) if first.size else cur.size
+        self.msg = {name: a[keep:] for name, a in msg.items()}
 
     def _stats(self) -> SimStats:
         channel_ids = np.flatnonzero(self.used)

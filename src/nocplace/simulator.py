@@ -48,7 +48,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -139,35 +139,21 @@ class SimStats:
     window: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_latency": self.mean_latency,
-            "ci95": self.ci95,
-            "latency_samples": self.latency_samples,
-            "messages_generated": self.messages_generated,
-            "messages_completed": self.messages_completed,
-            "derived_generated": self.derived_generated,
-            "derived_completed": self.derived_completed,
-            "saturated": self.saturated,
-            "duration": self.duration,
-            "window": self.window,
-            "channels": [
-                {
-                    "x": coord.x, "y": coord.y, "port": port.value,
-                    "arrivals": st.arrivals, "completions": st.completions,
-                    "mean_service": st.mean_service,
-                    "utilization": st.utilization,
-                    "throughput": st.throughput,
-                    "mean_queue_len": st.mean_queue_len,
-                    "mean_response": st.mean_response,
-                }
-                for (coord, port), st in self.channels.items()
-            ],
-            "flows": [
-                {"src_x": src.x, "src_y": src.y, "dst_x": dst.x, "dst_y": dst.y,
-                 "mean_latency": latency}
-                for (src, dst), latency in self.flow_latency.items()
-            ],
-        }
+        """The scalar fields in declaration order, then the channels and the
+        flows, each channel with its ``ChannelStats`` fields."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("channels", "flow_latency")}
+        out["channels"] = [
+            {"x": coord.x, "y": coord.y, "port": port.value,
+             **{f.name: getattr(st, f.name) for f in fields(st)}}
+            for (coord, port), st in self.channels.items()
+        ]
+        out["flows"] = [
+            {"src_x": src.x, "src_y": src.y, "dst_x": dst.x, "dst_y": dst.y,
+             "mean_latency": latency}
+            for (src, dst), latency in self.flow_latency.items()
+        ]
+        return out
 
 
 def run_sim(config: SimConfig) -> SimStats:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from nocplace import (CanonicalFamily, Coord, MeshGrid, OutOfBoundsError, Placement,
                       canonical_placement, local_search, manhattan)
 from nocplace import optimizer
-from nocplace.cli import main
+from nocplace.cli import build_parser, main
 
 
 def write_placement(tmp_path, placement, name="placement.txt"):
@@ -273,6 +274,33 @@ class TestManifest:
         assert pfile in data["input_hashes"]
 
 
+COUNTS = {"--grid", "--cores", "--caches", "--mcs"}
+TRAFFIC = {"--lambda-g", "--miss-l1", "--miss-l2"}
+SIM = {"--mu", "--mean-message-size", "--messages", "--warmup", "--seed"}
+COMMON = {"-h", "--help", "--manifest"}
+OPTIONS = {
+    "count": COUNTS,
+    "analyze": {"--placement", "--mode", "--mean-service", *TRAFFIC, "--mem-fixed-latency",
+                "--out-loads", "--out-routers", "--out-flows", "--out-report", "--format"},
+    "optimize": {*COUNTS, "--mode", "--mean-service", *TRAFFIC, "--method", "--budget",
+                 "--seed", "--jobs", "--all-ties", "--out"},
+    # The simulator's mean service time is --mean-message-size / --mu.
+    "simulate": {"--placement", *TRAFFIC, *SIM, "--out"},
+    "sweep": {*COUNTS, *TRAFFIC, *SIM, "--families", "--rates", "--seeds", "--rings",
+              "--jobs", "--stripe-width", "--cluster", "--out"},
+    "compare": {"--placement", *TRAFFIC, *SIM, "--out"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    for name, parser in sub.choices.items():
+        taken = {s for action in parser._actions for s in action.option_strings}
+        assert taken == OPTIONS[name] | COMMON, name
+
+
 SWEEP = ["sweep", "--grid", "4x4", "--cores", "12", "--caches", "4", "--seed", "1",
          "--out", "{tmp}/s.csv"]
 
@@ -286,10 +314,12 @@ SWEEP = ["sweep", "--grid", "4x4", "--cores", "12", "--caches", "4", "--seed", "
     ["analyze", "--placement", "{tmp}/missing.txt"],
     ["simulate", "--placement", "{tmp}/missing.txt", "--seed", "1"],
     ["compare", "--placement", "{tmp}/missing.txt", "--seed", "1"],
+    ["simulate", "--placement", "{tmp}/missing.txt", "--seed", "1", "--mean-service", "2"],
     ["optimize", "--grid", "3x3", "--cores", "4", "--caches", "1", "--jobs", "0"],
     SWEEP + ["--rates", "0.1", "--jobs", "0"],
 ], ids=["grid-0x8", "grid-20x20", "rates", "seeds", "families", "analyze-missing",
-        "simulate-missing", "compare-missing", "optimize-jobs", "sweep-jobs"])
+        "simulate-missing", "compare-missing", "simulate-mean-service",
+        "optimize-jobs", "sweep-jobs"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     try:
         code = main([a.format(tmp=tmp_path) for a in argv])
