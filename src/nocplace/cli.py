@@ -126,7 +126,22 @@ def _write(outputs: list[str], path: str | None, write: Callable[[IO[str]], obje
         outputs.append(path)
 
 
-def _write_manifest(args, seeds: list[int], outputs: list[str]) -> None:
+def _spelling(value):
+    """A parsed option value as its option spells it: ``3x3``, ``high``, a
+    comma-joined list."""
+    if isinstance(value, MeshGrid):
+        return f"{value.width}x{value.height}"
+    if isinstance(value, Mode):
+        return value.value
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return value
+
+
+def _write_manifest(args, argv: list[str], seeds: list[int], outputs: list[str]) -> None:
+    """The run manifest: ``argv`` as given, which reruns the command (with
+    ``--seed`` from ``seeds`` when the seed was generated), and each
+    parameter in the spelling its option parses."""
     if not args.manifest:
         return
     hashes = {}
@@ -135,9 +150,10 @@ def _write_manifest(args, seeds: list[int], outputs: list[str]) -> None:
         hashes[placement] = hashlib.sha256(Path(placement).read_bytes()).hexdigest()
     manifest = {
         "command": args.command,
+        "argv": argv,
         "version": __version__,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k != "manifest" and not callable(v)},
+        "parameters": {k: _spelling(v) for k, v in vars(args).items()
+                       if k not in ("command", "manifest") and not callable(v)},
         "seeds": seeds,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "input_hashes": hashes,
@@ -374,11 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # The manifest is written only after the command succeeds.
-        _write_manifest(args, *args.func(args))
+        _write_manifest(args, argv, *args.func(args))
     except NocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

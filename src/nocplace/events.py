@@ -27,7 +27,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict, deque
 from heapq import heappop, heappush
 from itertools import count
 
@@ -35,7 +35,6 @@ import numpy as np
 
 from .routing import _E, _L, _N, _S, _W, N_PORTS
 from .simulator import SimConfig, SimStats, _injection, _sim_stats
-from .traffic import resolve
 
 
 class _Channel:
@@ -51,14 +50,6 @@ class _Channel:
         self.completions = 0
         self.resp_sum = 0.0
         self.svc_sum = 0.0
-
-
-class _Channels(dict):
-    """Channels by id, each one built on its first lookup."""
-
-    def __missing__(self, c: int) -> _Channel:
-        channel = self[c] = _Channel()
-        return channel
 
 
 class _Message:
@@ -94,17 +85,15 @@ def _route(width: int, src: int, dst: int) -> list[int]:
 
 def run_events(config: SimConfig) -> SimStats:
     """Simulate ``config`` on the event engine (see the module docstring)."""
-    placement = config.placement
-    grid = placement.grid
+    grid = config.placement.grid
     n_tiles = grid.n_tiles
     spec = config.traffic
-    r = resolve(placement, spec)
+    r, inj, active_cores, warmup_count = _injection(config)
     rng = random.Random(config.seed)
     uniform = rng.random
     log = math.log
     mu = config.mu
     size_rate = 1.0 / config.mean_message_size
-    inj, active_cores = _injection(config, r)
     messages = config.messages
 
     cores, caches, mcs = (ids.tolist() for ids in (r.core_ids, r.cache_ids, r.mc_ids))
@@ -121,10 +110,9 @@ def run_events(config: SimConfig) -> SimStats:
     # built on first use, so only channels on some drawn path appear in
     # ``SimStats.channels``.
     width = grid.width
-    channels = _Channels()
+    channels: defaultdict[int, _Channel] = defaultdict(_Channel)
     paths: dict[int, list[_Channel]] = {}
 
-    warmup_count = int(config.warmup_frac * messages)
     stats_start = 0.0 if warmup_count == 0 else math.inf
 
     heap: list = []
@@ -247,8 +235,6 @@ def run_events(config: SimConfig) -> SimStats:
     # The heap is empty, so is every queue: closing the clocks at the end
     # adds no area and no busy time.
     end_t = max((ch.last_t for ch in channels.values()), default=0.0)
-    if stats_start == math.inf:
-        stats_start = end_t
     return _sim_stats(
         grid,
         ((cid, ch.arrivals, ch.completions, ch.busy, ch.area, ch.resp_sum, ch.svc_sum)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .routing import _E, _L, _N, _S, _W, N_PORTS
 from .simulator import SimConfig, SimStats, _injection, _sim_stats
-from .traffic import resolve
 
 # Generations per window of the feed-forward engine. Its working set is
 # about two windows of messages plus one level's arrays; fewer, larger
@@ -170,16 +169,14 @@ class _FeedForward:
         self.config = config
         self.grid = grid
         w, h, n_tiles = grid.width, grid.height, grid.n_tiles
-        r = resolve(config.placement, config.traffic)
+        r, self.inj, self.active_cores, self.warmup_count = _injection(config)
         self.cum_p = np.cumsum(r.p, axis=1)
-        self.inj, self.active_cores = _injection(config, r)
         n_cores, n_caches = len(r.core_ids), len(r.cache_ids)
         self.n_caches = n_caches
         n_flows = n_cores * n_caches
         self.n_ch = n_ch = n_tiles * N_PORTS
         self.w = w
         self.n_levels = w + h - 1
-        self.done = self.n_levels
 
         # Per flow (core index * n_caches + cache index): its endpoints, the
         # channel at level L as base + step * L within each phase, and its
@@ -202,11 +199,10 @@ class _FeedForward:
         self.y_step = np.where(south, w * N_PORTS, -w * N_PORTS).astype(np.int16)
         self.x_last = np.where(east, dx, w - 1 - dx)
         self.y_last = (w - 1) + np.where(south, dy, h - 1 - dy)
-        self.after_x = np.where(dy != sy, (w - 1) + np.where(south, sy + 1, h - sy), self.done)
+        self.after_x = np.where(dy != sy, (w - 1) + np.where(south, sy + 1, h - sy), self.n_levels)
         self.after_local = np.where(dx != sx, np.where(east, sx + 1, w - sx), self.after_x)
 
         messages = config.messages
-        self.warmup_count = int(config.warmup_frac * messages)
         self.stats_start = 0.0 if self.warmup_count == 0 else math.inf
 
         # Messages that may be in flight, in generation order, and the count
@@ -218,13 +214,12 @@ class _FeedForward:
         self.msg = {name: np.empty(0, dtype) for name, dtype in fields.items()}
         self.generated = 0
 
-        # Channels: whether a message used it, each server's free time; the
-        # event engine's running sums, side by side (response, service,
+        # Channels: each server's free time (-inf until a message uses it);
+        # the event engine's running sums, side by side (response, service,
         # queue-length area, busy time) so that one ``bincount`` adds a
         # level's terms; the queue length and time of the last event folded
         # into the area, and per level the departures not yet folded as
         # channel + 1j * time, in channel and time order.
-        self.used = np.zeros(n_ch, dtype=bool)
         self.free = np.full(n_ch, -math.inf)
         self.arrivals = np.zeros(n_ch, dtype=np.int64)
         self.sums = np.zeros(4 * n_ch)
@@ -315,8 +310,7 @@ class _FeedForward:
         elif level < self.w:
             msg["next"][sel] = np.where(level < self.x_last[f], level + 1, self.after_x[f])
         else:
-            msg["next"][sel] = np.where(level < self.y_last[f], level + 1, self.done)
-        self.used[hc] = True
+            msg["next"][sel] = np.where(level < self.y_last[f], level + 1, self.n_levels)
         self.free[hc] = dep[np.append(heads[1:], sel.size) - 1]
         return dep, svc
 
@@ -386,7 +380,7 @@ class _FeedForward:
         first one still waiting."""
         msg = self.msg
         cur = msg["cur"]
-        waiting = (msg["next"] != self.done) | (cur >= stop)
+        waiting = (msg["next"] != self.n_levels) | (cur >= stop)
         fin = np.flatnonzero(~waiting & (cur >= start) & (msg["t0"] >= self.stats_start))
         new = slice(self.n_lat, self.n_lat + fin.size)
         self.n_lat += fin.size
@@ -402,7 +396,7 @@ class _FeedForward:
         self.msg = {name: a[keep:] for name, a in msg.items()}
 
     def _stats(self) -> SimStats:
-        channel_ids = np.flatnonzero(self.used)
+        channel_ids = np.flatnonzero(self.free != -math.inf)
         resp_sum, svc_sum, area, busy = self.sums.reshape(4, self.n_ch)[:, channel_ids].tolist()
         arrivals = self.arrivals[channel_ids].tolist()
         flows = np.flatnonzero(self.flow_n)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .mesh import Coord, MeshGrid, Placement
 from .queueing import PAPER, solve_network
-from .routing import channel_loads, flow_set
+from .routing import _port_sum, channel_loads, flow_set
 from .traffic import TrafficSpec, resolve
 
 
@@ -155,14 +155,4 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     last axis, so those rows are added a column at a time instead."""
     if terms.shape[-1] >= 8:
         return terms.sum(axis=-1)
-    return _sum_in_order(terms)
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """``terms`` added up along the last axis one term at a time from 0.0,
-    as Python's ``sum`` adds them; on rows of ``_compose``'s totals, the
-    objective values of their placements."""
-    acc = np.zeros(terms.shape[:-1])
-    for j in range(terms.shape[-1]):
-        acc = acc + terms[..., j]
-    return acc
+    return _port_sum(terms)

@@ -67,10 +67,12 @@ _N, _S, _E, _W, _L = range(N_PORTS)
 
 
 def _port_sum(a: np.ndarray) -> np.ndarray:
-    # Sum over the last axis in port order, one add at a time: an idle port
-    # adds an exact zero, so padded and unpadded routers agree bit for bit.
-    acc = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
+    """``a`` added up along the last axis one term at a time from 0.0, as
+    Python's ``sum`` adds them. Over ports, an idle port adds an exact zero,
+    so padded and unpadded routers agree bit for bit; over a placement's
+    per-core totals (``latency._compose``), it gives the objective value."""
+    acc = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
         acc += a[..., j]
     return acc
 

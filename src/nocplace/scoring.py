@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .latency import _compose, _hop_transit, _sum_in_order
+from .latency import _compose, _hop_transit
 from .mesh import _CHAR_OF_KIND, MeshGrid, NodeKind, placement_from_string
 from .queueing import OK, PAPER, _fixed_point
-from .routing import N_PORTS, _stacked_flows
+from .routing import N_PORTS, _port_sum, _stacked_flows
 from .segments import link_transit, superpose
 from .traffic import ResolvedTraffic, TrafficSpec, nearest_split, resolve
 
@@ -72,7 +72,7 @@ def low_objective_batch(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> 
     step = max(1, _LOW_HOPS // max(1, n_cores * n_caches + n_caches * n_mcs))
     for i in range(0, len(rows), step):
         cores, caches, mcs, q = _local_ids(grid, rows[i:i + step], r)
-        values[i:i + step] = _sum_in_order(_compose(spec, r.p, q, transit, cores, caches, mcs)[2])
+        values[i:i + step] = _port_sum(_compose(spec, r.p, q, transit, cores, caches, mcs)[2])
     return values
 
 
@@ -205,5 +205,5 @@ def _finish(grid: MeshGrid, spec: TrafficSpec, r: ResolvedTraffic, memo: _Router
         transit = link_transit(grid, memo.rt[refs.ravel()])
         total = _compose(spec, r.p, None if q is None else q[ok], transit,
                          cores[ok], caches[ok], mcs[ok])[2]
-        values[ok] = _sum_in_order(total)
+        values[ok] = _port_sum(total)
     return values, causes

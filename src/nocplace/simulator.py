@@ -57,13 +57,17 @@ from .errors import InvalidConfigError, UnstableError
 from .mesh import Coord, NodeKind, Placement
 from .queueing import PAPER, packet_delay_inspector
 from .routing import N_PORTS, PORT_ORDER, Port
-from .traffic import TrafficSpec
+from .traffic import ResolvedTraffic, TrafficSpec, resolve
 
 # t critical values (two-sided 95%) for small seed counts, df 1..9
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
         6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262}
 
 SATURATION_TREND_RATIO = 1.5
+
+# Post-warmup completions a channel needs before ``compare_to_analytical``
+# tabulates it: fewer leave its sample mean response time mostly noise.
+MIN_COMPLETIONS = 100
 
 
 @dataclass(frozen=True)
@@ -184,13 +188,18 @@ def run_sim(config: SimConfig) -> SimStats:
     return run_events(config)
 
 
-def _injection(config: SimConfig, resolved) -> tuple[list[float], list[int]]:
-    """Per-core injection rates and the indices of the cores that inject."""
-    inj = (resolved.lam * config.traffic.miss_l1).tolist()
+def _injection(config: SimConfig) -> tuple[ResolvedTraffic, list[float], list[int], int]:
+    """The set-up both engines share: the resolved traffic, each core's
+    injection rate, the indices of the cores that inject, and the warmup
+    count. The statistics window opens at the warmup-th generation, or at
+    time 0 when the count is 0; a budget is at least 1, so that generation
+    always happens."""
+    r = resolve(config.placement, config.traffic)
+    inj = (r.lam * config.traffic.miss_l1).tolist()
     active_cores = [i for i, rate in enumerate(inj) if rate > 0.0]
-    if not active_cores and config.messages > 0:
+    if not active_cores:
         raise InvalidConfigError("no core has a positive injection rate")
-    return inj, active_cores
+    return r, inj, active_cores, int(config.warmup_frac * config.messages)
 
 
 def _sim_stats(grid, channels, lat: np.ndarray, lat_t: np.ndarray, flows, end_t: float,
@@ -357,13 +366,12 @@ class CompareReport:
                         repr(ana_rt), repr(err)])
 
 
-def compare_to_analytical(config: SimConfig, queue_mode: str = PAPER,
-                          min_completions: int = 100) -> CompareReport:
+def compare_to_analytical(config: SimConfig, queue_mode: str = PAPER) -> CompareReport:
     """Run the simulator and the packet delay inspector on one configuration
     and tabulate per-channel response-time deltas.
 
-    Channels with fewer than ``min_completions`` post-warmup completions are
-    skipped (their sample means carry no signal). An unstable analytical
+    Channels with fewer than ``MIN_COMPLETIONS`` post-warmup completions
+    are skipped (their sample means carry no signal). An unstable analytical
     fixed point is reported, not raised; simulated values are still returned.
     """
     sim = run_sim(config)
@@ -377,7 +385,7 @@ def compare_to_analytical(config: SimConfig, queue_mode: str = PAPER,
 
     rows = []
     for (coord, port), st in sim.channels.items():
-        if st.completions < min_completions:
+        if st.completions < MIN_COMPLETIONS:
             continue
         if report is None:
             ana_rt = err = math.nan

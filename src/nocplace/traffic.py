@@ -82,11 +82,11 @@ class ResolvedTraffic:
     """TrafficSpec bound to a concrete placement.
 
     ``core_ids``/``cache_ids``/``mc_ids`` are the row-major tile indices of
-    each kind, ascending, and ``cores``/``caches``/``mcs`` the same tiles as
-    coordinates. ``p[i][j]`` is core i's access probability to cache j;
-    ``q[j][k]`` is the share of cache j's misses sent to memory controller k
-    (nearest controller, uniform split on distance ties); ``lam[i]`` is core
-    i's generation rate. Both latency models compose these into one objective
+    each kind, ascending, and ``cores`` the cores' tiles as coordinates.
+    ``p[i][j]`` is core i's access probability to cache j; ``q[j][k]`` is
+    the share of cache j's misses sent to memory controller k (nearest
+    controller, uniform split on distance ties); ``lam[i]`` is core i's
+    generation rate. Both latency models compose these into one objective
     and differ only in the price of a hop: E{S} in LOW, the solved response
     time of the router entered in HIGH.
     """
@@ -95,8 +95,6 @@ class ResolvedTraffic:
     cache_ids: np.ndarray
     mc_ids: np.ndarray
     cores: tuple[Coord, ...]
-    caches: tuple[Coord, ...]
-    mcs: tuple[Coord, ...]
     lam: np.ndarray
     p: np.ndarray
     q: np.ndarray | None
@@ -111,9 +109,8 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
     grid = placement.grid
     core_ids, cache_ids, mc_ids = (placement.tile_ids(kind)
                                    for kind in (NodeKind.CORE, NodeKind.CACHE, NodeKind.MC))
-    cores, caches, mcs = (tuple(map(grid.coords.__getitem__, ids.tolist()))
-                          for ids in (core_ids, cache_ids, mc_ids))
-    if not caches:
+    cores = tuple(map(grid.coords.__getitem__, core_ids.tolist()))
+    if not cache_ids.size:
         raise NoCachesError("placement has no caches")
 
     if isinstance(spec.lambda_g, (int, float)):
@@ -131,15 +128,15 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
         raise InvalidTrafficError("injection rates must be finite and >= 0")
 
     if spec.p is None:
-        p = np.full((len(cores), len(caches)), 1.0 / len(caches))
+        p = np.full((len(cores), cache_ids.size), 1.0 / cache_ids.size)
     else:
         try:
             p = np.asarray(spec.p, dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidTrafficError(f"p must be a numeric matrix: {exc}") from None
-        if p.shape != (len(cores), len(caches)):
+        if p.shape != (len(cores), cache_ids.size):
             raise InvalidTrafficError(
-                f"p has shape {p.shape}, expected ({len(cores)}, {len(caches)})"
+                f"p has shape {p.shape}, expected ({len(cores)}, {cache_ids.size})"
             )
         # Written so that NaN fails too: it compares false both ways.
         if np.any(~((p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL))):
@@ -150,8 +147,8 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
                 f"rows of p must sum to 1 (core indices {np.nonzero(bad)[0].tolist()})"
             )
 
-    q = nearest_split(grid.hops[cache_ids][:, mc_ids]) if mcs else None
-    return ResolvedTraffic(core_ids, cache_ids, mc_ids, cores, caches, mcs, lam, p, q)
+    q = nearest_split(grid.hops[cache_ids][:, mc_ids]) if mc_ids.size else None
+    return ResolvedTraffic(core_ids, cache_ids, mc_ids, cores, lam, p, q)
 
 
 def nearest_split(hops: np.ndarray) -> np.ndarray:

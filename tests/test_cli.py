@@ -1,6 +1,8 @@
 import argparse
 import csv
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,11 +55,13 @@ class TestCount:
 
 class TestOptimize:
     def test_center_cache_3x3(self, capsys):
-        assert main(["optimize", "--grid", "3x3", "--cores", "8", "--caches", "1",
-                     "--mcs", "0", "--mode", "low", "--method", "exhaustive"]) == 0
-        out = capsys.readouterr().out
-        # Unique optimum: cache at the center tile.
-        assert "CCC\nC$C\nCCC" in out
+        # Without controllers the two-phase search is the exhaustive one.
+        for method in ("exhaustive", "two-phase"):
+            assert main(["optimize", "--grid", "3x3", "--cores", "8", "--caches", "1",
+                         "--mcs", "0", "--mode", "low", "--method", method]) == 0
+            out = capsys.readouterr().out
+            # Unique optimum: cache at the center tile.
+            assert "CCC\nC$C\nCCC" in out
 
     def test_budget_exceeded_exit_1(self, capsys):
         assert main(["optimize", "--grid", "8x8", "--cores", "48",
@@ -157,6 +161,9 @@ class TestAnalyze:
         assert main(["analyze", "--placement", pfile, "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "objective" in data
+        assert main(["analyze", "--placement", pfile, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "objective,mode", f"{data['objective']!r},{data['mode']}"]
 
     def test_json_summary_reports_peak_utilization_in_high_mode(self, tmp_path, capsys):
         p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 12, 4, 0)
@@ -233,6 +240,10 @@ class TestCompareCommand:
         for row in rows:
             for name in ("sim_rt", "analytical_rt", "rel_err"):
                 float(row[name])
+        # An unstable model is reported, not fatal.
+        assert main(["compare", "--placement", pfile, "--lambda-g", "1.5",
+                     "--messages", "2000", "--seed", "2"]) == 0
+        assert "analytical unavailable" in capsys.readouterr().out
 
 
 class TestManifest:
@@ -261,6 +272,53 @@ class TestManifest:
                   "--out", str(out2)]
         assert main(replay) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--grid", "3x3", "--cores", "4", "--caches", "1", "--mode", "high",
+         "--method", "local", "--budget", "40", "--out", "result.json"],
+        ["analyze", "--placement", "placement.txt", "--mode", "high", "--lambda-g", "0.2",
+         "--out-loads", "loads.csv", "--out-routers", "routers.csv", "--out-flows",
+         "flows.csv", "--out-report", "report.json"],
+        ["sweep", "--grid", "4x4", "--cores", "8", "--caches", "4", "--families",
+         "central,distributed", "--rates", "0.05,0.1", "--seeds", "2", "--messages", "400",
+         "--out", "sweep.csv"],
+        ["simulate", "--placement", "placement.txt", "--messages", "500",
+         "--out", "stats.json"],
+        ["compare", "--placement", "placement.txt", "--messages", "2000",
+         "--out", "delta.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_rerun_from_manifest_alone_is_bit_exact(self, argv, tmp_path, monkeypatch, capsys):
+        # A second directory holds only the inputs the manifest hashes. Its
+        # argv, with the generated seed, rewrites every output byte for byte.
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        write_placement(first, canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4),
+                                                   12, 4, 0))
+        monkeypatch.chdir(first)
+        assert main(argv + ["--manifest", "run.json"]) == 0
+        data = json.loads((first / "run.json").read_text())
+        for name, digest in data["input_hashes"].items():
+            shutil.copy(first / name, second / name)
+            assert hashlib.sha256((second / name).read_bytes()).hexdigest() == digest
+        replay = list(data["argv"])
+        if "--seed" not in replay and data["seeds"]:
+            replay += ["--seed", str(data["seeds"][0])]
+        monkeypatch.chdir(second)
+        assert main(replay) == 0
+        assert data["outputs"] == [a for a in argv if a.endswith((".json", ".csv"))]
+        for name in data["outputs"]:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+        # Each parameter is spelled as its option parses it.
+        params = data["parameters"]
+        assert "command" not in params
+        rebuilt = [data["command"]]
+        for key, value in params.items():
+            if value is not None and value is not False:
+                rebuilt += ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+        parse = build_parser().parse_args
+        assert vars(parse(rebuilt)) == {**vars(parse(argv)), "manifest": None}
 
     def test_manifest_records_input_hash_and_seed(self, tmp_path):
         p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(3, 3), 8, 1, 0)

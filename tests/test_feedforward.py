@@ -5,8 +5,10 @@ its working set within the event engine's."""
 
 import gc
 import json
+import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from nocplace import (
     FamilyParams,
     MeshGrid,
     NodeKind,
+    Port,
     SimConfig,
     TrafficSpec,
     build_placement,
@@ -159,17 +162,84 @@ def test_unresolved_tie_falls_back_to_event_engine(monkeypatch):
     assert as_json(run_sim(config)) == as_json(events.run_events(config))
 
 
+class Halves(random.Random):
+    """Every uniform is 0.5, whether drawn by ``random()`` or in bulk by
+    ``feedforward._uniforms``, whose 32-bit word pairs (2**31, 0) make 0.5."""
+
+    def random(self):
+        return 0.5
+
+    def getrandbits(self, k):
+        return int.from_bytes((2**31).to_bytes(8, "little") * (k // 64), "little")
+
+
 def test_simultaneous_generations_are_left_to_the_event_engine():
     # Two cores of one rate that draw the same gap are due at one instant:
     # the event engine pops them in push order, which the generation heap
     # does not keep.
-    class Constant(random.Random):
-        def random(self):
-            return 0.5
-
-    draws = feedforward._draws(Constant(), [0.1, 0.1], [0, 1], np.ones((2, 1)), 10.0, 5)
+    draws = feedforward._draws(Halves(), [0.1, 0.1], [0, 1], np.ones((2, 1)), 10.0, 5)
     with pytest.raises(feedforward.TieUnresolved):
         next(draws)
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """Both engines draw every uniform as 0.5."""
+    constant = SimpleNamespace(Random=Halves)
+    monkeypatch.setattr(feedforward, "random", constant)
+    monkeypatch.setattr(events, "random", constant)
+
+
+def following_rates(service: float) -> list[float]:
+    """Rates whose first generations, every gap ``-log(0.5) / rate``, fall
+    at ``a`` and exactly at ``a + service``: the second core generates
+    when the first core's first message leaves its LOCAL channel."""
+    gap = -math.log(0.5)
+    follow = gap / 0.1 + service
+    rate = gap / follow
+    for _ in range(100):
+        if gap / rate == follow:
+            return [0.1, rate]
+        rate = math.nextafter(rate, 0.0 if gap / rate < follow else 1.0)
+    raise AssertionError("no rate puts the second generation there")
+
+
+# Two cores in a row before one cache: the core at (0, 0) passes the core
+# at (1, 0) on its way east. Every length is round(10 * log 2) = 7 packets,
+# 0.7 time units at mu 10.
+ROW = place(MeshGrid(3, 1), cores=[Coord(0, 0), Coord(1, 0)], caches=[Coord(2, 0)])
+
+
+@pytest.mark.parametrize("rates,warmup,site", [
+    # 0.2 is exactly 2 * 0.1 in binary64, so the second generation at rate
+    # 0.2 lands on the first at rate 0.1, inside a window.
+    ([0.1, 0.2], 0.1, "_draws"),
+    # The first core's first message and the second core's first reach
+    # the cache's WEST channel at one instant, from two channels.
+    (following_rates(0.7), 0.0, "_level"),
+    # The second generation opens the statistics window just as the first
+    # message reaches (1, 0) WEST.
+    (following_rates(0.7), 0.1, "_serve"),
+], ids=["two-cores-due", "two-arrivals", "arrival-at-warmup"])
+def test_ties_that_change_the_trajectory_are_left_to_the_event_engine(rates, warmup, site,
+                                                                      halves):
+    config = SimConfig(ROW, TrafficSpec(lambda_g=rates), messages=20, warmup_frac=warmup,
+                       seed=1)
+    with pytest.raises(feedforward.TieUnresolved) as raised:
+        feedforward.run_feedforward(config)
+    assert raised.traceback[-1].name == site
+    assert as_json(run_sim(config)) == as_json(events.run_events(config))
+
+
+def test_hop_arrival_at_the_warmup_instant_counts(halves):
+    # The event engine pops the warmup-th generation before the hop that
+    # ties with it, so that arrival at (1, 0) WEST counts, and the one
+    # before it at (0, 0) LOCAL does not.
+    config = SimConfig(ROW, TrafficSpec(lambda_g=following_rates(0.7)), messages=20,
+                       warmup_frac=0.1, seed=1)
+    channels = events.run_events(config).channels
+    assert (channels[(Coord(1, 0), Port.WEST)].arrivals
+            == channels[(Coord(0, 0), Port.LOCAL)].arrivals + 1)
 
 
 @pytest.mark.parametrize("engine", ["events", "feedforward"])

@@ -18,7 +18,8 @@ from nocplace import (
     objective,
 )
 from nocplace import scoring
-from nocplace.latency import _row_sums, _sum_in_order
+from nocplace.latency import _row_sums
+from nocplace.routing import _port_sum
 from nocplace.scoring import low_objective_batch
 from nocplace.mesh import placement_from_string
 from nocplace.traffic import matrix
@@ -280,4 +281,4 @@ def test_sums_keep_numpy_and_python_order():
         assert _row_sums(terms).tolist() == terms.sum(axis=-1).tolist(), n
     for n in (0, 1, 5, 24, 48):
         total = rng.random((50, n)) * 10.0 ** rng.integers(-6, 7, (50, n))
-        assert _sum_in_order(total).tolist() == [float(sum(t)) for t in total.tolist()], n
+        assert _port_sum(total).tolist() == [float(sum(t)) for t in total.tolist()], n

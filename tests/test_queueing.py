@@ -198,6 +198,11 @@ class TestPacketDelayInspector:
         for router, port in path_channels(flow.src, flow.dst):
             assert report.rt_of(router, port) == pytest.approx(2.0, rel=1e-9)
 
+    def test_idle_router_weighs_in_at_the_mean_service(self):
+        p = place(MeshGrid(3, 1), cores=[Coord(0, 0)], caches=[Coord(1, 0)])
+        report = packet_delay_inspector(p, TrafficSpec(lambda_g=0.1, svc=ServiceSpec(2.0)))
+        assert report.routers[Coord(2, 0)].weighted_rt() == 2.0
+
     def test_zero_load_collapses_to_hop_count(self):
         g = MeshGrid(3, 3)
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 8, 1, 0)

@@ -172,6 +172,9 @@ class TestDeriveChannelRates:
         assert loads.turn_rate(Coord(1, 0), Port.WEST, Port.EAST) == pytest.approx(0.5)
         assert loads.in_rate(Coord(2, 0), Port.WEST) == pytest.approx(0.5)
         assert loads.turn_rate(Coord(2, 0), Port.WEST, Port.LOCAL) == pytest.approx(0.5)
+        # Nothing flows off the grid.
+        assert loads.in_rate(Coord(3, 0), Port.WEST) == 0.0
+        assert loads.turn_rate(Coord(-1, 0), Port.EAST, Port.WEST) == 0.0
 
     def test_crossing_flows_superpose(self):
         g = MeshGrid(3, 3)

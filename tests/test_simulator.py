@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from nocplace import (
     run_sim,
     sweep_latency,
 )
-from nocplace.simulator import write_sweep_csv
+from nocplace import events, feedforward
+from nocplace.simulator import MIN_COMPLETIONS, write_sweep_csv
 from nocplace.traffic import matrix
 
 
@@ -159,6 +161,11 @@ class TestRunSim:
                 SimConfig(line3(), TrafficSpec(), mu=bad)
             with pytest.raises(InvalidConfigError, match="message size must be finite"):
                 SimConfig(line3(), TrafficSpec(), mean_message_size=bad)
+        # A run in which no core injects is refused by either engine.
+        idle = SimConfig(line3(), TrafficSpec(lambda_g=0.0), messages=10)
+        for run in (run_sim, events.run_events, feedforward.run_feedforward):
+            with pytest.raises(InvalidConfigError, match="no core"):
+                run(idle)
 
 
 class TestSweep:
@@ -181,6 +188,10 @@ class TestSweep:
         cells = aggregate_sweep(rows)
         assert set(cells) == {("a", 0.02), ("a", 0.05), ("b", 0.02), ("b", 0.05)}
         assert all(c.n_seeds == 2 for c in cells.values())
+        # Over one seed a cell keeps that run's own interval.
+        (one,) = aggregate_sweep(rows[:1]).values()
+        assert (one.mean_latency, one.ci95, one.n_seeds) == (
+            rows[0].mean_latency, rows[0].ci95, 1)
 
     def test_jobs_do_not_change_the_rows(self):
         # Each cell's SimConfig is pickled to a worker, and its row back.
@@ -228,6 +239,10 @@ class TestCompareToAnalytical:
         report = compare_to_analytical(cfg)
         assert report.analytical_available
         assert report.max_rel_err < 0.01
+        # Too short a run leaves every channel below the completion floor.
+        short = compare_to_analytical(replace(cfg, messages=MIN_COMPLETIONS))
+        assert short.analytical_available and not short.rows
+        assert math.isnan(short.max_rel_err) and "threshold" in short.detail
 
     def test_moderate_load_within_model_error(self):
         g = MeshGrid(4, 4)
