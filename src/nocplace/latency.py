@@ -19,8 +19,9 @@ link hops only, matching the low-traffic hop count.)
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import IO
 
 import numpy as np
@@ -46,20 +47,32 @@ class CoreLatency:
 
 @dataclass
 class LatencyReport:
-    """Per-core expected latencies and the summed global objective."""
+    """Per-core expected latencies and the summed global objective.
+
+    Built from per-core columns in core order: the cores' row-major tile
+    ids on ``grid``, their L2 terms, memory terms and totals. The objective
+    and the two term sums add a column up one core at a time, as ``sum``
+    does; ``per_core`` builds one ``CoreLatency`` per core on first read."""
 
     mode: Mode
-    per_core: list[CoreLatency]
-    objective_value: float
     spec: TrafficSpec
+    grid: MeshGrid
+    core_ids: list[int]
+    l2_terms: list[float]
+    mem_terms: list[float]
+    totals: list[float]
+    objective_value: float = field(init=False)
+    l2_sum: float = field(init=False)
+    mem_sum: float = field(init=False)
 
-    @property
-    def l2_sum(self) -> float:
-        return sum(c.l2_term for c in self.per_core)
+    def __post_init__(self):
+        self.objective_value = float(sum(self.totals))
+        self.l2_sum, self.mem_sum = sum(self.l2_terms), sum(self.mem_terms)
 
-    @property
-    def mem_sum(self) -> float:
-        return sum(c.mem_term for c in self.per_core)
+    @cached_property
+    def per_core(self) -> list[CoreLatency]:
+        return list(map(CoreLatency, map(self.grid.coords.__getitem__, self.core_ids),
+                        self.l2_terms, self.mem_terms, self.totals))
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,15 +110,6 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
     queueing fixed point. The memory term is included only when the placement
     has memory controllers.
     """
-    cores, l2, mem, total = _per_core(placement, spec, mode, queue_mode)
-    per_core = list(map(CoreLatency, cores, l2.tolist(), mem.tolist(), total.tolist()))
-    return LatencyReport(mode, per_core, float(sum(c.total for c in per_core)), spec)
-
-
-def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
-              queue_mode: str) -> tuple[list[Coord], np.ndarray, np.ndarray, np.ndarray]:
-    """``objective``'s cores with their L2 terms, memory terms and totals.
-    The objective value adds ``total.tolist()`` up one core at a time."""
     r = resolve(placement, spec)
     grid = placement.grid
     if mode is Mode.HIGH:
@@ -118,7 +122,8 @@ def _per_core(placement: Placement, spec: TrafficSpec, mode: Mode,
         transit = _hop_transit(grid, spec)
     l2, mem, total = _compose(spec, r.p, None if r.q is None else r.q[None], transit,
                               r.core_ids[None], r.cache_ids[None], r.mc_ids[None])
-    return r.cores, l2[0], mem[0], total[0]
+    return LatencyReport(mode, spec, grid, r.core_ids.tolist(), l2[0].tolist(), mem[0].tolist(),
+                         total[0].tolist())
 
 
 def _hop_transit(grid: MeshGrid, spec: TrafficSpec):

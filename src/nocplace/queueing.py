@@ -213,22 +213,22 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     The loop runs on ports-major copies: column r of ``lam_p`` and ``nq``
     (ports x rows) and of the contention terms (ports x ports x rows) is
     row r, and every temporary is written into buffers allocated once. A
-    row that finishes keeps its column until the loop ends, set to ``lam``
+    row that finishes writes its columns into ports-major outputs by a
+    masked copy and keeps its column until the loop ends, set to ``lam``
     0 and ``nq`` +inf: its utilization stays 0 and its queue-length change
     +inf, so it neither fails nor converges again. A plainly unstable row
     is spent so before the first iteration. The loop stops when no column
-    is live.
+    is live; the outputs turn rows-major once, after it.
     """
     es = svc.mean_service
     n_rows, n = lam.shape
     rho = lam * es
     status = np.zeros(n_rows, dtype=np.int8)
-    contention = np.zeros((n_rows, n, n))
-    rho_out, wq_out = np.zeros((n_rows, n)), np.zeros((n_rows, n))
     iterations = np.zeros(n_rows, dtype=np.int64)
     final_delta = np.zeros(n_rows)
     bad = rho.max(axis=1, initial=0.0) >= 1.0
-    status[bad], rho_out[bad] = UNSTABLE, rho[bad]
+    status[bad] = UNSTABLE
+    rho_out = np.where(bad, rho.T, 0.0)
     # The waiting-time formula's checks, once per batch, with the plainly
     # unstable rows at utilization 0: with rates >= 0 every contention term
     # is >= 0, so no later effective utilization is negative, and the loop
@@ -240,18 +240,21 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
     # kingman_wait's and effective_utilization's arithmetic, unchecked.
     num, es_f = 0.5 * (ca2 + svc.scv) * es, float(es)
     keep, damp = 1.0 - FIXED_POINT_DAMPING, FIXED_POINT_DAMPING
-    lam_p, live = lam.T.copy(), np.ones(n_rows, dtype=bool)
+    lam_p, live = lam.T.astype(float), np.ones(n_rows, dtype=bool)
 
-    def spend(cols: np.ndarray) -> None:
-        lam_p[:, cols], nq[:, cols] = 0.0, np.inf
+    def spend(cols: np.ndarray) -> None:  # cols: a mask over the rows
+        np.copyto(lam_p, 0.0, where=cols)
+        np.copyto(nq, np.inf, where=cols)
         live[cols] = False
 
     spend(bad)
     rhs = _contention_rhs(lam_p, turns.transpose(1, 2, 0).copy(), es)
-    c, cs = np.empty((2, n, n, n_rows))
+    c, contention = np.empty((n, n, n_rows)), np.zeros((n, n, n_rows))
+    cs = c if es_f == 1.0 else np.empty_like(c)  # c * 1.0 is c
     diagonal = c.reshape(n * n, n_rows)[::n + 1]
     div, rho_e, wq, nq_next, diff = np.empty((5, n, n_rows))
-    idle, peak, spent = lam_p == 0.0, np.empty(n_rows), True
+    idle, wq_out = (lam_p == 0.0).astype(float), np.zeros((n, n_rows))
+    peak, spent = np.empty(n_rows), True
 
     with np.errstate(all="ignore"):  # masked divisions by 0, spent columns at +inf
         for it in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -264,17 +267,20 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
             if not np.minimum.reduce(div, None) > 0.0:
                 np.copyto(c, 0.0, where=~(nq > 0.0))
             diagonal[...] = 1.0
-            np.multiply(c, es_f, cs)
-            np.add(cs[:, 0], cs[:, 1], rho_e) if n > 1 else np.copyto(rho_e, cs[:, 0])
-            for j in range(2, n):
-                rho_e += cs[:, j]
+            if cs is not c:
+                np.multiply(c, es_f, cs)
+            # numpy adds a row's ports one at a time, in port order, as
+            # chained adds would: it pairs terms only along the innermost
+            # axis, and even there not fewer than 8 (a batch of one row).
+            np.add.reduce(cs, 1, None, rho_e)
             rho_e *= lam_p
             spent = np.maximum.reduce(rho_e, None) >= 1.0
             if spent:
-                cols = np.flatnonzero(rho_e.max(axis=0) >= 1.0)
-                status[cols], rho_out[cols] = EFFECTIVE_UNSTABLE, rho_e[:, cols].T
+                cols = np.maximum.reduce(rho_e, 0) >= 1.0
+                status[cols] = EFFECTIVE_UNSTABLE
+                np.copyto(rho_out, rho_e, where=cols)
                 spend(cols)
-                rho_e[:, cols] = 0.0
+                np.copyto(rho_e, 0.0, where=cols)
             np.subtract(1.0, rho_e, wq)
             np.divide(num, wq, wq)
             if mode == STANDARD:
@@ -288,14 +294,16 @@ def _fixed_point(lam: np.ndarray, turns: np.ndarray, svc: ServiceSpec, ca2: floa
             nq += nq_next
             if np.minimum.reduce(peak) < FIXED_POINT_TOL:
                 spent = True
-                cols = np.flatnonzero(peak < FIXED_POINT_TOL)
-                contention[cols] = c.take(cols, 2).transpose(2, 0, 1)
-                rho_out[cols], wq_out[cols] = rho_e.take(cols, 1).T, wq.take(cols, 1).T
+                cols = peak < FIXED_POINT_TOL
+                for out, a in ((contention, c), (rho_out, rho_e), (wq_out, wq)):
+                    np.copyto(out, a, where=cols)
                 iterations[cols], final_delta[cols] = it, peak[cols]
                 spend(cols)
     status[live] = NON_CONVERGENT
+    wq_out = wq_out.T.copy()
     rt = np.maximum(wq_out, es) if mode == PAPER else es + wq_out
-    return FixedPoint(lam, contention, rho_out, wq_out, rt, iterations, final_delta, status)
+    return FixedPoint(lam, contention.transpose(2, 0, 1).copy(), rho_out.T.copy(), wq_out, rt,
+                      iterations, final_delta, status)
 
 
 def _raise_first_failure(fp: FixedPoint, router_of: Callable[[int], Coord],

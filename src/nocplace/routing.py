@@ -89,9 +89,9 @@ _KINDS = tuple(sorted(FlowKind, key=lambda k: k.value))
 _KIND_CODE = {k: i for i, k in enumerate(_KINDS)}
 
 
+class Flow(NamedTuple):
+    """One flow between two tiles: a named tuple, cheap to build in bulk."""
 
-@dataclass(frozen=True)
-class Flow:
     src: Coord
     dst: Coord
     rate: float

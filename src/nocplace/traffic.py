@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidTrafficError, NoCachesError
-from .mesh import Coord, NodeKind, Placement
+from .mesh import NodeKind, Placement
 
 PROB_TOL = 1e-9
 
@@ -82,19 +82,17 @@ class ResolvedTraffic:
     """TrafficSpec bound to a concrete placement.
 
     ``core_ids``/``cache_ids``/``mc_ids`` are the row-major tile indices of
-    each kind, ascending, and ``cores`` the cores' tiles as coordinates.
-    ``p[i][j]`` is core i's access probability to cache j; ``q[j][k]`` is
-    the share of cache j's misses sent to memory controller k (nearest
-    controller, uniform split on distance ties); ``lam[i]`` is core i's
-    generation rate. Both latency models compose these into one objective
-    and differ only in the price of a hop: E{S} in LOW, the solved response
-    time of the router entered in HIGH.
+    each kind, ascending. ``p[i][j]`` is core i's access probability to
+    cache j; ``q[j][k]`` is the share of cache j's misses sent to memory
+    controller k (nearest controller, uniform split on distance ties);
+    ``lam[i]`` is core i's generation rate. Both latency models compose
+    these into one objective and differ only in the price of a hop: E{S}
+    in LOW, the solved response time of the router entered in HIGH.
     """
 
     core_ids: np.ndarray
     cache_ids: np.ndarray
     mc_ids: np.ndarray
-    cores: tuple[Coord, ...]
     lam: np.ndarray
     p: np.ndarray
     q: np.ndarray | None
@@ -109,34 +107,34 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
     grid = placement.grid
     core_ids, cache_ids, mc_ids = (placement.tile_ids(kind)
                                    for kind in (NodeKind.CORE, NodeKind.CACHE, NodeKind.MC))
-    cores = tuple(map(grid.coords.__getitem__, core_ids.tolist()))
+    n_cores = core_ids.size
     if not cache_ids.size:
         raise NoCachesError("placement has no caches")
 
     if isinstance(spec.lambda_g, (int, float)):
-        lam = np.full(len(cores), float(spec.lambda_g))
+        lam = np.full(n_cores, float(spec.lambda_g))
     else:
         try:
             lam = np.asarray([float(v) for v in spec.lambda_g], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidTrafficError(f"lambda_g entries must be numbers: {exc}") from None
-        if lam.shape != (len(cores),):
+        if lam.shape != (n_cores,):
             raise InvalidTrafficError(
-                f"lambda_g has {lam.size} entries for {len(cores)} cores"
+                f"lambda_g has {lam.size} entries for {n_cores} cores"
             )
     if not (np.isfinite(lam) & (lam >= 0)).all():
         raise InvalidTrafficError("injection rates must be finite and >= 0")
 
     if spec.p is None:
-        p = np.full((len(cores), cache_ids.size), 1.0 / cache_ids.size)
+        p = np.full((n_cores, cache_ids.size), 1.0 / cache_ids.size)
     else:
         try:
             p = np.asarray(spec.p, dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidTrafficError(f"p must be a numeric matrix: {exc}") from None
-        if p.shape != (len(cores), cache_ids.size):
+        if p.shape != (n_cores, cache_ids.size):
             raise InvalidTrafficError(
-                f"p has shape {p.shape}, expected ({len(cores)}, {cache_ids.size})"
+                f"p has shape {p.shape}, expected ({n_cores}, {cache_ids.size})"
             )
         # Written so that NaN fails too: it compares false both ways.
         if np.any(~((p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL))):
@@ -148,7 +146,7 @@ def resolve(placement: Placement, spec: TrafficSpec) -> ResolvedTraffic:
             )
 
     q = nearest_split(grid.hops[cache_ids][:, mc_ids]) if mc_ids.size else None
-    return ResolvedTraffic(core_ids, cache_ids, mc_ids, cores, lam, p, q)
+    return ResolvedTraffic(core_ids, cache_ids, mc_ids, lam, p, q)
 
 
 def nearest_split(hops: np.ndarray) -> np.ndarray:

@@ -375,9 +375,11 @@ SWEEP = ["sweep", "--grid", "4x4", "--cores", "12", "--caches", "4", "--seed", "
     ["simulate", "--placement", "{tmp}/missing.txt", "--seed", "1", "--mean-service", "2"],
     ["optimize", "--grid", "3x3", "--cores", "4", "--caches", "1", "--jobs", "0"],
     SWEEP + ["--rates", "0.1", "--jobs", "0"],
+    ["optimize", "--grid", "3x3", "--cores", "4", "--caches", "1", "--jobs", "two"],
+    SWEEP + ["--rates", "0.1", "--seeds", "2.5"],
 ], ids=["grid-0x8", "grid-20x20", "rates", "seeds", "families", "analyze-missing",
         "simulate-missing", "compare-missing", "simulate-mean-service",
-        "optimize-jobs", "sweep-jobs"])
+        "optimize-jobs", "sweep-jobs", "optimize-jobs-text", "sweep-seeds-text"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, capsys):
     try:
         code = main([a.format(tmp=tmp_path) for a in argv])

@@ -136,6 +136,28 @@ def test_fixed_point_matches_the_oracle_near_underflow(tiny):
     assert_same_fixed_point(loads.lam, loads.turns, exact, PAPER)
 
 
+@pytest.mark.parametrize("mean_service", [1.0, 0.8])
+@pytest.mark.parametrize("mode", [PAPER, STANDARD])
+def test_fixed_point_matches_the_oracle_on_one_batch_of_every_status(mode, mean_service,
+                                                                      monkeypatch):
+    # The 8x8 central routers at six load scales in one batch, capped at 20
+    # iterations: rows finish at many different iterations while others
+    # are still live, fail plainly or effectively, or run out of
+    # iterations. E{S} 1.0 takes the loop's path without the E{S} scaling.
+    monkeypatch.setattr(queueing, "FIXED_POINT_MAX_ITER", 20)
+    grid = MeshGrid(8, 8)
+    placement = canonical_placement(CanonicalFamily.CENTRAL, grid, 48, 16)
+    loads = channel_loads(flow_set(placement, TrafficSpec(lambda_g=0.1)), grid)
+    scales = (0.5, 1.0, 2.0, 2.5, 3.0, 3.3)
+    lam = np.concatenate([loads.lam * s for s in scales])
+    turns = np.concatenate([loads.turns * s for s in scales])
+    spec = TrafficSpec(svc=ServiceSpec(mean_service=mean_service))
+    fp = assert_same_fixed_point(lam, turns, spec, mode)
+    assert set(fp.status.tolist()) == {queueing.OK, queueing.UNSTABLE,
+                                       queueing.EFFECTIVE_UNSTABLE, queueing.NON_CONVERGENT}
+    assert len(set(fp.iterations[fp.status == queueing.OK].tolist())) > 5
+
+
 def raised(call):
     try:
         call()

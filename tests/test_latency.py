@@ -17,8 +17,8 @@ from nocplace import (
     canonical_placement,
     objective,
 )
-from nocplace import scoring
-from nocplace.latency import _row_sums
+from nocplace import latency, scoring
+from nocplace.latency import CoreLatency, _row_sums
 from nocplace.routing import _port_sum
 from nocplace.scoring import low_objective_batch
 from nocplace.mesh import placement_from_string
@@ -205,6 +205,30 @@ class TestObjective:
         assert data["mode"] == "low"
         assert len(data["per_core"]) == 8
         assert data["objective"] == pytest.approx(report.objective_value)
+
+    @pytest.mark.parametrize("mode", [Mode.LOW, Mode.HIGH])
+    @pytest.mark.parametrize("mcs", [0, 2])
+    def test_per_core_records_are_built_on_first_read(self, mode, mcs, monkeypatch):
+        # The sums come from the per-core columns, one core at a time from
+        # the first, as Python's sum adds the records' fields: bit for bit.
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return CoreLatency(*args)
+
+        monkeypatch.setattr(latency, "CoreLatency", counted)
+        p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 10, 4, mcs)
+        report = objective(p, TrafficSpec(lambda_g=0.05, miss_l2=0.4, mem_fixed_latency=3.0),
+                           mode)
+        values = (report.objective_value, report.l2_sum, report.mem_sum)
+        assert not built
+        rows = report.per_core
+        assert report.per_core is rows and len(built) == 10
+        assert [c.core for c in rows] == p.cores
+        assert values == (sum(c.total for c in rows), sum(c.l2_term for c in rows),
+                          sum(c.mem_term for c in rows))
+        assert (report.mem_sum > 0.0) == bool(mcs)
 
 
 class TestLowObjectiveBatch:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nocplace import (
     CanonicalFamily,
     Coord,
+    FamilyParams,
     InfeasibleError,
     MeshGrid,
     NodeKind,
@@ -355,3 +356,63 @@ class TestGridLimits:
         p = canonical_placement(CanonicalFamily.CENTRAL, g, 12, 4, 0)
         perms = g.symmetry_permutations()
         assert apply_symmetry(p, perms[0]) == p  # identity first
+
+
+def _family(family, side, cores, caches, mcs=0, w=None, **params):
+    grid = MeshGrid(w or side, side)
+    return lambda: canonical_placement(family, grid, cores, caches, mcs, FamilyParams(**params))
+
+
+C, R, S, K, D = (CanonicalFamily.CENTRAL, CanonicalFamily.CONCENTRIC, CanonicalFamily.STRIPED,
+                 CanonicalFamily.CHECKERBOARD, CanonicalFamily.DISTRIBUTED)
+G22 = MeshGrid(2, 2)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Placement(G22, (NodeKind.CORE,) * 3), OutOfBoundsError,
+     "assignment covers 3 tiles, grid has 4"),
+    (lambda: placement_from_string(G22, "CC$.").kind_at(Coord(2, 0)), OutOfBoundsError,
+     "outside 2x2 grid"),
+    (lambda: Placement.from_text("\n  \n"), OutOfBoundsError, "empty placement text"),
+    (lambda: Placement.from_json_dict({"width": 2, "height": 2, "tiles": [["core", "cache"]]}),
+     OutOfBoundsError, "tiles array does not match width/height"),
+    (lambda: placement_from_string(G22, "CC$"), OutOfBoundsError,
+     "string covers 3 tiles, grid has 4"),
+    (lambda: placement_count(4, 1, -1, 0), InfeasibleError, "negative caches count: -1"),
+    (_family(C, 2, 0, 9, w=8), InfeasibleError, "3x3 cache block does not fit 8x2"),
+    (_family(D, 4, 0, 7), InfeasibleError, "cannot spread 7 caches evenly on 4x4"),
+    (_family(R, 4, 0, 4, rings=0), InfeasibleError, "needs at least one ring"),
+    (_family(R, 2, 0, 1), InfeasibleError, "grid 2x2 too small for rings"),
+    (_family(R, 4, 0, 13), InfeasibleError, "13 caches exceed ring capacity 12"),
+    (_family(S, 4, 0, 4, stripe_width=0), InfeasibleError, "stripe width must be >= 1"),
+    (_family(S, 4, 0, 6), InfeasibleError, "6 caches do not fill whole columns of height 4"),
+    (_family(S, 4, 0, 4, stripe_width=2), InfeasibleError,
+     "1 cache columns not divisible into stripes of 2"),
+    (_family(S, 4, 0, 8, w=5), InfeasibleError, "2 stripes do not space evenly over width 5"),
+    (_family(K, 4, 0, 4, cluster=0), InfeasibleError, "cluster must be >= 1"),
+    (_family(K, 4, 0, 4, cluster=3), InfeasibleError, "cluster 3 does not tile 4x4"),
+    (_family(K, 4, 0, 5), InfeasibleError, "checkerboard with cluster 2 places 4 caches, need 5"),
+    (_family(C, 4, 1, 0), InfeasibleError, "need n_caches >= 1"),
+    (_family(C, 4, 12, 4, 1), InfeasibleError, "12+4+1 nodes exceed 16 tiles"),
+    (_family(R, 3, 0, 1, 8), InfeasibleError,
+     "only 7 free perimeter tiles for 8 memory controllers"),
+], ids=["placement-size", "kind-at", "empty-text", "json-tiles", "string-size",
+        "negative-count", "central-block", "distributed", "no-rings", "rings-grid",
+        "ring-capacity", "stripe-width", "stripe-columns", "stripe-groups", "stripe-spacing",
+        "no-cluster", "cluster-tiling", "cluster-count", "no-caches", "too-many-nodes",
+        "perimeter-mcs"])
+def test_infeasible_inputs_raise_their_typed_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
+
+
+def test_concentric_quotas_top_up_the_outer_rings():
+    # Two rings of 12 and 20 tiles on 8x8 share 10 caches in proportion,
+    # 3 and 6 rounded down; the remainder goes to the outer ring.
+    p = canonical_placement(R, MeshGrid(8, 8), 0, 10, 0, FamilyParams(rings=2))
+
+    def ring(c):  # offset from the central 2x2 block
+        return max(3 - c.x, c.x - 4, 3 - c.y, c.y - 4)
+
+    assert sorted(ring(c) for c in p.caches) == [1] * 3 + [2] * 7
