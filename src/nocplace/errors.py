@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer rule that
+raises them."""
+
+import operator
 
 
 class NocError(Exception):
@@ -50,3 +53,15 @@ class BudgetExceededError(NocError):
     def __init__(self, message: str, count: int):
         super().__init__(message)
         self.count = count
+
+
+def as_int(value, error: type[NocError], what: str) -> int:
+    """``value`` as an int. A bool, a float or a string raises ``error``:
+    sizes, counts and budgets size arrays, slices and key caches, where
+    they would fail far from here."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")

@@ -26,6 +26,7 @@ from typing import IO
 
 import numpy as np
 
+from .errors import InvalidConfigError
 from .mesh import Coord, MeshGrid, Placement
 from .queueing import PAPER, solve_network
 from .routing import _port_sum, channel_loads, flow_set
@@ -35,6 +36,16 @@ from .traffic import TrafficSpec, resolve
 class Mode(Enum):
     LOW = "low"
     HIGH = "high"
+
+
+def _as_mode(mode) -> Mode:
+    """``mode`` as a Mode, its value ("low", "high") included. Any other
+    value raises InvalidConfigError, so a misspelt mode cannot fall through
+    to the LOW model."""
+    try:
+        return Mode(mode)
+    except ValueError:
+        raise InvalidConfigError(f"unknown latency mode {mode!r}") from None
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,10 @@ def objective(placement: Placement, spec: TrafficSpec, mode: Mode = Mode.LOW,
     LOW mode scales hop counts by E{S}; HIGH mode prices each hop at the
     traversed router's modeled response time and therefore requires a stable
     queueing fixed point. The memory term is included only when the placement
-    has memory controllers.
+    has memory controllers. ``mode`` may also be given as its value ("low"
+    or "high").
     """
+    mode = _as_mode(mode)
     r = resolve(placement, spec)
     grid = placement.grid
     if mode is Mode.HIGH:

@@ -10,14 +10,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import InfeasibleError, OutOfBoundsError
+from .errors import InfeasibleError, OutOfBoundsError, as_int
 
 MAX_SIDE = 16  # analysis is specified for meshes up to 16x16
 
@@ -51,17 +50,6 @@ def manhattan(a: Coord, b: Coord) -> int:
     return abs(a.x - b.x) + abs(a.y - b.y)
 
 
-def _side(value) -> int:
-    """A grid side as an int. A bool, a float or a string raises TypeError:
-    sides size arrays and key caches, where they would fail far from here."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise TypeError(f"grid side {value!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class MeshGrid:
     """Rectangular mesh of width x height tiles.
@@ -74,11 +62,8 @@ class MeshGrid:
     height: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "width", _side(self.width))
-            object.__setattr__(self, "height", _side(self.height))
-        except TypeError as exc:
-            raise InfeasibleError(str(exc)) from None
+        object.__setattr__(self, "width", as_int(self.width, InfeasibleError, "grid side"))
+        object.__setattr__(self, "height", as_int(self.height, InfeasibleError, "grid side"))
         if self.width < 1 or self.height < 1:
             raise InfeasibleError(f"grid {self.width}x{self.height} has empty sides")
         if self.width > MAX_SIDE or self.height > MAX_SIDE:
@@ -248,7 +233,8 @@ class Placement:
         unknown tile kind raises OutOfBoundsError, as ``from_text`` does for
         the same faults."""
         try:
-            grid = MeshGrid(_side(d["width"]), _side(d["height"]))
+            grid = MeshGrid(*(as_int(d[k], OutOfBoundsError, f"placement JSON {k}")
+                              for k in ("width", "height")))
             tiles = d["tiles"]
             if len(tiles) != grid.height or any(len(row) != grid.width for row in tiles):
                 raise OutOfBoundsError("tiles array does not match width/height")
@@ -299,26 +285,29 @@ def build_placement(grid: MeshGrid, assignment: Mapping[Coord, NodeKind]) -> Pla
     return Placement(grid, tuple(kinds))  # type: ignore[arg-type]
 
 
+def _node_counts(n_tiles, n_cores, n_caches, n_mcs) -> list[int]:
+    """The four counts as ints. One that is not an integer or is negative,
+    or nodes that outnumber the tiles, raise InfeasibleError."""
+    names = ("tiles", "cores", "caches", "mcs")
+    counts = [as_int(v, InfeasibleError, f"{name} count")
+              for name, v in zip(names, (n_tiles, n_cores, n_caches, n_mcs))]
+    for name, v in zip(names, counts):
+        if v < 0:
+            raise InfeasibleError(f"negative {name} count: {v}")
+    if sum(counts[1:]) > counts[0]:
+        raise InfeasibleError(f"{n_cores}+{n_caches}+{n_mcs} nodes exceed {n_tiles} tiles")
+    return counts
+
+
 def placement_count(n_tiles: int, n_cores: int, n_caches: int, n_mcs: int) -> int:
     """Number of distinct placements: n!/(cores! caches! mcs! rest!), exact.
 
     Remaining tiles are interchangeable router-only tiles, hence the rest!
     divisor. Arbitrary-precision: 16x16 grids overflow 64-bit counts.
     """
-    for name, v in (("tiles", n_tiles), ("cores", n_cores), ("caches", n_caches), ("mcs", n_mcs)):
-        if v < 0:
-            raise InfeasibleError(f"negative {name} count: {v}")
-    n_rest = n_tiles - n_cores - n_caches - n_mcs
-    if n_rest < 0:
-        raise InfeasibleError(
-            f"{n_cores}+{n_caches}+{n_mcs} nodes exceed {n_tiles} tiles"
-        )
-    return math.factorial(n_tiles) // (
-        math.factorial(n_cores)
-        * math.factorial(n_caches)
-        * math.factorial(n_mcs)
-        * math.factorial(n_rest)
-    )
+    n_tiles, *nodes = _node_counts(n_tiles, n_cores, n_caches, n_mcs)
+    return math.factorial(n_tiles) // math.prod(
+        map(math.factorial, (*nodes, n_tiles - sum(nodes))))
 
 
 class CanonicalFamily(Enum):
@@ -342,6 +331,10 @@ class FamilyParams:
     rings: int = 1          # concentric: number of nested rings
     stripe_width: int = 1   # striped: adjacent cache columns per stripe
     cluster: int = 2        # checkerboard: side of each square cache block
+
+    def __post_init__(self):
+        for name in ("rings", "stripe_width", "cluster"):
+            object.__setattr__(self, name, as_int(getattr(self, name), InfeasibleError, name))
 
 
 def _central_sites(grid: MeshGrid, n_caches: int) -> list[Coord]:
@@ -392,12 +385,11 @@ def _center_block(grid: MeshGrid) -> tuple[int, int, int, int]:
 
 def _ring_tiles(grid: MeshGrid, radius: int) -> list[Coord]:
     # Rectangle perimeter at the given offset from the center block, walked
-    # clockwise from its top-left corner.
+    # clockwise from its top-left corner. The radius is at most
+    # _concentric_sites' r_max, so the ring lies inside the grid.
     x0, x1, y0, y1 = _center_block(grid)
     lx, rx = x0 - radius, x1 + radius
     ty, by = y0 - radius, y1 + radius
-    if lx < 0 or ty < 0 or rx >= grid.width or by >= grid.height:
-        raise InfeasibleError(f"ring radius {radius} leaves the grid")
     ring = [Coord(x, ty) for x in range(lx, rx + 1)]
     ring += [Coord(rx, y) for y in range(ty + 1, by + 1)]
     ring += [Coord(x, by) for x in range(rx - 1, lx - 1, -1)]
@@ -423,12 +415,12 @@ def _concentric_sites(grid: MeshGrid, n_caches: int, rings: int) -> list[Coord]:
         if sum(quotas) == n_caches:
             break
         quotas[i] += 1
+    # Each floor lies below its ring's length unless n_caches == capacity,
+    # when no top-up is needed; the floors fall short of n_caches by fewer
+    # than len(tiers). So the quotas sum to n_caches, each within its ring.
     sites = []
     for tier, q in zip(tiers, quotas):
-        q = min(q, len(tier))
         sites += [tier[i * len(tier) // q] for i in range(q)]
-    if len(sites) != n_caches:
-        raise InfeasibleError(f"ring quotas place {len(sites)} caches, need {n_caches}")
     return sites
 
 
@@ -443,9 +435,9 @@ def _striped_sites(grid: MeshGrid, n_caches: int, stripe_width: int) -> list[Coo
     groups = n_cols // stripe_width
     if grid.width % groups:
         raise InfeasibleError(f"{groups} stripes do not space evenly over width {grid.width}")
+    # n_caches fits the grid, so the groups * stripe_width cache columns
+    # fit its width and no stripe is wider than its spacing sx.
     sx = grid.width // groups
-    if stripe_width > sx:
-        raise InfeasibleError("stripes overlap: stripe width exceeds spacing")
     ox = (sx - stripe_width) // 2
     cols = [ox + g * sx + i for g in range(groups) for i in range(stripe_width)]
     return [Coord(x, y) for y in range(grid.height) for x in cols]
@@ -497,12 +489,9 @@ def canonical_placement(
     free perimeter tiles by the same ordering. Raises InfeasibleError when
     the family cannot host the requested counts.
     """
-    if n_cores < 0 or n_caches < 1 or n_mcs < 0:
-        raise InfeasibleError("need n_caches >= 1 and non-negative core/mc counts")
-    if n_cores + n_caches + n_mcs > grid.n_tiles:
-        raise InfeasibleError(
-            f"{n_cores}+{n_caches}+{n_mcs} nodes exceed {grid.n_tiles} tiles"
-        )
+    _, n_cores, n_caches, n_mcs = _node_counts(grid.n_tiles, n_cores, n_caches, n_mcs)
+    if n_caches < 1:
+        raise InfeasibleError("need n_caches >= 1")
     sites = _SITE_BUILDERS[family](grid, n_caches, params)
     cache_set = set(sites)
     cx = sum(c.x for c in sites) / len(sites)
@@ -511,9 +500,9 @@ def canonical_placement(
     def centroid_key(c: Coord):
         return (abs(c.x - cx) + abs(c.y - cy), c.y, c.x)
 
+    # Every site builder returns n_caches distinct tiles, so the counts
+    # checked above leave at least n_cores free tiles.
     free = sorted((c for c in grid.tiles() if c not in cache_set), key=centroid_key)
-    if len(free) < n_cores:
-        raise InfeasibleError("not enough free tiles for cores")
     core_set = set(free[:n_cores])
 
     kinds = {c: NodeKind.ROUTER_ONLY for c in grid.tiles()}

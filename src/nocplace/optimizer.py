@@ -14,12 +14,13 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError, InfeasibleError, UnstableError
-from .latency import Mode
+from .errors import (BudgetExceededError, InfeasibleError, InvalidConfigError, UnstableError,
+                     as_int)
+from .latency import Mode, _as_mode
 from .mesh import (_CHAR_OF_KIND, CanonicalFamily, Coord, MeshGrid, NodeKind, Placement,
                    canonical_placement, placement_count, placement_from_string,
                    placement_string)
@@ -47,7 +48,9 @@ class SearchSpace:
     ``fixed`` pins tiles to kinds (counted toward the totals); symmetry
     pruning is disabled when any tile is pinned. ``mc_tiles`` optionally
     restricts where memory controllers may sit (e.g. the perimeter);
-    ``local_search`` rejects it.
+    ``local_search`` rejects it. ``mode`` may be given as its value ("low"
+    or "high"); the searches raise InfeasibleError for counts that are not
+    integers.
     """
 
     grid: MeshGrid
@@ -57,6 +60,9 @@ class SearchSpace:
     fixed: Mapping[Coord, NodeKind] = field(default_factory=dict)
     mode: Mode = Mode.LOW
     mc_tiles: frozenset[Coord] | None = None
+
+    def __post_init__(self):
+        self.mode = _as_mode(self.mode)
 
 
 @dataclass
@@ -84,20 +90,27 @@ class SearchResult:
         }
 
 
-def _tie_cutoff(best: float) -> float:
-    return best + OBJECTIVE_TIE_REL_TOL * max(1.0, abs(best))
+class _Ties:
+    """The tie rule of every search: the lowest value met (``floor``) and
+    the placements met within its tie tolerance, by placement string. A
+    lower value drops the kept placements its tolerance leaves behind, so
+    what is kept never depends on the order the values are met in."""
 
+    def __init__(self):
+        self.floor = self.cutoff = math.inf
+        self.kept: dict[str, float] = {}
 
-def _meet(best: float, ties: set[str], value: float, strings: set[str]) -> tuple[float, set[str]]:
-    """The best value and its ties after meeting ``strings`` at ``value``:
-    they replace the ties when the best lies beyond ``value``'s tie cutoff
-    (so a finite value replaces +inf), and join them when ``value`` lies
-    within the best's."""
-    if best > _tie_cutoff(value):
-        return value, strings
-    if value <= _tie_cutoff(best):
-        return best, ties | strings
-    return best, ties
+    def meet(self, rows: np.ndarray, values: np.ndarray) -> float:
+        """Meet the placement ``rows`` (one ASCII byte per tile) at
+        ``values``, and return the lowest of ``values``."""
+        low = float(values.min())
+        if low < self.floor:
+            self.floor, self.cutoff = low, low + OBJECTIVE_TIE_REL_TOL * max(1.0, abs(low))
+            self.kept = {s: v for s, v in self.kept.items() if v <= self.cutoff}
+        near = values <= self.cutoff
+        self.kept.update(zip((row.tobytes().decode("ascii") for row in rows[near]),
+                             values[near].tolist()))
+        return low
 
 
 def _tile_ids(space: SearchSpace) -> tuple[str, list[int], tuple[int, int, int],
@@ -108,9 +121,11 @@ def _tile_ids(space: SearchSpace) -> tuple[str, list[int], tuple[int, int, int],
     and the free tiles that may host a controller (None for any, and when no
     controller remains to be placed)."""
     grid = space.grid
-    if space.n_cores < 0 or space.n_caches < 0 or space.n_mcs < 0:
+    nodes = [as_int(n, InfeasibleError, "node count")
+             for n in (space.n_cores, space.n_caches, space.n_mcs)]
+    if min(nodes) < 0:
         raise InfeasibleError("negative node counts")
-    if space.n_cores + space.n_caches + space.n_mcs > grid.n_tiles:
+    if sum(nodes) > grid.n_tiles:
         raise InfeasibleError("node counts exceed tile count")
     base = ["."] * grid.n_tiles
     for c, k in space.fixed.items():
@@ -118,8 +133,8 @@ def _tile_ids(space: SearchSpace) -> tuple[str, list[int], tuple[int, int, int],
             raise InfeasibleError(f"fixed tile {c} outside grid")
         base[grid.index(c)] = _CHAR_OF_KIND[k]
     pinned = Counter(space.fixed.values())
-    counts = (space.n_cores - pinned[NodeKind.CORE], space.n_caches - pinned[NodeKind.CACHE],
-              space.n_mcs - pinned[NodeKind.MC])
+    counts = (nodes[0] - pinned[NodeKind.CORE], nodes[1] - pinned[NodeKind.CACHE],
+              nodes[2] - pinned[NodeKind.MC])
     if min(counts) < 0:
         raise InfeasibleError("fixed tiles exceed the requested counts")
     free = [i for i, c in enumerate(grid.coords) if c not in space.fixed]
@@ -144,7 +159,7 @@ def _symmetries(space: SearchSpace, pool: list[int] | None) -> list[tuple[int, .
 
 
 def _values(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode, queue_mode: str,
-            failures: Counter, jobs: int = 1) -> np.ndarray:
+            failures: dict[str, int], jobs: int = 1) -> np.ndarray:
     """The objective values of ``rows`` under ``mode``. HIGH rows are
     scored in ``jobs`` worker processes when there are 64 or more, each
     process scoring a share of them, and the rows scored +inf are counted
@@ -167,10 +182,6 @@ def _values(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec, mode: Mode, que
     return values
 
 
-def _failure_counts(failures: Counter) -> dict[str, int]:
-    return {kind: failures[kind] for kind in FAILURE_KINDS}
-
-
 def _raw_count(free: list[int], counts: tuple[int, int, int], pool: list[int] | None) -> int:
     """Number of rows ``raw_blocks`` yields. With a controller
     pool of P of the F free tiles, a of the m = cores + caches nodes sit on
@@ -184,11 +195,7 @@ def _raw_count(free: list[int], counts: tuple[int, int, int], pool: list[int] | 
                * math.comb(p - a, n_mcs) for a in range(min(p, m) + 1))
 
 
-def _strings(rows: np.ndarray) -> list[str]:
-    return [row.tobytes().decode("ascii") for row in rows]
-
-
-def _best(grid: MeshGrid, strings: set[str]) -> list[Placement]:
+def _best(grid: MeshGrid, strings: Iterable[str]) -> list[Placement]:
     return [placement_from_string(grid, s) for s in sorted(strings)]
 
 
@@ -205,66 +212,60 @@ def _prefilter(grid: MeshGrid, rows: np.ndarray, spec: TrafficSpec) -> np.ndarra
     return np.concatenate([rows[below], rows[at_cut[:keep - int(below.sum())]]])
 
 
-def _search(grid: MeshGrid, base: str, free: list[int], counts: tuple[int, int, int],
-            pool: list[int] | None, perms: list[tuple[int, ...]], spec: TrafficSpec,
-            mode: Mode, budget: int, prefilter: bool, queue_mode: str,
-            jobs: int) -> SearchResult:
-    """Score the lexicographically smallest placement of every orbit under
-    ``perms`` (``representative_blocks``; every placement, ``raw_blocks``,
-    when ``perms`` holds no map but the identity) and return the argmin ties
-    expanded to their orbits.
+def _search(grid: MeshGrid, bases: list[tuple[str, list[int], list[int] | None]],
+            counts: tuple[int, int, int], perms: list[tuple[int, ...]], spec: TrafficSpec,
+            mode: Mode, budget: int, prefilter: bool, queue_mode: str, jobs: int,
+            failures: dict[str, int]) -> tuple[set[str], float, int, int, dict]:
+    """Place ``counts`` (cores, caches, controllers) on each base ``(base,
+    free, pool)``: a placement string, its free tiles and the free tiles
+    that may host a controller (None for any). Score the lexicographically
+    smallest placement of every orbit under ``perms`` (``representative_blocks``;
+    every placement, ``raw_blocks``, when ``perms`` holds no map but the
+    identity), and return the argmin ties of all bases expanded to their
+    orbits, their value, the candidates scored and those pruned by
+    symmetry, and the extras.
 
-    Candidates are scored a block at a time, and only those within the tie
-    tolerance of the lowest value so far are kept. LOW blocks come from the
-    enumerator; HIGH candidates form one block, after the LOW prefilter when
-    ``prefilter`` is set, scored over ``jobs`` processes."""
+    Each base is checked against ``budget`` on its own. Every block of
+    every base meets one ``_Ties``. LOW blocks come from the enumerator; a
+    base's HIGH candidates form one block, after the LOW prefilter when
+    ``prefilter`` is set, scored over ``jobs`` processes. Candidates scored
+    +inf are counted into ``failures``."""
     from .candidates import raw_blocks, representative_blocks
-    raw = _raw_count(free, counts, pool)
-    estimate = -(-raw // max(1, len(perms)))
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"{raw} raw placements ({estimate} after symmetry pruning) exceed "
-            f"budget {budget}; consider two_phase_optimize or local_search",
-            count=int(raw),
-        )
-    if not raw:
-        raise InfeasibleError("search space is empty")
-
-    blocks = (representative_blocks(base, free, counts, pool, perms, SEARCH_BLOCK)
-              if len(perms) > 1 else raw_blocks(base, free, counts, pool, SEARCH_BLOCK))
-    extras: dict = {}
-    if mode is Mode.HIGH:
-        rows = np.concatenate(list(blocks))
-        if prefilter:
-            extras["prefilter_evaluated"] = len(rows)
-            rows = _prefilter(grid, rows, spec)
-        blocks = [rows]
-    evaluated = 0
-    failures: Counter = Counter()
-    scored: dict[str, float] = {}
-    floor = cutoff = math.inf
-    for rows in blocks:
-        evaluated += len(rows)
-        values = _values(grid, rows, spec, mode, queue_mode, failures, jobs)
-        if values.min() < floor:
-            # Only a lower floor can drop kept entries.
-            floor = float(values.min())
-            cutoff = _tie_cutoff(floor)
-            scored = {s: v for s, v in scored.items() if v <= cutoff}
-        near = values <= cutoff
-        scored.update(zip(_strings(rows[near]), values[near].tolist()))
-    if math.isinf(floor):
+    budget = as_int(budget, InvalidConfigError, "budget")
+    ties = _Ties()
+    raw = enumerated = evaluated = 0
+    for base, free, pool in bases:
+        n = _raw_count(free, counts, pool)
+        estimate = -(-n // max(1, len(perms)))
+        if estimate > budget:
+            raise BudgetExceededError(
+                f"{n} raw placements ({estimate} after symmetry pruning) exceed "
+                f"budget {budget}; consider two_phase_optimize or local_search",
+                count=int(n),
+            )
+        if not n:
+            raise InfeasibleError("search space is empty")
+        raw += n
+        blocks = (representative_blocks(base, free, counts, pool, perms, SEARCH_BLOCK)
+                  if len(perms) > 1 else raw_blocks(base, free, counts, pool, SEARCH_BLOCK))
+        if mode is Mode.HIGH:
+            rows = np.concatenate(list(blocks))
+            enumerated += len(rows)
+            blocks = [_prefilter(grid, rows, spec) if prefilter else rows]
+        for rows in blocks:
+            evaluated += len(rows)
+            ties.meet(rows, _values(grid, rows, spec, mode, queue_mode, failures, jobs))
+    if math.isinf(ties.floor):
         raise UnstableError(
             "every candidate placement saturates at this load "
             f"({failures['unstable']} unstable, {failures['non_convergent']} non-convergent)"
         )
-    # Every kept entry lies within the tie tolerance of the final floor.
-    winners = set(scored)
+    winners = set(ties.kept)
     if perms:
         winners = {"".join(s[i] for i in perm) for s in winners for perm in perms}
-    return SearchResult(best=_best(grid, winners), objective_value=floor, evaluated=evaluated,
-                        pruned=raw - extras.get("prefilter_evaluated", evaluated),
-                        method="exhaustive", extras={**extras, **_failure_counts(failures)})
+    extras = {"prefilter_evaluated": enumerated} if mode is Mode.HIGH and prefilter else {}
+    pruned = raw - extras.get("prefilter_evaluated", evaluated)
+    return winners, ties.floor, evaluated, pruned, extras
 
 
 def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
@@ -288,8 +289,12 @@ def exhaustive_search(space: SearchSpace, spec: TrafficSpec,
     """
     base, free, counts, pool = _tile_ids(space)
     perms = _symmetries(space, pool) if prune_symmetry else []
-    return _search(space.grid, base, free, counts, pool, perms, spec, space.mode,
-                   budget, prefilter, queue_mode, jobs)
+    failures = dict.fromkeys(FAILURE_KINDS, 0)
+    winners, value, evaluated, pruned, extras = _search(
+        space.grid, [(base, free, pool)], counts, perms, spec, space.mode, budget, prefilter,
+        queue_mode, jobs, failures)
+    return SearchResult(_best(space.grid, winners), value, evaluated, pruned, "exhaustive",
+                        {**extras, **failures})
 
 
 def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
@@ -297,46 +302,43 @@ def two_phase_optimize(space: SearchSpace, spec: TrafficSpec,
                        queue_mode: str = PAPER,
                        jobs: int = 1) -> SearchResult:
     """Decomposed search: optimize cores+caches with the memory term absent,
-    then place the memory controllers around each phase-1 winner.
+    then place the memory controllers around every phase-1 winner at once.
 
     Phase 2 scores the full objective, so the reported value is directly
-    comparable with a joint exhaustive search. With n_mcs == 0 this is the
-    plain cores+caches exhaustive search. As in exhaustive_search, ``jobs``
-    parallelises high-traffic scoring only.
+    comparable with a joint exhaustive search. It searches every winner
+    that leaves room for the controllers, and raises UnstableError only
+    when all their controller placements saturate. With n_mcs == 0 this is
+    the plain cores+caches exhaustive search. As in exhaustive_search,
+    ``jobs`` parallelises high-traffic scoring only.
     """
     base, free, counts, pool = _tile_ids(space)
     grid = space.grid
-    # Pinned controllers stay where they are during phase 1.
-    phase1 = _search(grid, base, free, (*counts[:2], 0), None, _symmetries(space, None),
-                     spec, space.mode, budget, True, queue_mode, jobs)
-    if space.n_mcs == 0:
-        phase1.method = "two-phase"
-        phase1.extras["phase1_objective"] = phase1.objective_value
-        return phase1
+    failures = dict.fromkeys(FAILURE_KINDS, 0)
 
-    best_value = math.inf
-    best_strings: set[str] = set()
-    evaluated = phase1.evaluated
-    failures = Counter({kind: phase1.extras[kind] for kind in FAILURE_KINDS})
-    for winner in map(placement_string, phase1.best):
+    def search(bases, counts, perms):
+        return _search(grid, bases, counts, perms, spec, space.mode, budget, True, queue_mode,
+                       jobs, failures)
+
+    # Pinned controllers stay where they are during phase 1.
+    winners, phase1, evaluated, pruned, extras = search(
+        [(base, free, None)], (*counts[:2], 0), _symmetries(space, None))
+    if not space.n_mcs:
+        return SearchResult(_best(grid, winners), phase1, evaluated, pruned, "two-phase",
+                            {**extras, **failures, "phase1_objective": phase1})
+    bases = []
+    for winner in sorted(winners):
         open_tiles = [i for i in free if winner[i] == "."]
         sites = None if pool is None else [i for i in pool if winner[i] == "."]
-        if len(open_tiles if sites is None else sites) < counts[2]:
-            continue  # the winner covers the tiles the controllers need
-        result = _search(grid, winner, open_tiles, (0, 0, counts[2]), sites, [], spec,
-                         space.mode, budget, True, queue_mode, jobs)
-        evaluated += result.evaluated
-        failures.update({kind: result.extras[kind] for kind in FAILURE_KINDS})
-        best_value, best_strings = _meet(best_value, best_strings, result.objective_value,
-                                         {placement_string(p) for p in result.best})
-    if not best_strings:
+        # A winner may cover the tiles the controllers need.
+        if len(open_tiles if sites is None else sites) >= counts[2]:
+            bases.append((winner, open_tiles, sites))
+    if not bases:
         raise InfeasibleError(f"no phase-1 winner leaves room for {counts[2]} memory "
                               "controllers" + ("" if pool is None else " on mc_tiles"))
-
-    return SearchResult(best=_best(grid, best_strings), objective_value=best_value,
-                        evaluated=evaluated, pruned=phase1.pruned, method="two-phase",
-                        extras={"phase1_objective": phase1.objective_value,
-                                "phase2_objective": best_value, **_failure_counts(failures)})
+    best, phase2, more, _, _ = search(bases, (0, 0, counts[2]), [])
+    return SearchResult(_best(grid, best), phase2, evaluated + more, pruned, "two-phase",
+                        {"phase1_objective": phase1, "phase2_objective": phase2,
+                         **failures})
 
 
 def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
@@ -356,6 +358,7 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         raise InfeasibleError("local_search cannot restrict controllers to mc_tiles; "
                               "use two_phase_optimize")
     rng = random.Random(seed)
+    budget = as_int(budget, InvalidConfigError, "budget")
     grid = space.grid
     base, free, (n_cores, n_caches, n_mcs), _ = _tile_ids(space)
     # Start: the central canonical placement, else pinned tiles plus
@@ -372,14 +375,13 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
     current = np.frombuffer("".join(current).encode("ascii"), dtype=np.uint8).copy()
     swaps = np.array(list(combinations(free, 2)), dtype=np.intp).reshape(-1, 2)
     evaluated = 0
-    failures: Counter = Counter()
+    failures = dict.fromkeys(FAILURE_KINDS, 0)
+    ties = _Ties()
 
     def score(rows: np.ndarray) -> np.ndarray:
         return _values(grid, rows, spec, space.mode, queue_mode, failures)
 
-    best_value = float(score(current[None])[0])
-    best_strings = {current.tobytes().decode("ascii")}
-    current_value = best_value
+    current_value = ties.meet(current[None], score(current[None]))
     remaining = budget
     while True:
         # One steepest-descent pass: the next ``remaining`` swaps of
@@ -391,13 +393,11 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
             rows[at, a], rows[at, b] = current[b], current[a]
             values = score(rows)
             i = int(values.argmin())
-            value = float(values[i])
             evaluated += len(a)
             remaining -= len(a)
-            if value < current_value:
-                current, current_value = rows[i].copy(), value
-                best_value, best_strings = _meet(best_value, best_strings, current_value,
-                                                 {current.tobytes().decode("ascii")})
+            if values[i] < current_value:
+                current = rows[i].copy()
+                current_value = ties.meet(current[None], values[i:i + 1])
                 if remaining > 0:
                     continue
         if remaining <= 0:
@@ -406,12 +406,9 @@ def local_search(space: SearchSpace, spec: TrafficSpec, seed: int,
         kinds = current[free].tolist()
         rng.shuffle(kinds)
         current[free] = kinds
-        current_value = float(score(current[None])[0])
+        current_value = ties.meet(current[None], score(current[None]))
         evaluated += 1
         remaining -= 1
-        best_value, best_strings = _meet(best_value, best_strings, current_value,
-                                         {current.tobytes().decode("ascii")})
 
-    return SearchResult(best=_best(grid, best_strings), objective_value=best_value,
-                        evaluated=evaluated, pruned=0,
-                        method="local", extras={"seed": seed, **_failure_counts(failures)})
+    return SearchResult(_best(grid, ties.kept), ties.floor, evaluated, 0, "local",
+                        {"seed": seed, **failures})

@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, UnstableError
+from .errors import InvalidConfigError, UnstableError, as_int
 from .mesh import Coord, NodeKind, Placement
 from .queueing import PAPER, packet_delay_inspector
 from .routing import N_PORTS, PORT_ORDER, Port
@@ -88,23 +87,21 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # A float or bool budget would reach numpy array sizes and fail there.
-        try:
-            if isinstance(self.messages, bool):
-                raise TypeError
-            object.__setattr__(self, "messages", operator.index(self.messages))
-        except TypeError:
-            raise InvalidConfigError(
-                f"message budget must be an integer, got {self.messages!r}") from None
+        object.__setattr__(self, "messages",
+                           as_int(self.messages, InvalidConfigError, "message budget"))
         if self.messages <= 0:
             raise InvalidConfigError("message budget must be > 0")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise InvalidConfigError(f"service rate mu must be finite and > 0, got {self.mu}")
-        if not (math.isfinite(self.mean_message_size) and self.mean_message_size > 0):
-            raise InvalidConfigError("mean message size must be finite and > 0, "
-                                     f"got {self.mean_message_size}")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise InvalidConfigError("warmup fraction must lie in [0, 1)")
+        try:
+            if not (math.isfinite(self.mu) and self.mu > 0):
+                raise InvalidConfigError(f"service rate mu must be finite and > 0, got {self.mu}")
+            if not (math.isfinite(self.mean_message_size) and self.mean_message_size > 0):
+                raise InvalidConfigError("mean message size must be finite and > 0, "
+                                         f"got {self.mean_message_size}")
+            if not 0.0 <= self.warmup_frac < 1.0:
+                raise InvalidConfigError("warmup fraction must lie in [0, 1)")
+        except TypeError:
+            raise InvalidConfigError("mu, mean message size and warmup fraction must be "
+                                     "numbers") from None
 
 
 @dataclass

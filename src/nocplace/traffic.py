@@ -25,11 +25,14 @@ class ServiceSpec:
     scv: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean_service) and self.mean_service > 0):
-            raise InvalidTrafficError(
-                f"mean service time must be finite and > 0, got {self.mean_service}")
-        if not (math.isfinite(self.scv) and self.scv >= 0):
-            raise InvalidTrafficError(f"service SCV must be finite and >= 0, got {self.scv}")
+        try:
+            if not (math.isfinite(self.mean_service) and self.mean_service > 0):
+                raise InvalidTrafficError(
+                    f"mean service time must be finite and > 0, got {self.mean_service}")
+            if not (math.isfinite(self.scv) and self.scv >= 0):
+                raise InvalidTrafficError(f"service SCV must be finite and >= 0, got {self.scv}")
+        except TypeError:
+            raise InvalidTrafficError(f"service time and SCV must be numbers: {self}") from None
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,20 @@ class TrafficSpec:
     mem_fixed_latency: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.hit_l1 <= 1.0:
-            raise InvalidTrafficError(f"hit_l1 must be in [0,1], got {self.hit_l1}")
-        if not 0.0 <= self.miss_l2 <= 1.0:
-            raise InvalidTrafficError(f"miss_l2 must be in [0,1], got {self.miss_l2}")
-        if not (math.isfinite(self.arrival_scv) and self.arrival_scv >= 0):
-            raise InvalidTrafficError(f"arrival SCV must be finite and >= 0, got {self.arrival_scv}")
-        for name in ("latency_l1", "mem_fixed_latency"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidTrafficError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            if not 0.0 <= self.hit_l1 <= 1.0:
+                raise InvalidTrafficError(f"hit_l1 must be in [0,1], got {self.hit_l1}")
+            if not 0.0 <= self.miss_l2 <= 1.0:
+                raise InvalidTrafficError(f"miss_l2 must be in [0,1], got {self.miss_l2}")
+            if not (math.isfinite(self.arrival_scv) and self.arrival_scv >= 0):
+                raise InvalidTrafficError(
+                    f"arrival SCV must be finite and >= 0, got {self.arrival_scv}")
+            for name in ("latency_l1", "mem_fixed_latency"):
+                if not math.isfinite(getattr(self, name)):
+                    raise InvalidTrafficError(f"{name} must be finite, got {getattr(self, name)}")
+        except TypeError:
+            raise InvalidTrafficError("hit_l1, miss_l2, arrival_scv, latency_l1 and "
+                                      "mem_fixed_latency must be numbers") from None
 
     @property
     def miss_l1(self) -> float:

@@ -6,6 +6,7 @@ import pytest
 from nocplace import (
     CanonicalFamily,
     Coord,
+    InvalidConfigError,
     MeshGrid,
     Mode,
     InvalidTrafficError,
@@ -145,6 +146,16 @@ class TestObjective:
             for a, b in zip(low.per_core, high.per_core):
                 assert (b.l2_term, b.mem_term, b.total) == pytest.approx(
                     (a.l2_term, a.mem_term, a.total), rel=1e-12)
+
+    def test_mode_value_is_coerced(self):
+        # "high" used to fall through to the LOW model, labelled "high".
+        p = canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), 12, 4, 0)
+        t = TrafficSpec(lambda_g=0.1)
+        for value, member in (("high", Mode.HIGH), ("low", Mode.LOW)):
+            report = objective(p, t, value)
+            assert report.to_json_dict() == objective(p, t, member).to_json_dict()
+        with pytest.raises(InvalidConfigError, match="unknown latency mode 'HIGH'"):
+            objective(p, t, "HIGH")
 
     def test_high_mode_at_load_dominates_low_mode(self):
         g = MeshGrid(4, 4)

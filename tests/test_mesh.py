@@ -132,6 +132,18 @@ class TestPlacementCount:
         with pytest.raises(InfeasibleError):
             placement_count(4, 3, 1, 1)
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, True, "2", None])
+    def test_non_integer_count_or_family_parameter_rejected(self, count):
+        # They used to escape as TypeError from math.factorial, a slice or
+        # a range.
+        with pytest.raises(InfeasibleError, match="cores count must be an integer"):
+            placement_count(16, count, 4, 0)
+        with pytest.raises(InfeasibleError, match="cores count must be an integer"):
+            canonical_placement(CanonicalFamily.CENTRAL, MeshGrid(4, 4), count, 4, 0)
+        for name in ("rings", "stripe_width", "cluster"):
+            with pytest.raises(InfeasibleError, match=f"{name} must be an integer"):
+                FamilyParams(**{name: count})
+
     @pytest.mark.parametrize("counts", [
         (6, 3, 2, 1), (4, 1, 1, 0), (5, 2, 2, 1), (8, 3, 2, 2), (7, 0, 4, 0),
     ])

@@ -13,6 +13,7 @@ from nocplace import (
     CanonicalFamily,
     Coord,
     InfeasibleError,
+    InvalidConfigError,
     MeshGrid,
     Mode,
     NodeKind,
@@ -30,6 +31,7 @@ from nocplace.candidates import raw_blocks, representative_blocks
 from nocplace.mesh import placement_from_string, placement_string
 from nocplace.optimizer import (
     SearchSpace,
+    _Ties,
     _prefilter,
     _raw_count,
     _symmetries,
@@ -175,6 +177,27 @@ class TestExhaustive:
         with pytest.raises(BudgetExceededError) as exc:
             exhaustive_search(space, TrafficSpec())
         assert exc.value.count > 10_000_000
+
+    @pytest.mark.parametrize("bad", [8.5, 2.0, True, "2", None])
+    def test_non_integer_counts_and_budgets_are_typed_errors(self, bad):
+        # They used to escape as TypeError from a slice or a comparison.
+        space = SearchSpace(MeshGrid(3, 3), 4, 1)
+        for search in (exhaustive_search, two_phase_optimize,
+                       lambda space, spec, budget: local_search(space, spec, 1, budget)):
+            with pytest.raises(InfeasibleError, match="node count must be an integer"):
+                search(SearchSpace(MeshGrid(3, 3), bad, 1), TrafficSpec(), budget=100)
+            with pytest.raises(InvalidConfigError, match="budget must be an integer"):
+                search(space, TrafficSpec(), budget=bad)
+
+    def test_mode_value_runs_that_mode(self):
+        # "high" used to score HIGH under LOW's symmetries, unprefiltered.
+        spec = TrafficSpec(lambda_g=0.3)
+        by_value = exhaustive_search(SearchSpace(MeshGrid(3, 3), 4, 2, mode="high"), spec)
+        by_member = exhaustive_search(SearchSpace(MeshGrid(3, 3), 4, 2, mode=Mode.HIGH), spec)
+        assert by_value.to_json_dict() == by_member.to_json_dict()
+        assert (len(by_value.best), by_value.evaluated) == (16, 100)
+        with pytest.raises(InvalidConfigError, match="unknown latency mode 'sideways'"):
+            SearchSpace(MeshGrid(3, 3), 4, 2, mode="sideways")
 
     def test_pruning_is_lossless(self):
         for space, spec in [
@@ -596,6 +619,68 @@ class TestTwoPhase:
             joint = exhaustive_search(space, spec)
             decomposed = two_phase_optimize(space, spec)
             assert decomposed.objective_value >= joint.objective_value - 1e-9
+
+    def test_phase_two_searches_every_winner_at_once(self):
+        # Twelve of the sixteen phase-1 winners leave room on column x = 0,
+        # and four of those a controller site that does not saturate.
+        # Searched one winner at a time, the first winner whose sites all
+        # saturate aborted the whole search with UnstableError.
+        grid = MeshGrid(3, 3)
+        spec = TrafficSpec(lambda_g=0.5, miss_l2=0.5)
+        pool = frozenset(Coord(0, y) for y in range(3))
+        result = two_phase_optimize(SearchSpace(grid, 4, 2, 1, mode=Mode.HIGH, mc_tiles=pool),
+                                    spec)
+        # Oracle from the public API: every phase-1 winner with one
+        # controller on each pool tile it leaves free.
+        winners = exhaustive_search(SearchSpace(grid, 4, 2, 0, mode=Mode.HIGH), spec).best
+        values = {}
+        for s in map(placement_string, winners):
+            for i in (grid.index(c) for c in pool if s[grid.index(c)] == "."):
+                t = s[:i] + "M" + s[i + 1:]
+                try:
+                    values[t] = objective(placement_from_string(grid, t), spec,
+                                          Mode.HIGH).objective_value
+                except UnstableError:
+                    pass
+        low = min(values.values())
+        ties = sorted(t for t, v in values.items()
+                      if v <= low + optimizer.OBJECTIVE_TIE_REL_TOL * max(1.0, low))
+        assert (len(winners), len(values)) == (16, 4)
+        assert result.objective_value == low == 22.65921469543847
+        assert [placement_string(p) for p in result.best] == ties == \
+            ["..CMC$C$C", ".C.MC$C$C", "C$CMC$..C", "C$CMC$.C."]
+        assert (result.evaluated, result.extras["unstable"]) == (120, 32)
+
+
+class TestTies:
+    """The tie accumulator every search keeps its argmin ties in."""
+
+    @staticmethod
+    def meet_all(blocks):
+        ties = _Ties()
+        for strings, values in blocks:
+            rows = np.frombuffer("".join(strings).encode("ascii"), np.uint8).reshape(
+                len(strings), -1)
+            ties.meet(rows, np.array(values))
+        return ties.floor, sorted(ties.kept)
+
+    def test_a_later_value_within_tolerance_below_becomes_the_floor(self):
+        # The pairwise rule kept 10.0 here: a value within 10.0's tolerance
+        # joined its ties without lowering the reported value.
+        assert self.meet_all([(["C$."], [10.0]), ([".$C"], [10.0 * (1 - 5e-10)])]) == \
+            (10.0 * (1 - 5e-10), [".$C", "C$."])
+
+    def test_a_lower_floor_drops_what_its_tolerance_leaves_behind(self):
+        blocks = [(["C$."], [10.0]), (["$C.", "..$"], [10.0 + 5e-9, 12.0]),
+                  ([".$C"], [10.0 - 6e-9])]
+        # 10 + 5e-9 is within 10's tolerance, not within 10 - 6e-9's.
+        expected = (10.0 - 6e-9, [".$C", "C$."])
+        assert self.meet_all(blocks) == expected
+        # What is kept does not depend on the order the blocks are met in.
+        for order in ([2, 1, 0], [1, 2, 0], [0, 2, 1]):
+            assert self.meet_all([blocks[i] for i in order]) == expected
+        assert self.meet_all([(["C$.", "$C."], [math.inf, math.inf])]) == \
+            (math.inf, ["$C.", "C$."])
 
 
 class TestLocalSearch:

@@ -155,6 +155,9 @@ class TestRunSim:
             SimConfig(line3(), TrafficSpec(), warmup_frac=1.0)
         with pytest.raises(InvalidConfigError):
             SimConfig(line3(), TrafficSpec(), mu=0.0)
+        for field in ("mu", "mean_message_size", "warmup_frac"):
+            with pytest.raises(InvalidConfigError, match="must be numbers"):
+                SimConfig(line3(), TrafficSpec(), **{field: "0.5"})
         # NaN compares false with everything, so ``<= 0`` alone lets it pass.
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidConfigError, match="mu must be finite"):

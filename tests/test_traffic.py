@@ -36,12 +36,16 @@ class TestSpecValidation:
             TrafficSpec(hit_l1=1.5)
         with pytest.raises(InvalidTrafficError):
             TrafficSpec(miss_l2=-0.1)
+        with pytest.raises(InvalidTrafficError, match="must be numbers"):
+            TrafficSpec(hit_l1="0.5")
 
     def test_service_spec_bounds(self):
         with pytest.raises(InvalidTrafficError):
             ServiceSpec(mean_service=0.0)
         with pytest.raises(InvalidTrafficError):
             ServiceSpec(scv=-1.0)
+        with pytest.raises(InvalidTrafficError, match="must be numbers"):
+            ServiceSpec(mean_service="1.0")
 
     def test_miss_l1_derived(self):
         assert TrafficSpec(hit_l1=0.3).miss_l1 == pytest.approx(0.7)
