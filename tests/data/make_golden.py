@@ -28,7 +28,11 @@ unstable cases the raised error's router, channel and message.
 The committed simulator file was written by the ``Coord``-keyed event engine
 (commit 6f20235) before it moved onto integer channel ids. Per seeded run it
 stores the SHA-256 of ``json.dumps(SimStats.to_json_dict(), sort_keys=True)``
-and the ``compare_to_analytical`` rows as floats, compared exactly.
+and the ``compare_to_analytical`` rows as floats, compared exactly. Beside
+that hash, ``stats_digests`` holds one SHA-256 per piece of the same JSON:
+per scalar field, per channel column (the channel's ``x``, ``y``, ``port``
+and each ``ChannelStats`` field over all channels) and of the flow list, so
+that ``diff`` names the statistic that moved.
 
 The committed search file was written by the ``Coord``-keyed search (commit
 f83eddc) before it moved onto tile ids. Per case it stores the search's
@@ -163,9 +167,19 @@ def sim_spec_dict(spec) -> dict:
             "model_replies": spec.model_replies}
 
 
-def sim_stats_sha256(stats) -> str:
-    text = json.dumps(stats.to_json_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sha256(value) -> str:
+    """The SHA-256 of ``value`` as JSON with sorted keys."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def sim_stats_digests(stats) -> dict:
+    """One digest per scalar of ``SimStats.to_json_dict()``, per channel
+    column and of the flows."""
+    d = stats.to_json_dict()
+    channels, flows = d.pop("channels"), d.pop("flows")
+    columns = {k: _sha256([c[k] for c in channels]) for k in (channels[0] if channels else ())}
+    return {**{k: _sha256(v) for k, v in d.items()}, "channels": columns,
+            "flow_latency": _sha256(flows)}
 
 
 def compare_dict(report) -> dict:
@@ -183,13 +197,15 @@ def sim(path: str) -> None:
     out = []
     for case_id, cfg in sim_cases():
         report = nc.compare_to_analytical(cfg)
+        stats = nc.run_sim(cfg)
         out.append({
             "id": case_id,
             "placement": cfg.placement.to_text().strip().replace("\n", "/"),
             "spec": sim_spec_dict(cfg.traffic),
             "messages": cfg.messages,
             "seed": cfg.seed,
-            "stats_sha256": sim_stats_sha256(nc.run_sim(cfg)),
+            "stats_sha256": _sha256(stats.to_json_dict()),
+            "stats_digests": sim_stats_digests(stats),
             "compare": compare_dict(report),
         })
         print(case_id, len(report.rows), "rows", file=sys.stderr)
