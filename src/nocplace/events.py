@@ -4,10 +4,15 @@ engine is tested against.
 
 One heap holds generation and channel-completion events as ``(time, push
 count, kind, payload)``; equal times pop in push order. The main loop is one
-flat loop that makes no call per event: the clock update of a channel, a
-message's arrival at its next channel, the spawn of a derived message and
-the length draw are written out where they happen. Each message records its
-arrival time at the channel it waits in, so a queue holds messages. Each
+flat loop that makes no call per event: a message's arrival at its next
+channel, the spawn of a derived message and the length draw are written out
+where they happen. Each message records its arrival time at the channel it
+waits in, so a queue holds messages. A departure adds the message's terms
+to its channel's running sums, its response and service time and its time
+in the channel and in service after the start of the statistics window
+(see ``simulator.ChannelStats``); a channel keeps the time of its last
+departure, which is when the next message's service starts unless it
+arrives later. No statistic needs a clock of the events in time order. Each
 latency is kept with its delivery time, in two typed arrays, and
 ``_sim_stats`` orders them: the order in which simultaneous deliveries pop
 decides no statistic.
@@ -144,14 +149,13 @@ def run_events(config: SimConfig) -> SimStats:
         else:
             ch = payload
             queue = ch.queue
-            if t > stats_start:
-                last_t = ch.last_t
-                dt = t - (last_t if last_t > stats_start else stats_start)
-                ch.area += len(queue) * dt
-                ch.busy += dt
-            ch.last_t = t
             msg = queue.popleft()
             arr_t = msg.arr
+            if t > stats_start:
+                begin = ch.last_t if ch.last_t > arr_t else arr_t
+                ch.area += t - (arr_t if arr_t > stats_start else stats_start)
+                ch.busy += t - (begin if begin > stats_start else stats_start)
+            ch.last_t = t
             if arr_t >= stats_start:
                 ch.completions += 1
                 ch.resp_sum += t - arr_t
@@ -162,22 +166,13 @@ def run_events(config: SimConfig) -> SimStats:
             path = msg.path
             if hop < len(path):
                 # Arrival at the next channel of the path. Arrivals count
-                # from the start of the statistics window, area after it.
+                # from the start of the statistics window.
                 msg.hop = hop
                 msg.arr = t
                 ch = path[hop]
                 queue = ch.queue
-                if t > stats_start:
-                    last_t = ch.last_t
-                    dt = t - (last_t if last_t > stats_start else stats_start)
-                    n = len(queue)
-                    ch.area += n * dt
-                    if n:
-                        ch.busy += dt
+                if t >= stats_start:
                     ch.arrivals += 1
-                elif t == stats_start:
-                    ch.arrivals += 1
-                ch.last_t = t
                 if not queue:
                     heappush(heap, (t + msg.svc, tick(), 1, ch))
                 queue.append(msg)
@@ -217,23 +212,13 @@ def run_events(config: SimConfig) -> SimStats:
             msg = _Message(path, (length if length > 1.0 else 1.0) / mu, t, src, dst, primary)
             ch = path[0]
             queue = ch.queue
-            if t > stats_start:
-                last_t = ch.last_t
-                dt = t - (last_t if last_t > stats_start else stats_start)
-                n = len(queue)
-                ch.area += n * dt
-                if n:
-                    ch.busy += dt
+            if t >= stats_start:
                 ch.arrivals += 1
-            elif t == stats_start:
-                ch.arrivals += 1
-            ch.last_t = t
             if not queue:
                 heappush(heap, (t + msg.svc, tick(), 1, ch))
             queue.append(msg)
 
-    # The heap is empty, so is every queue: closing the clocks at the end
-    # adds no area and no busy time.
+    # The heap is empty, so every message has departed and added its terms.
     end_t = max((ch.last_t for ch in channels.values()), default=0.0)
     return _sim_stats(
         grid,

@@ -11,9 +11,12 @@ bit for bit:
   window's uniforms come from one ``getrandbits`` call that yields the words
   ``random()`` would use (``_uniforms``).
 - Every float is computed by the same operations in the same order: each
-  departure by the recursion in FIFO order; each running sum (response,
-  service, queue-length area, busy time) one term at a time in each
-  channel's event order, and each flow's latency sum in delivery order.
+  departure by the recursion in FIFO order; each channel's running sums
+  (response, service, queue-length area, busy time) one term per message
+  in FIFO order, and each flow's latency sum in delivery order. The area
+  and the busy time are sums over messages of their time in the channel
+  and in service (see ``simulator.ChannelStats``), so no channel needs a
+  clock that meets its arrivals and departures in time order.
 - The order of simultaneous events is not rebuilt. Message lengths repeat,
   so a departure often coincides with another event, but the statistics do
   not depend on how such ties pop: ``simulator._sim_stats`` orders the
@@ -132,15 +135,18 @@ def _draws(rng: random.Random, inj: list[float], active_cores: list[int],
 
 def _lindley(arrive: list[float], service: list[float], starts: list[int],
              free: list[float]) -> list[float]:
-    """FIFO departures ``D_k = max(A_k, D_{k-1}) + S_k``, evaluated in order.
-    The arrivals are grouped by channel; each group begins at its index in
-    ``starts`` with ``D_{k-1}`` the time its channel's server frees up."""
+    """FIFO service starts ``B_k = max(A_k, D_{k-1})``, where ``D_k = B_k +
+    S_k``, evaluated in order. The arrivals are grouped by channel; each
+    group begins at its index in ``starts`` with ``D_{k-1}`` the time its
+    channel's server frees up."""
     out: list[float] = []
     push = out.append
     for b, e, d in zip(starts, starts[1:] + [len(arrive)], free):
         for a, s in zip(arrive[b:e], service[b:e]):
-            d = (a if a > d else d) + s
+            if a > d:
+                d = a
             push(d)
+            d += s
     return out
 
 
@@ -161,7 +167,10 @@ class _FeedForward:
     channel per level, so a message's latest event carries all its state.
     Generations come in windows; a window serves, level by level, every
     arrival before the next window's first generation, which no later
-    message can precede.
+    message can precede. Each served message adds its terms to its channel's
+    running sums at once, except before the statistics window opens: then
+    the messages that depart at or after the window's end are held until
+    the warmup-th generation fixes its start.
     """
 
     def __init__(self, config: SimConfig):
@@ -214,19 +223,16 @@ class _FeedForward:
         self.msg = {name: np.empty(0, dtype) for name, dtype in fields.items()}
         self.generated = 0
 
-        # Channels: each server's free time (-inf until a message uses it);
-        # the event engine's running sums, side by side (response, service,
-        # queue-length area, busy time) so that one ``bincount`` adds a
-        # level's terms; the queue length and time of the last event folded
-        # into the area, and per level the departures not yet folded as
-        # channel + 1j * time, in channel and time order.
+        # Channels: each server's free time (-inf until a message uses it),
+        # and the event engine's running sums, side by side (response,
+        # service, queue-length area, busy time) so that one ``bincount``
+        # adds a level's terms. The messages held for the statistics window
+        # as (channel, arrival, service start, departure, service time).
         self.free = np.full(n_ch, -math.inf)
         self.arrivals = np.zeros(n_ch, dtype=np.int64)
         self.sums = np.zeros(4 * n_ch)
         self.bins = np.arange(4 * n_ch)
-        self.queued = np.zeros(n_ch, dtype=np.int64)
-        self.last_t = np.zeros(n_ch)
-        self.pending = [np.empty(0, dtype=complex)] * self.n_levels
+        self.held = (np.empty(0, np.int16), *[np.empty(0)] * 4)
 
         # Per-flow delivery counts and latency sums; the latencies and
         # delivery times in delivery order.
@@ -259,17 +265,15 @@ class _FeedForward:
                     for name, a in self.msg.items()}
         if g0 < self.warmup_count <= g0 + c:
             self.stats_start = float(times[self.warmup_count - 1 - g0])
+            self._fold(self.held, math.inf)  # they come first on their channels
 
     def _level(self, level: int, stop: float) -> None:
         """Serve the arrivals before ``stop`` at the channels of one level
-        and fold that level's events before ``stop`` into the running sums."""
+        and fold their terms into the running sums."""
         msg = self.msg
         cur = msg["cur"]
         sel = np.flatnonzero((msg["next"] == level) & (cur < stop))
         if not sel.size:
-            if self.pending[level].size:
-                empty = np.empty(0)
-                self._fold(level, stop, sel, empty, empty, empty)
             return
         f = msg["flow"][sel]
         if level == 0:
@@ -285,20 +289,20 @@ class _FeedForward:
         first = _segments(ch)
         if level and np.any((arrive[1:] == arrive[:-1]) & ~first[1:]):
             raise TieUnresolved
-        dep, svc = self._serve(level, sel, f, ch, first, arrive)
-        self._fold(level, stop, ch, arrive, dep, svc)
+        self._fold((ch, arrive, *self._serve(level, sel, f, ch, first, arrive)), stop)
 
-    def _serve(self, level, sel, f, ch, first, arrive) -> tuple[np.ndarray, np.ndarray]:
-        """Departures and service times of the messages ``sel`` of flows
-        ``f`` arriving at ``ch`` (sorted by channel, then in FIFO order;
-        ``first`` marks each channel's first); updates the messages and the
-        channels."""
+    def _serve(self, level, sel, f, ch, first, arrive) -> tuple[np.ndarray, ...]:
+        """Service starts, departures and service times of the messages
+        ``sel`` of flows ``f`` arriving at ``ch`` (sorted by channel, then in
+        FIFO order; ``first`` marks each channel's first); updates the
+        messages and the channels."""
         msg = self.msg
         heads = np.flatnonzero(first)
         hc = ch[heads]
         svc = msg["svc"][sel]
-        dep = np.fromiter(_lindley(arrive.tolist(), svc.tolist(), heads.tolist(),
-                                   self.free[hc].tolist()), float, sel.size)
+        begin = np.fromiter(_lindley(arrive.tolist(), svc.tolist(), heads.tolist(),
+                                     self.free[hc].tolist()), float, sel.size)
+        dep = begin + svc
         # Whether an arrival at the warmup instant counts depends on its pop
         # order against the warmup-th generation, which only that
         # generation's own LOCAL arrival is known to follow.
@@ -312,65 +316,33 @@ class _FeedForward:
         else:
             msg["next"][sel] = np.where(level < self.y_last[f], level + 1, self.n_levels)
         self.free[hc] = dep[np.append(heads[1:], sel.size) - 1]
-        return dep, svc
+        return begin, dep, svc
 
-    def _fold(self, level, stop, ch, arrive, dep, svc) -> None:
-        """Add the level's running sums: response and service time of the
-        counted arrivals at ``ch``, and queue-length area and busy time over
-        the arrivals and the departures before ``stop``. Each channel's
-        events are taken in time order, as the event engine meets them;
-        events at one instant add dt = 0, so their order among themselves
-        does not matter."""
-        n_ch, na, pend = self.n_ch, arrive.size, self.pending[level]
-        # Arrivals, pending departures and new departures are each in
-        # channel and time order: a stable sort merges the three runs.
-        key = np.empty(2 * na + pend.size, dtype=complex)
-        key[na:na + pend.size] = pend
-        key.real[:na] = key.real[na + pend.size:] = ch
-        key.imag[:na], key.imag[na + pend.size:] = arrive, dep
-        o = np.argsort(key, kind="stable")
-        key = key[o]
-        later = key.imag >= stop
-        self.pending[level] = key[later]
-        now = ~later
-        step = np.where(o[now] < na, 1, -1)
-        key = key[now]
-        del o, later, now
-        if not key.size:
+    def _fold(self, served, stop: float) -> None:
+        """Add the terms of the ``served`` messages, (channel, arrival,
+        service start, departure, service time) in each channel's FIFO
+        order, to the running sums (see ``simulator.ChannelStats``): the
+        response and service time of each arrival counted from the start
+        ``s`` of the statistics window, and each departure after ``s`` its
+        time in the channel and in service after ``s``. Before ``s`` is
+        known, the messages that depart at or after ``stop`` are held."""
+        s = self.stats_start
+        if s == math.inf:
+            held = [np.concatenate(pair) for pair in zip(self.held, served)]
+            later = held[3] >= stop
+            self.held = tuple(a[later] for a in held)
             return
-        t = key.imag.copy()
-        ch_all = key.real.astype(np.int16)
-        del key
-        # Queue length before each event: the channel's queue, then one
-        # cumulative sum whose first step on each channel restarts it.
-        heads = np.flatnonzero(_segments(ch_all))
-        hc = ch_all[heads]
-        queued = self.queued[hc]
-        self.queued[hc] = ends = queued + np.add.reduceat(step, heads)
-        restart = step.copy()
-        restart[heads] += queued
-        restart[heads[1:]] -= ends[:-1]
-        n = np.cumsum(restart)
-        n -= step
-        del restart, step
-        prev_t = np.empty(t.size)
-        prev_t[1:] = t[:-1]
-        prev_t[heads] = self.last_t[hc]
-        self.last_t[hc] = t[np.append(heads[1:], t.size) - 1]
-
-        # Terms of events before the statistics window are 0.0, which adds
-        # nothing to a sum of non-negative terms.
-        stats_start = self.stats_start
-        if stats_start == math.inf:
-            return
-        counted = arrive >= stats_start
+        ch, arrive, begin, dep, svc = served
+        n_ch = self.n_ch
+        counted = arrive >= s
+        after = dep > s
         self.arrivals += np.bincount(ch[counted], minlength=n_ch)
-        dt = t - np.maximum(prev_t, stats_start)
-        dt[t <= stats_start] = 0.0
         self.sums = np.bincount(
-            np.concatenate((self.bins, ch, ch + n_ch, ch_all + 2 * n_ch, ch_all + 3 * n_ch)),
+            np.concatenate((self.bins, ch, ch + n_ch, ch + 2 * n_ch, ch + 3 * n_ch)),
             np.concatenate((self.sums, np.where(counted, dep - arrive, 0.0),
-                            np.where(counted, svc, 0.0), n * dt, np.where(n > 0, dt, 0.0))),
+                            np.where(counted, svc, 0.0),
+                            np.where(after, dep - np.maximum(arrive, s), 0.0),
+                            np.where(after, dep - np.maximum(begin, s), 0.0))),
             minlength=4 * n_ch)
 
     def _deliver(self, start: float, stop: float) -> None:
@@ -402,7 +374,7 @@ class _FeedForward:
         flows = np.flatnonzero(self.flow_n)
         keys = self.src[flows] * self.grid.n_tiles + self.dst[flows]
         messages = self.config.messages
-        end_t = float(self.last_t.max())  # the last departure
+        end_t = float(self.free.max())  # the last departure
         return _sim_stats(
             self.grid,
             zip(channel_ids.tolist(), arrivals, arrivals, busy, area, resp_sum, svc_sum),

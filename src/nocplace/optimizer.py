@@ -48,9 +48,9 @@ class SearchSpace:
     ``fixed`` pins tiles to kinds (counted toward the totals); symmetry
     pruning is disabled when any tile is pinned. ``mc_tiles`` optionally
     restricts where memory controllers may sit (e.g. the perimeter);
-    ``local_search`` rejects it. ``mode`` may be given as its value ("low"
-    or "high"); the searches raise InfeasibleError for counts that are not
-    integers.
+    ``local_search`` rejects it. ``mode`` may be given or set as its value
+    ("low" or "high"); the searches raise InfeasibleError for counts that
+    are not integers.
     """
 
     grid: MeshGrid
@@ -61,8 +61,9 @@ class SearchSpace:
     mode: Mode = Mode.LOW
     mc_tiles: frozenset[Coord] | None = None
 
-    def __post_init__(self):
-        self.mode = _as_mode(self.mode)
+    def __setattr__(self, name, value):
+        # Every assignment, in ``__init__`` or later, stores a Mode.
+        super().__setattr__(name, _as_mode(value) if name == "mode" else value)
 
 
 @dataclass

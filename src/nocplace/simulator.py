@@ -106,7 +106,22 @@ class SimConfig:
 
 @dataclass
 class ChannelStats:
-    """Post-warmup statistics for one (router, input port) channel."""
+    """Post-warmup statistics for one (router, input port) channel.
+
+    The statistics window runs from its start ``s`` (the warmup-th
+    generation, or 0) to the last departure of the run; ``window`` is its
+    length. ``arrivals`` and ``completions`` count the messages that reach
+    the channel at or after ``s``, whose mean service and response times
+    these are. A message in the channel from ``arr`` to ``dep`` starts
+    service at ``begin``, the later of ``arr`` and the previous departure,
+    and every message departing after ``s`` adds ``dep - max(arr, s)`` to
+    the queue-length area (in service or waiting) and ``dep - max(begin,
+    s)`` to the busy time; ``mean_queue_len`` and ``utilization`` are those
+    sums over ``window``. Every message leaves by the end, so by Little's
+    law (Little 1961) they are the time integrals of the queue length and
+    of the server's busy indicator, and with ``s`` = 0 ``mean_queue_len *
+    window`` equals ``mean_response * completions``, and ``utilization *
+    window`` equals ``mean_service * completions``, up to rounding."""
 
     arrivals: int = 0
     completions: int = 0
@@ -211,7 +226,10 @@ def _sim_stats(grid, channels, lat: np.ndarray, lat_t: np.ndarray, flows, end_t:
     how an engine breaks time ties."""
     coords = grid.coords
     n_tiles = grid.n_tiles
-    lat = lat[np.lexsort((lat, lat_t))]
+    # By latency, then stably by delivery time: the order of ``lexsort((lat,
+    # lat_t))``, since entries that tie on both keys are equal, in less time.
+    o = np.argsort(lat)
+    lat = lat[o[np.argsort(lat_t[o], kind="stable")]]
     channel_stats: dict[tuple[Coord, Port], ChannelStats] = {}
     for cid, arrivals, completions, busy, area, resp_sum, svc_sum in sorted(channels):
         st = ChannelStats(arrivals=arrivals, completions=completions)

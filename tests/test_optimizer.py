@@ -196,6 +196,12 @@ class TestExhaustive:
         by_member = exhaustive_search(SearchSpace(MeshGrid(3, 3), 4, 2, mode=Mode.HIGH), spec)
         assert by_value.to_json_dict() == by_member.to_json_dict()
         assert (len(by_value.best), by_value.evaluated) == (16, 100)
+        # Set after construction, it used to score HIGH under LOW's
+        # symmetries, unprefiltered: 12 ties and 174 scored.
+        space = SearchSpace(MeshGrid(3, 3), 4, 2)
+        space.mode = "high"
+        assert space.mode is Mode.HIGH
+        assert exhaustive_search(space, spec).to_json_dict() == by_member.to_json_dict()
         with pytest.raises(InvalidConfigError, match="unknown latency mode 'sideways'"):
             SearchSpace(MeshGrid(3, 3), 4, 2, mode="sideways")
 

@@ -24,6 +24,7 @@ from nocplace import (
 from nocplace import events, feedforward
 from nocplace.simulator import MIN_COMPLETIONS, write_sweep_csv
 from nocplace.traffic import matrix
+from test_feedforward import CORPUS
 
 
 def place(grid, cores=(), caches=(), mcs=()):
@@ -109,6 +110,20 @@ class TestRunSim:
             assert residual / ch.mean_queue_len <= 0.05, key
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("config", [c for _, c in CORPUS], ids=[i for i, _ in CORPUS])
+    def test_channel_sums_are_per_message_times(self, config):
+        # From time 0 every message's time in a channel and in service falls
+        # inside the window, so the queue-length area is the response sum and
+        # the busy time the service sum (Little 1961), up to rounding.
+        config = replace(config, warmup_frac=0.0)
+        for run in (events.run_events, feedforward.run_feedforward):
+            stats = run(config)
+            for key, ch in stats.channels.items():
+                for integral, mean in ((ch.mean_queue_len, ch.mean_response),
+                                       (ch.utilization, ch.mean_service)):
+                    a, b = integral * stats.window, mean * ch.completions
+                    assert abs(a - b) <= 1e-12 * max(a, b), (run.__module__, key, a, b)
 
     def test_throughput_tracks_offered_load(self):
         cfg = SimConfig(line3(), TrafficSpec(lambda_g=0.5, p=matrix([[1.0]])),
