@@ -8,14 +8,13 @@ flat loop that makes no call per event: a message's arrival at its next
 channel, the spawn of a derived message and the length draw are written out
 where they happen. Each message records its arrival time at the channel it
 waits in, so a queue holds messages. A departure adds the message's terms
-to its channel's running sums, its response and service time and its time
-in the channel and in service after the start of the statistics window
-(see ``simulator.ChannelStats``); a channel keeps the time of its last
-departure, which is when the next message's service starts unless it
-arrives later. No statistic needs a clock of the events in time order. Each
-latency is kept with its delivery time, in two typed arrays, and
-``_sim_stats`` orders them: the order in which simultaneous deliveries pop
-decides no statistic.
+to its channel's running sums: its response and service times, and its
+time in the channel and in service after the statistics window opens (see
+``simulator.ChannelStats``). A channel keeps the time of its last
+departure, when the next message's service starts unless it arrives later,
+and no clock of its events in time order. Each latency is kept with its
+delivery time, in two typed arrays, and ``_sim_stats`` orders them: the
+order in which simultaneous deliveries pop decides no statistic.
 
 The order of the uniforms is fixed: at a generation the gap to the core's
 next generation, the destination cache, then the length; at the delivery of

@@ -168,9 +168,10 @@ class _FeedForward:
     Generations come in windows; a window serves, level by level, every
     arrival before the next window's first generation, which no later
     message can precede. Each served message adds its terms to its channel's
-    running sums at once, except before the statistics window opens: then
-    the messages that depart at or after the window's end are held until
-    the warmup-th generation fixes its start.
+    running sums at once. Before the warmup-th generation fixes the start
+    of the statistics window, only the messages that have not departed by
+    the end of the current generation window can add anything: they are
+    held until then.
     """
 
     def __init__(self, config: SimConfig):

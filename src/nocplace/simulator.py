@@ -226,10 +226,11 @@ def _sim_stats(grid, channels, lat: np.ndarray, lat_t: np.ndarray, flows, end_t:
     how an engine breaks time ties."""
     coords = grid.coords
     n_tiles = grid.n_tiles
-    # By latency, then stably by delivery time: the order of ``lexsort((lat,
-    # lat_t))``, since entries that tie on both keys are equal, in less time.
-    o = np.argsort(lat)
-    lat = lat[o[np.argsort(lat_t[o], kind="stable")]]
+    # numpy sorts complex numbers by real part, then imaginary part.
+    key = np.empty(lat.size, dtype=complex)
+    key.real, key.imag = lat_t, lat
+    key.sort()
+    lat = key.imag.copy()
     channel_stats: dict[tuple[Coord, Port], ChannelStats] = {}
     for cid, arrivals, completions, busy, area, resp_sum, svc_sum in sorted(channels):
         st = ChannelStats(arrivals=arrivals, completions=completions)
