@@ -298,6 +298,10 @@ def test_working_set_within_event_engine_bound():
     # typed arrays, with about 20% left for allocator and version
     # differences. Building each drawn pair's route on first use, not a
     # table of all pairs, brought it to 0.92 MB (feed-forward 1.80x).
+    # Channel sums taken per message, with no merge of each level's events
+    # in time order, and the latencies ordered by one complex-keyed sort,
+    # whose 16-byte keys now set the event engine's peak: feed-forward
+    # 1.17 MB, event engine 0.99 MB (1.19x).
     config = SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=5000, seed=3)
     event_peak = traced_peak(events.run_events, config)
     assert event_peak <= 1.4e6
@@ -309,7 +313,8 @@ def test_working_set_flat_in_run_length():
     # 3.11, numpy 2.4): 1.64 MB at 5,000 messages, 1.99 MB at 20,000
     # (1.21x), where the latency arrays and the message store of two
     # windows have grown. One window over the whole run: 1.92 MB, then
-    # 7.23 MB (3.8x).
+    # 7.23 MB (3.8x). With channel sums taken per message: 1.17 MB, then
+    # 1.43 MB (1.22x).
     short, long = (SimConfig(family("central"), TrafficSpec(lambda_g=0.2), messages=n, seed=3)
                    for n in (5000, 20_000))
     base = traced_peak(feedforward.run_feedforward, short)
@@ -321,8 +326,8 @@ def test_event_engine_working_set_on_a_spawning_run():
     # 1.99 MB traced peak; the flat loop 1.99 MB. Measured again later:
     # 2.10 MB with a latency list, 2.07 MB with latencies and delivery times
     # in typed arrays, 1.63 MB with each drawn pair's route built on first
-    # use. As above, about 25% is left for allocator and version
-    # differences.
+    # use, 1.80 MB with the latencies ordered by one complex-keyed sort. As
+    # above, about 25% is left for allocator and version differences.
     spec = TrafficSpec(lambda_g=0.1, miss_l2=0.3, model_replies=True)
     config = SimConfig(family("central", counts=(44, 16, 4)), spec, messages=5000, seed=3)
     assert traced_peak(events.run_events, config) <= 2.6e6
